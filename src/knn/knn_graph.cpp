@@ -1,7 +1,10 @@
 #include "knn/knn_graph.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <bit>
+#include <future>
 #include <limits>
 #include <queue>
 #include <thread>
@@ -77,25 +80,31 @@ unsigned resolve_threads(unsigned requested, size_t n) {
   return std::min<unsigned>(t, 16);
 }
 
-/// Run fn(begin, end, chunk_index) over [0, n) in contiguous chunks —
-/// sequential inline when threads == 1, else on a pool with a barrier.
-/// Chunk boundaries are identical either way, so per-chunk tallies are too.
+/// Run fn(begin, end, worker) over [0, n) in fixed chunks — inline as
+/// worker 0 when threads == 1, else `threads` pool workers pull chunks from
+/// a shared counter. Which worker runs a chunk varies between runs, so
+/// per-worker state may only be scratch or order-free tallies. A chunk's
+/// exception is rethrown here, as on the inline path.
 template <typename Fn>
 void parallel_chunks(size_t n, unsigned threads, Fn&& fn) {
-  if (threads <= 1 || n == 0) {
-    fn(size_t{0}, n, size_t{0});
+  if (threads <= 1) {
+    fn(size_t{0}, n, 0u);
     return;
   }
-  const size_t chunks = std::min<size_t>(threads * 4, (n + 255) / 256);
-  const size_t per = (n + chunks - 1) / chunks;
+  constexpr size_t kChunk = 256;
+  std::atomic<size_t> next{0};
   ThreadPool pool(threads);
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t begin = c * per;
-    const size_t end = std::min(n, begin + per);
-    if (begin >= end) break;
-    pool.submit([&fn, begin, end, c] { fn(begin, end, c); });
+  std::vector<std::future<void>> done;
+  done.reserve(threads);
+  for (unsigned w = 0; w < threads; ++w) {
+    done.push_back(pool.submit([&next, &fn, n, w] {
+      for (size_t begin = next.fetch_add(kChunk); begin < n;
+           begin = next.fetch_add(kChunk)) {
+        fn(begin, std::min(n, begin + kChunk), w);
+      }
+    }));
   }
-  pool.wait_idle();
+  for (auto& f : done) f.get();
 }
 
 /// Exact rows: brute-force strip scan per point with the kNN heap-cutoff
@@ -112,7 +121,7 @@ void build_exact(const PointSet& points, const KnnGraphConfig& cfg,
   const simd::StripKernelFn kernel = simd::detail::strip_kernel();
   const unsigned threads = resolve_threads(cfg.threads, n);
 
-  parallel_chunks(n, threads, [&](size_t begin, size_t end, size_t) {
+  parallel_chunks(n, threads, [&](size_t begin, size_t end, unsigned) {
     RowHeap row;
     for (size_t p = begin; p < end; ++p) {
       const std::span<const double> q = points[static_cast<PointId>(p)];
@@ -149,14 +158,15 @@ void build_exact(const PointSet& points, const KnnGraphConfig& cfg,
   stats.distance_evals += n * (n - 1);
 }
 
-/// Cutoff-abandoned candidate distance for the descent join: returns the
-/// exact squared distance when it is <= cutoff, or any partial sum already
-/// > cutoff once that is provable (the caller must then reject WITHOUT
+/// Cutoff-abandoned distance of one descent candidate: returns the exact
+/// squared distance when it is <= cutoff, or the first partial sum at an
+/// 8-dim checkpoint that is > cutoff (the caller must then reject WITHOUT
 /// storing the value — the true distance is >= the partial, so the
-/// candidate is strictly worse than the cutoff slot either way). When the
-/// full sum is computed it is the same ascending unfused mul+add sequence
-/// as squared_distance_uncounted (project-wide -ffp-contract=off), so
-/// stored row values are bit-identical to the unabandoned build.
+/// candidate is strictly worse than the cutoff slot either way). The full
+/// sum is the same ascending unfused mul+add sequence as
+/// squared_distance_uncounted (project-wide -ffp-contract=off). The join
+/// scores candidates in batches (score_lanes) and needs this only for the
+/// NaN sums that batches cannot decide.
 double squared_distance_abandoned(std::span<const double> a,
                                   std::span<const double> b, double cutoff) {
   double s = 0.0;
@@ -218,6 +228,79 @@ bool row_insert(std::span<PointId> ids, std::span<double> d2s,
   return true;
 }
 
+/// Candidates the descent join scores together.
+constexpr size_t kLanes = 4;
+
+/// Interleaved candidate scoring for the descent join: squared distances
+/// from q to kLanes rows at once, one independent accumulator per row so
+/// the adds of different rows overlap (a single 64-d sum is one chain of 64
+/// dependent adds). Each accumulator is the ascending-d unfused mul+add
+/// sequence of squared_distance_uncounted, so a finished lane is
+/// bit-identical to it. After every 8 dims, once EVERY lane's partial
+/// exceeds `cutoff` the rest is skipped; the result then holds partials
+/// > cutoff, which the caller must reject without storing.
+std::array<double, kLanes> score_lanes(
+    const double* q, const std::array<const double*, kLanes>& rows,
+    size_t dim, double cutoff) {
+  std::array<double, kLanes> acc{};
+  for (size_t d = 0; d < dim;) {
+    for (const size_t block_end = std::min(dim, d + 8); d < block_end; ++d) {
+      for (size_t l = 0; l < kLanes; ++l) {
+        const double diff = q[d] - rows[l][d];
+        acc[l] += diff * diff;
+      }
+    }
+    if (std::all_of(acc.begin(), acc.end(),
+                    [cutoff](double s) { return s > cutoff; })) {
+      break;
+    }
+  }
+  return acc;
+}
+
+/// One descent worker's scratch, reused across its points and every round:
+/// an epoch-stamped visited table over all n ids (one per worker, never per
+/// chunk) and the fresh candidates of the current point.
+struct JoinScratch {
+  std::vector<u32> stamp;
+  u32 epoch = 0;
+  std::vector<PointId> fresh;
+  std::vector<PointId> sort_buf;
+
+  void start_point(size_t n) {
+    if (stamp.empty()) stamp.assign(n, 0);
+    if (++epoch == 0) {  // wrapped: stale stamps could alias the new epoch
+      std::fill(stamp.begin(), stamp.end(), 0u);
+      epoch = 1;
+    }
+    fresh.clear();
+  }
+  void visit(PointId c) {
+    u32& seen = stamp[static_cast<size_t>(c)];
+    if (seen == epoch) return;
+    seen = epoch;
+    fresh.push_back(c);
+  }
+  /// Sort `fresh` ascending: LSD radix over 8-bit digits, `passes` of them
+  /// (enough for every id < n). A point has a few hundred fresh ids, where
+  /// this costs several times less than std::sort's compare branches.
+  void sort_fresh(unsigned passes) {
+    sort_buf.resize(fresh.size());
+    for (unsigned pass = 0; pass < passes; ++pass) {
+      const unsigned shift = 8 * pass;
+      std::array<u32, 257> start{};
+      for (const PointId c : fresh) {
+        ++start[((static_cast<u32>(c) >> shift) & 0xffu) + 1];
+      }
+      for (size_t b = 0; b < 256; ++b) start[b + 1] += start[b];
+      for (const PointId c : fresh) {
+        sort_buf[start[(static_cast<u32>(c) >> shift) & 0xffu]++] = c;
+      }
+      fresh.swap(sort_buf);
+    }
+  }
+};
+
 /// NN-descent refinement (Dong et al., incremental local join): every
 /// round, each point t gathers candidates from its sampled forward +
 /// reverse neighborhood's neighborhoods (read from the PREVIOUS round's
@@ -227,6 +310,7 @@ bool row_insert(std::span<PointId> ids, std::span<double> d2s,
 void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
                    KnnGraph& graph, KnnGraphBuildStats& stats) {
   const size_t n = points.size();
+  const size_t dim = static_cast<size_t>(points.dim());
   const u32 k = cfg.k;
   const unsigned threads = resolve_threads(cfg.threads, n);
   const u64 init_seed = derive_seed(cfg.seed, "knn.init");
@@ -243,8 +327,8 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
   };
 
   // --- Seeded random initial rows (exact when n - 1 <= k). ---
-  std::vector<u64> chunk_evals(threads * 4 + 1, 0);
-  parallel_chunks(n, threads, [&](size_t begin, size_t end, size_t chunk) {
+  std::vector<u64> worker_evals(threads, 0);
+  parallel_chunks(n, threads, [&](size_t begin, size_t end, unsigned worker) {
     std::vector<PointId> picks;
     u64 evals = 0;
     for (size_t p = begin; p < end; ++p) {
@@ -274,17 +358,25 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
                    squared_distance_uncounted(points[pid], points[c]), c);
       }
     }
-    chunk_evals[chunk] += evals;
+    worker_evals[worker] += evals;
   });
-  for (const u64 e : chunk_evals) stats.distance_evals += e;
+  for (const u64 e : worker_evals) stats.distance_evals += e;
 
   if (n - 1 <= k) return;  // rows are already exact
 
   // --- Refinement rounds. ---
   std::vector<PointId> prev_ids;
   std::vector<unsigned char> prev_flag;
-  std::vector<std::vector<std::pair<PointId, unsigned char>>> rev(n);
+  // Reverse adjacency of the snapshot in CSR form: point j's sources are
+  // rev_ids[rev_off[j] .. rev_off[j + 1]), each with its edge's new bit.
+  std::vector<size_t> rev_off(n + 1);
+  std::vector<PointId> rev_ids;
+  std::vector<unsigned char> rev_new;
+  std::vector<JoinScratch> scratch(threads);
   const u64 target_slots = static_cast<u64>(n) * k;
+  const u32 fwd_sample = std::min(k, cfg.sample);
+  const auto radix_passes =
+      static_cast<unsigned>((std::bit_width(n - 1) + 7) / 8);
   for (u32 round = 0; round < cfg.max_rounds; ++round) {
     ++stats.rounds;
     // Snapshot the rows + new/old bits: candidate generation reads prev,
@@ -304,111 +396,149 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
     // they have now been fully exploited as pivots, and only a future
     // insertion may make them new again. Capped-out rev edges keep their
     // bit and retry in a later round.
-    for (auto& r : rev) r.clear();
-    const u32 fwd_sample = std::min(k, cfg.sample);
+    std::fill(rev_off.begin(), rev_off.end(), 0);
+    for (size_t e = 0; e < n * k; ++e) {
+      const PointId j = prev_ids[e];
+      if (j == kNoNeighbor) continue;
+      size_t& count = rev_off[static_cast<size_t>(j) + 1];
+      if (count < cfg.sample) ++count;
+    }
+    for (size_t j = 0; j < n; ++j) rev_off[j + 1] += rev_off[j];
+    rev_ids.resize(rev_off[n]);
+    rev_new.resize(rev_off[n]);
+    std::vector<size_t> rev_fill(rev_off.begin(), rev_off.end() - 1);
     for (size_t p = 0; p < n; ++p) {
       for (u32 s = 0; s < k; ++s) {
         const PointId j = prev_ids[p * k + s];
         if (j == kNoNeighbor) break;
-        auto& r = rev[static_cast<size_t>(j)];
-        if (r.size() < cfg.sample) {
-          r.emplace_back(static_cast<PointId>(p), prev_flag[p * k + s]);
+        size_t& fill = rev_fill[static_cast<size_t>(j)];
+        if (fill < rev_off[static_cast<size_t>(j) + 1]) {
+          rev_ids[fill] = static_cast<PointId>(p);
+          rev_new[fill] = prev_flag[p * k + s];
+          ++fill;
           new_flag[p * k + s] = 0;
         }
         if (s < fwd_sample) new_flag[p * k + s] = 0;
       }
     }
 
-    std::vector<u64> chunk_updates(threads * 4 + 1, 0);
-    std::vector<u64> chunk_evals2(threads * 4 + 1, 0);
-    std::vector<u64> chunk_drops(threads * 4 + 1, 0);
-    parallel_chunks(n, threads, [&](size_t begin, size_t end, size_t chunk) {
-      // B(t): sampled fwd + rev neighbors, each with its edge's new bit.
-      std::vector<std::pair<PointId, unsigned char>> bucket;
-      std::vector<std::pair<PointId, unsigned char>> candidates;
+    std::vector<u64> worker_updates(threads, 0);
+    std::vector<u64> worker_drops(threads, 0);
+    std::fill(worker_evals.begin(), worker_evals.end(), 0);
+    parallel_chunks(n, threads, [&](size_t begin, size_t end, unsigned worker) {
+      JoinScratch& js = scratch[worker];
       u64 updates = 0;
       u64 evals = 0;
       u64 drops = 0;
       for (size_t t = begin; t < end; ++t) {
         const auto tid = static_cast<PointId>(t);
-        bucket.clear();
-        for (u32 s = 0; s < fwd_sample; ++s) {
-          const PointId j = prev_ids[t * k + s];
-          if (j == kNoNeighbor) break;
-          bucket.emplace_back(j, prev_flag[t * k + s]);
-        }
-        for (const auto& [j, f] : rev[t]) bucket.emplace_back(j, f);
-
         // A candidate (t, c) reached through pivot edges (t~j, j~c) is
         // evaluated only if at least one of the two edges is new — an
         // old/old pair was already proposed the round both edges turned
-        // old. Duplicates keep the OR of their path bits.
-        candidates.clear();
-        for (const auto& [j, fj] : bucket) {
-          candidates.emplace_back(j, fj);  // rev members may beat the row
+        // old. So only fresh candidates are emitted: the pivot j itself
+        // when its own edge is new, and j's sampled forward + reverse
+        // neighbors over a new path. The stamp table keeps the first
+        // emission of each id.
+        js.start_point(n);
+        js.stamp[t] = js.epoch;  // never a candidate of itself
+        const auto expand = [&](PointId j, bool fj) {
+          if (fj) js.visit(j);
           const size_t jb = static_cast<size_t>(j) * k;
           for (u32 s = 0; s < fwd_sample; ++s) {
             const PointId c = prev_ids[jb + s];
             if (c == kNoNeighbor) break;
-            candidates.emplace_back(
-                c, static_cast<unsigned char>(fj | prev_flag[jb + s]));
+            if (fj || prev_flag[jb + s] != 0) js.visit(c);
           }
-          for (const auto& [c, fc] : rev[static_cast<size_t>(j)]) {
-            candidates.emplace_back(c,
-                                    static_cast<unsigned char>(fj | fc));
+          const size_t rj = static_cast<size_t>(j);
+          for (size_t r = rev_off[rj]; r < rev_off[rj + 1]; ++r) {
+            if (fj || rev_new[r] != 0) js.visit(rev_ids[r]);
           }
+        };
+        for (u32 s = 0; s < fwd_sample; ++s) {
+          const PointId j = prev_ids[t * k + s];
+          if (j == kNoNeighbor) break;
+          expand(j, prev_flag[t * k + s] != 0);
         }
-        std::sort(candidates.begin(), candidates.end(),
-                  [](const auto& a, const auto& b) {
-                    return a.first != b.first ? a.first < b.first
-                                              : a.second > b.second;
-                  });
-        candidates.erase(
-            std::unique(candidates.begin(), candidates.end(),
-                        [](const auto& a, const auto& b) {
-                          return a.first == b.first;
-                        }),
-            candidates.end());
+        for (size_t r = rev_off[t]; r < rev_off[t + 1]; ++r) {
+          expand(rev_ids[r], rev_new[r] != 0);
+        }
+        // Ascending id order fixes the update count (row_insert is order
+        // sensitive) and the fault site's hit order.
+        js.sort_fresh(radix_passes);
+        std::vector<PointId>& fresh = js.fresh;
 
-        auto ids = graph.mutable_row_ids(tid);
-        auto d2s = graph.mutable_row_d2(tid);
-        const auto flags = row_flags(t);
-        for (const auto& [c, fresh] : candidates) {
-          if (c == tid) continue;
-          if (!fresh) continue;  // old/old pair: already proposed before
-          // Fault site: drop this candidate edge on the floor. NN-descent
-          // is self-healing — later rounds re-propose surviving paths — so
-          // a faulted build still converges to a usable graph (pinned by
-          // the knn chaos cells).
+        // Fault site: drop this candidate edge on the floor. NN-descent is
+        // self-healing — later rounds re-propose surviving paths — so a
+        // faulted build still converges to a usable graph (pinned by the
+        // knn chaos cells).
+        size_t m = 0;
+        for (const PointId c : fresh) {
           if (SDB_INJECT("knn.graph.drop_edge")) {
             ++drops;
             continue;
           }
-          ++evals;
-          // A full row's worst slot bounds what can still matter: abandon
-          // the distance once the partial sum exceeds it, and reject
-          // without touching the row (strictly worse than the worst slot
-          // no matter the tie-break id). One eval is charged per candidate
-          // examined regardless — the unified counter contract.
-          const double cutoff = ids[k - 1] != kNoNeighbor
-                                    ? d2s[k - 1]
-                                    : std::numeric_limits<double>::infinity();
-          const double d2 = squared_distance_abandoned(points[tid],
-                                                       points[c], cutoff);
-          if (d2 > cutoff) continue;
-          if (row_insert(ids, d2s, flags, k, d2, c)) {
-            ++updates;
+          fresh[m++] = c;
+        }
+        fresh.resize(m);
+        // One eval is charged per candidate examined, abandoned or not —
+        // the unified counter contract.
+        evals += m;
+
+        // Score kLanes candidates at a time, then apply them in id order
+        // against the live worst slot. A full row's worst slot bounds what
+        // can still matter, and it only improves as candidates land, so a
+        // lane abandoned against the worst slot at the batch start is
+        // strictly worse than the live one too, and is rejected without
+        // touching the row. A finished lane is the exact distance, so each
+        // candidate is accepted or rejected exactly as if it had been
+        // scored alone against the live slot.
+        auto ids = graph.mutable_row_ids(tid);
+        auto d2s = graph.mutable_row_d2(tid);
+        const auto flags = row_flags(t);
+        const auto cutoff = [&] {
+          return ids[k - 1] != kNoNeighbor
+                     ? d2s[k - 1]
+                     : std::numeric_limits<double>::infinity();
+        };
+        const double* q = points[tid].data();
+        for (size_t i = 0; i < m; i += kLanes) {
+          const size_t lanes = std::min(kLanes, m - i);
+          // A short final batch pads with copies of its last candidate.
+          std::array<const double*, kLanes> rows{};
+          for (size_t l = 0; l < kLanes; ++l) {
+            rows[l] = points[fresh[i + std::min(l, lanes - 1)]].data();
+          }
+          // Candidate rows are scattered over the whole point set; start
+          // pulling in the next batch while this one is scored.
+          for (size_t l = i + kLanes; l < std::min(m, i + 2 * kLanes); ++l) {
+            const double* row = points[fresh[l]].data();
+            for (size_t d = 0; d < dim; d += 8) __builtin_prefetch(row + d);
+          }
+          const std::array<double, kLanes> d2 =
+              score_lanes(q, rows, dim, cutoff());
+          for (size_t l = 0; l < lanes; ++l) {
+            const PointId c = fresh[i + l];
+            const double live = cutoff();
+            double dc = d2[l];
+            // A NaN sum (non-finite coordinates) is neither above nor below
+            // the cutoff, and no batch abandons it: whether it is rejected
+            // depends on its partials before the NaN against the live slot.
+            if (std::isnan(dc)) {
+              dc = squared_distance_abandoned(points[tid], points[c], live);
+            }
+            if (dc > live) continue;
+            if (row_insert(ids, d2s, flags, k, dc, c)) ++updates;
           }
         }
       }
-      chunk_updates[chunk] += updates;
-      chunk_evals2[chunk] += evals;
-      chunk_drops[chunk] += drops;
+      worker_updates[worker] += updates;
+      worker_evals[worker] += evals;
+      worker_drops[worker] += drops;
     });
     u64 round_updates = 0;
-    for (const u64 u : chunk_updates) round_updates += u;
-    for (const u64 e : chunk_evals2) stats.distance_evals += e;
-    for (const u64 d : chunk_drops) stats.dropped_edges += d;
+    for (const u64 u : worker_updates) round_updates += u;
+    for (const u64 e : worker_evals) stats.distance_evals += e;
+    for (const u64 d : worker_drops) stats.dropped_edges += d;
     stats.updates += round_updates;
     if (static_cast<double>(round_updates) <
         cfg.termination_frac * static_cast<double>(target_slots)) {

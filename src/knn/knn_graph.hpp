@@ -12,11 +12,13 @@
 //
 // Graph layout: flat rows of k slots per point — neighbor_ids / neighbor_d2
 // — each row sorted ascending by (d2, id) with kNoNeighbor padding. Rows
-// never contain the point itself. The builder evaluates candidates over the
-// same strip-transposed (SoA) snapshot + runtime-dispatched SIMD kernels as
-// the spatial indexes (distance_simd.hpp), using the kNN heap-cutoff filter
-// idiom from the kd-tree leaf scan, so graph distances are bit-identical to
-// the scalar reference on every host.
+// never contain the point itself. The exact builder streams the same
+// strip-transposed (SoA) snapshot + runtime-dispatched SIMD kernels as the
+// spatial indexes (distance_simd.hpp), with the kNN heap-cutoff filter idiom
+// from the kd-tree leaf scan. The descent builder scores scattered candidate
+// pairs a few at a time with independent scalar accumulators. Both follow
+// the kernels' arithmetic contract (ascending-d unfused mul+add), so graph
+// distances are bit-identical to the scalar reference on every host.
 //
 // Determinism: both builders are bit-deterministic for a given (points,
 // config) INCLUDING config.threads — exact rows are independent per point,
@@ -64,10 +66,11 @@ struct KnnGraphConfig {
   double termination_frac = 0.002;
   /// Seed for the random initial rows and the per-round join sampling.
   u64 seed = 42;
-  /// Worker threads (0 = auto, 1 = sequential). Results are identical for
-  /// any value; chaos tests pin 1 so fault-plan replay sees one
-  /// deterministic site-hit order.
-  unsigned threads = 1;
+  /// Worker threads: 0 = auto (hardware concurrency, at most 16), 1 =
+  /// sequential. Builds under 4096 points always run sequentially. Results
+  /// are identical for any value; chaos tests pin 1 so fault-plan replay
+  /// sees one deterministic site-hit order.
+  unsigned threads = 0;
 };
 
 class KnnGraph {

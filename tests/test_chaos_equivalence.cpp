@@ -354,6 +354,7 @@ TEST_P(ChaosKnnBackend, FaultedGraphBuildConvergesAndReplays) {
     cfg.partitions = 3;
     cfg.backend = DbscanBackend::kKnn;
     cfg.knn.k = 16;
+    cfg.knn.threads = 1;  // one thread: totally ordered fault log
     SparkDbscan job(ctx, cfg);
     auto report = job.run(ps);
     ChaosRun out;

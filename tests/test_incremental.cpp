@@ -519,7 +519,9 @@ TEST(Incremental, RebuildThresholdZeroNeverRebuilds) {
     } else {
       inc.insert(data[i]);
     }
-    if (i % 3 == 0 && i > 0) ASSERT_TRUE(inc.try_remove(i - 1));
+    if (i % 3 == 0 && i > 0) {
+      ASSERT_TRUE(inc.try_remove(i - 1));
+    }
   }
   EXPECT_EQ(inc.rebuilds(), 0u);
   EXPECT_EQ(inc.reclaimed(), 0u);  // reclaim piggybacks on rebuilds

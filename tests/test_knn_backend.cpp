@@ -110,7 +110,9 @@ TEST(KnnEpsGraph, MutualEdgesAreSymmetricAndFlagsConsistent) {
     for (size_t s = 0; s < nbrs.size(); ++s) {
       const PointId j = nbrs[s];
       ASSERT_NE(j, i) << "self edge";
-      if (s > 0) EXPECT_LT(nbrs[s - 1], j) << "row not ascending by id";
+      if (s > 0) {
+        EXPECT_LT(nbrs[s - 1], j) << "row not ascending by id";
+      }
       // Find i in j's row; the flag must be the mirror image.
       const auto jn = eps.neighbors(j);
       const auto jf = eps.edge_flags(j);

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
@@ -174,7 +176,11 @@ TEST(KnnGraphDescent, RowsAreSortedSelfFreeAndDuplicateFree) {
 }
 
 TEST(KnnGraphDescent, BitDeterministicAcrossThreadCounts) {
-  const PointSet ps = embedding_fixture(1200, 64, 55);
+  // Builds below 4096 points run sequentially whatever `threads` says, so
+  // the fixture sits above that floor to put every thread count here on a
+  // real pool (and the parallel local join under TSan via `sanitize`).
+  const PointSet ps = embedding_fixture(4500, 12, 55);
+  ASSERT_GE(ps.size(), 4096u);
   for (const auto build :
        {KnnGraphConfig::Build::kExact, KnnGraphConfig::Build::kDescent}) {
     KnnGraphConfig cfg;
@@ -188,6 +194,70 @@ TEST(KnnGraphDescent, BitDeterministicAcrossThreadCounts) {
           << "threads=" << threads << " build=" << static_cast<int>(build);
     }
   }
+}
+
+// Descent graphs recorded from the original sort/unique local join. Any
+// rewrite of candidate generation or scoring must reproduce them bit for
+// bit: rows and d2 bits (digest), rounds, updates and evaluation counts.
+struct DescentGolden {
+  i64 n;
+  int dim;
+  u64 fixture_seed;
+  u32 k;
+  u64 digest;
+  u32 rounds;
+  u64 updates;
+  u64 distance_evals;
+};
+
+TEST(KnnGraphDescent, GoldenGraphsMatchReferenceJoin) {
+  // {4500, 12}: above the sequential floor, so the default config
+  // (threads = 0) builds it on a pool; {1500, 64}: the workload's
+  // dimension, sequential.
+  const DescentGolden goldens[] = {
+      {4500, 12, 55, 16, 0x2a77fdae343d476dull, 4, 416545, 5985243},
+      {4500, 12, 55, 12, 0x8702ef322c301af2ull, 5, 322373, 4275552},
+      {1500, 64, 64, 16, 0x5728f89f750bb280ull, 4, 112130, 1541917},
+      {1500, 64, 64, 12, 0xdebbf4b94320a14dull, 4, 88589, 1158444},
+  };
+  for (const DescentGolden& g : goldens) {
+    SCOPED_TRACE("n=" + std::to_string(g.n) + " dim=" +
+                 std::to_string(g.dim) + " k=" + std::to_string(g.k));
+    const PointSet ps = embedding_fixture(g.n, g.dim, g.fixture_seed);
+    KnnGraphConfig cfg;
+    cfg.k = g.k;
+    KnnGraphBuildStats stats;
+    const KnnGraph graph = build_knn_graph(ps, cfg, &stats);
+    EXPECT_EQ(graph.digest(), g.digest);
+    EXPECT_EQ(stats.rounds, g.rounds);
+    EXPECT_EQ(stats.updates, g.updates);
+    EXPECT_EQ(stats.distance_evals, g.distance_evals);
+  }
+}
+
+TEST(KnnGraphDescent, NanCoordinatesMatchReferenceJoin) {
+  // A NaN coordinate makes NaN sums, which are neither above nor below a
+  // row's worst slot. Whether such a candidate is rejected depends on its
+  // partial sums before the NaN; the build must still decide every one as
+  // the reference join did (golden recorded from it).
+  const PointSet clean = embedding_fixture(600, 64, 99);
+  PointSet ps(64);
+  for (PointId i = 0; i < static_cast<PointId>(clean.size()); ++i) {
+    std::vector<double> row(clean[i].begin(), clean[i].end());
+    if (i % 37 == 0) {
+      row[static_cast<size_t>(20 + i % 40)] =
+          std::numeric_limits<double>::quiet_NaN();
+    }
+    ps.add(row);
+  }
+  KnnGraphConfig cfg;
+  cfg.k = 12;
+  KnnGraphBuildStats stats;
+  const KnnGraph graph = build_knn_graph(ps, cfg, &stats);
+  EXPECT_EQ(graph.digest(), 0xb457df9d5b5529ffull);
+  EXPECT_EQ(stats.rounds, 12u);
+  EXPECT_EQ(stats.updates, 49828u);
+  EXPECT_EQ(stats.distance_evals, 407446u);
 }
 
 TEST(KnnGraphDescent, SeedChangesInitButConvergesToSimilarQuality) {
@@ -248,6 +318,23 @@ TEST(KnnGraphChaos, DropEdgeFaultsSelfHealAndReplayByteIdentically) {
       EXPECT_EQ(chaos.plan().log_digest(), first_log);
     }
   }
+}
+
+TEST(KnnGraphChaos, DropEdgeGoldenMatchesReferenceJoin) {
+  // One faulted build recorded from the original sort/unique local join:
+  // the drop_edge site must be hit once per fresh candidate, in ascending
+  // id order per point, so the same plan drops the same candidates.
+  const PointSet ps = embedding_fixture(900, 64, 31);
+  KnnGraphConfig cfg;
+  cfg.k = 12;
+  cfg.threads = 1;
+  fault::ScopedFaultPlan chaos("seed=1;knn.graph.drop_edge:p=0.02,budget=500");
+  KnnGraphBuildStats stats;
+  const KnnGraph faulted = build_knn_graph(ps, cfg, &stats);
+  EXPECT_EQ(faulted.digest(), 0x7453be7d9b5ab93bull);
+  EXPECT_EQ(chaos.plan().log_digest(), 0xc32fec1baa526d6eull);
+  EXPECT_EQ(stats.dropped_edges, 500u);
+  EXPECT_EQ(stats.distance_evals, 582825u);
 }
 
 TEST(KnnGraphChaos, NoPlanMeansNoDrops) {

@@ -114,7 +114,7 @@ TEST(Rdd, CacheMemoizes) {
   EXPECT_EQ(gen->materialize(1), std::vector<int>{1});
   EXPECT_EQ(computations, 2);
   gen->uncache_all();
-  gen->materialize(0);
+  (void)gen->materialize(0);
   EXPECT_EQ(computations, 3);
 }
 
@@ -126,8 +126,8 @@ TEST(Rdd, UncachedRecomputes) {
         return std::vector<int>{static_cast<int>(p)};
       },
       1);
-  gen->materialize(0);
-  gen->materialize(0);
+  (void)gen->materialize(0);
+  (void)gen->materialize(0);
   EXPECT_EQ(computations, 2);
 }
 

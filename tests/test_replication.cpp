@@ -432,7 +432,9 @@ TEST(Replication, ConcurrentReadsSurviveFailover) {
             set.classify(q, static_cast<size_t>(t));
         // Epochs a reader observes never go backwards past the committed
         // floor it has already seen from the same replica preference.
-        if (r.redirected) EXPECT_GE(r.epoch + 1, last_epoch);
+        if (r.redirected) {
+          EXPECT_GE(r.epoch + 1, last_epoch);
+        }
         last_epoch = r.epoch;
         reads.fetch_add(1, std::memory_order_relaxed);
       }

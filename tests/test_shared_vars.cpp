@@ -17,7 +17,7 @@ TEST(Broadcast, ValueAccess) {
 TEST(Broadcast, EmptyDereferenceAborts) {
   Broadcast<int> b;
   EXPECT_FALSE(b.valid());
-  EXPECT_DEATH(b.value(), "empty Broadcast");
+  EXPECT_DEATH((void)b.value(), "empty Broadcast");
 }
 
 TEST(Accumulator, SumSemantics) {
