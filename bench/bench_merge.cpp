@@ -8,15 +8,13 @@
 //               list, so total work grows ~ edges x clusters: SUPERLINEAR in
 //               the partial-cluster count.
 //   uf-seq    — sequential union-find merge (one pass over the edges).
-//   parallel  — the edge-based pipeline (core/merge.cpp) at 1/2/4/hw
-//               threads, byte-identical output asserted against uf-seq.
 //
-// Wall time on a many-core host shows the thread scaling; the deterministic
-// merge_ops column shows the algorithmic claim — paper ops-per-edge grows
-// with m while the edge-based merge stays flat — independently of how many
-// cores the bench host happens to have. Results print as tables and are
-// written as machine-readable JSON (schema in README "Merge bench");
-// --smoke shrinks the scales and runs under ctest -L perf.
+// The deterministic merge_ops column carries the claim, independently of
+// the bench host: paper ops-per-edge rises with m and stays above the
+// union-find merge's at every scale. Every run checks that claim and fails
+// if it does not hold. Results print as tables and are written as
+// machine-readable JSON (schema in README "Merge bench"); --smoke shrinks
+// the scales and runs under ctest -L perf.
 #include "bench_common.hpp"
 
 #include <cstdio>
@@ -86,7 +84,6 @@ std::vector<dbscan::LocalClusterResult> make_topology(
         }
       }
     }
-    locals[p].seed_edges = dbscan::flatten_seed_edges(locals[p]);
   }
   return locals;
 }
@@ -94,34 +91,22 @@ std::vector<dbscan::LocalClusterResult> make_topology(
 struct Measured {
   double wall_ms = 0.0;  ///< best of reps
   u64 merge_ops = 0;
-  u64 cas_retries = 0;
-  dbscan::MergeResult last;
 };
 
 Measured measure(const std::vector<dbscan::LocalClusterResult>& locals,
-                 u64 num_points, dbscan::MergeStrategy strategy,
-                 unsigned threads, int reps) {
+                 u64 num_points, dbscan::MergeStrategy strategy, int reps) {
   Measured out;
   out.wall_ms = 1e300;
   for (int r = 0; r < reps; ++r) {
     dbscan::MergeOptions opt;
     opt.strategy = strategy;
-    opt.merge_threads = threads;
     Stopwatch sw;
-    auto merged = dbscan::merge_partial_clusters(locals, num_points, opt);
+    const auto merged = dbscan::merge_partial_clusters(locals, num_points, opt);
     out.wall_ms = std::min(out.wall_ms, sw.millis());
     out.merge_ops = merged.counters.merge_ops;
-    out.cas_retries = merged.stats.cas_retries;
-    out.last = std::move(merged);
   }
   return out;
 }
-
-struct ThreadPoint {
-  unsigned threads = 0;
-  double wall_ms = 0.0;
-  u64 cas_retries = 0;
-};
 
 struct ScaleReport {
   u32 partitions = 0;
@@ -130,8 +115,11 @@ struct ScaleReport {
   u64 points = 0;
   Measured paper;
   Measured uf_seq;
-  std::vector<ThreadPoint> parallel;
-  bool identical = true;  ///< parallel labels byte-equal to uf_seq, all t
+
+  [[nodiscard]] double ops_per_edge(const Measured& strategy) const {
+    return static_cast<double>(strategy.merge_ops) /
+           static_cast<double>(edges);
+  }
 };
 
 void write_json(const std::string& path, const std::string& mode, u64 seed,
@@ -157,29 +145,16 @@ void write_json(const std::string& path, const std::string& mode, u64 seed,
                  "\"ops_per_edge\": %.2f},\n",
                  r.paper.wall_ms,
                  static_cast<unsigned long long>(r.paper.merge_ops),
-                 static_cast<double>(r.paper.merge_ops) /
-                     static_cast<double>(r.edges));
+                 r.ops_per_edge(r.paper));
     std::fprintf(f,
                  "     \"uf_seq\": {\"wall_ms\": %.3f, \"merge_ops\": %llu, "
                  "\"ops_per_edge\": %.2f},\n",
                  r.uf_seq.wall_ms,
                  static_cast<unsigned long long>(r.uf_seq.merge_ops),
-                 static_cast<double>(r.uf_seq.merge_ops) /
-                     static_cast<double>(r.edges));
-    std::fprintf(f, "     \"merge_ops_blowup\": %.2f,\n",
+                 r.ops_per_edge(r.uf_seq));
+    std::fprintf(f, "     \"merge_ops_blowup\": %.2f}%s\n",
                  static_cast<double>(r.paper.merge_ops) /
-                     static_cast<double>(r.uf_seq.merge_ops));
-    std::fprintf(f, "     \"parallel\": [");
-    for (size_t t = 0; t < r.parallel.size(); ++t) {
-      const ThreadPoint& tp = r.parallel[t];
-      std::fprintf(f,
-                   "%s{\"threads\": %u, \"wall_ms\": %.3f, "
-                   "\"cas_retries\": %llu}",
-                   t == 0 ? "" : ", ", tp.threads, tp.wall_ms,
-                   static_cast<unsigned long long>(tp.cas_retries));
-    }
-    std::fprintf(f, "],\n     \"identical\": %s}%s\n",
-                 r.identical ? "true" : "false",
+                     static_cast<double>(r.uf_seq.merge_ops),
                  i + 1 < reports.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -202,7 +177,6 @@ int main(int argc, char** argv) {
   const bool smoke = flags.boolean("smoke");
   const u64 seed = static_cast<u64>(flags.i64_flag("seed"));
   const int reps = smoke ? 2 : 3;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
   // Partial-cluster scales. The largest full cell matches the paper's r1m
   // observation (9279 partial clusters, 32 partitions).
@@ -213,10 +187,6 @@ int main(int argc, char** argv) {
   const std::vector<Scale> scales =
       smoke ? std::vector<Scale>{{8, 25}, {16, 50}}
             : std::vector<Scale>{{8, 125}, {16, 187}, {32, 290}};
-
-  std::vector<unsigned> sweep{1, 2, 4, hw};
-  std::sort(sweep.begin(), sweep.end());
-  sweep.erase(std::unique(sweep.begin(), sweep.end()), sweep.end());
 
   std::vector<ScaleReport> reports;
   for (const Scale& scale : scales) {
@@ -231,50 +201,29 @@ int main(int argc, char** argv) {
     r.points = num_points;
 
     r.paper = measure(locals, num_points,
-                      dbscan::MergeStrategy::kPaperSinglePass, 1, reps);
+                      dbscan::MergeStrategy::kPaperSinglePass, reps);
     r.uf_seq = measure(locals, num_points, dbscan::MergeStrategy::kUnionFind,
-                       1, reps);
-    for (const unsigned t : sweep) {
-      auto m = measure(locals, num_points, dbscan::MergeStrategy::kUnionFind,
-                       t, reps);
-      if (m.last.clustering.labels != r.uf_seq.last.clustering.labels) {
-        r.identical = false;
-      }
-      r.parallel.push_back({t, m.wall_ms, m.cas_retries});
-    }
-    SDB_CHECK(r.identical,
-              "parallel merge must be byte-identical to sequential");
+                       reps);
+    SDB_CHECK(r.ops_per_edge(r.paper) > r.ops_per_edge(r.uf_seq),
+              "paper merge must cost more per edge than union-find");
+    SDB_CHECK(reports.empty() ||
+                  r.ops_per_edge(r.paper) >
+                      reports.back().ops_per_edge(reports.back().paper),
+              "paper merge ops per edge must rise with m");
 
     TablePrinter table({"strategy", "wall_ms", "merge_ops", "ops/edge"});
     table.add_row({"paper", TablePrinter::cell(r.paper.wall_ms, 2),
                    TablePrinter::cell(r.paper.merge_ops),
-                   TablePrinter::cell(static_cast<double>(r.paper.merge_ops) /
-                                          static_cast<double>(r.edges),
-                                      1)});
+                   TablePrinter::cell(r.ops_per_edge(r.paper), 1)});
     table.add_row({"uf-seq", TablePrinter::cell(r.uf_seq.wall_ms, 2),
                    TablePrinter::cell(r.uf_seq.merge_ops),
-                   TablePrinter::cell(
-                       static_cast<double>(r.uf_seq.merge_ops) /
-                           static_cast<double>(r.edges),
-                       1)});
+                   TablePrinter::cell(r.ops_per_edge(r.uf_seq), 1)});
     bench::emit(table,
                 "merge strategies: m=" + std::to_string(r.m) + " clusters, " +
                     std::to_string(r.edges) + " edges (" +
                     std::to_string(scale.partitions) + " partitions)",
                 flags.boolean("csv"));
-
-    TablePrinter scaling({"threads", "wall_ms", "speedup", "cas_retries"});
-    for (const ThreadPoint& tp : r.parallel) {
-      scaling.add_row(
-          {TablePrinter::cell(static_cast<u64>(tp.threads)),
-           TablePrinter::cell(tp.wall_ms, 2),
-           TablePrinter::cell(r.parallel.front().wall_ms / tp.wall_ms, 2),
-           TablePrinter::cell(tp.cas_retries)});
-    }
-    bench::emit(scaling, "parallel merge thread scaling: m=" +
-                             std::to_string(r.m),
-                flags.boolean("csv"));
-    reports.push_back(std::move(r));
+    reports.push_back(r);
   }
 
   write_json(flags.string("out"), smoke ? "smoke" : "full", seed, reports);

@@ -452,10 +452,6 @@ int main(int argc, char** argv) {
   flags.add_bool("estimate_eps", false, "pick eps via the 4-dist heuristic");
   flags.add_i64("minpts", 5, "DBSCAN minpts");
   flags.add_i64("partitions", 8, "partitions/executors (spark/mr engines)");
-  flags.add_i64("merge-threads", 1,
-                "driver threads for the partial-cluster merge (spark/mr "
-                "engines); 0 = hardware concurrency, labels are identical "
-                "for any value");
   flags.add_string("engine", "spark", "seq | spark | mr");
   flags.add_string("backend", "exact",
                    "neighborhood backend (seq/spark engines): exact | knn "
@@ -573,7 +569,6 @@ int main(int argc, char** argv) {
     cfg.partitions = partitions;
     cfg.checkpoint_dir = flags.string("checkpoint-dir");
     cfg.resume = flags.boolean("resume");
-    cfg.merge_threads = static_cast<unsigned>(flags.i64_flag("merge-threads"));
     dbscan::SparkDbscan dbscan(ctx, cfg);
     const auto report = dbscan.run(points);
     if (!cfg.checkpoint_dir.empty() && !flags.boolean("quiet")) {
@@ -597,7 +592,6 @@ int main(int argc, char** argv) {
         (std::filesystem::temp_directory_path() / "sdbscan_cli_mr").string();
     cfg.checkpoint_dir = flags.string("checkpoint-dir");
     cfg.resume = flags.boolean("resume");
-    cfg.merge_threads = static_cast<unsigned>(flags.i64_flag("merge-threads"));
     const auto report = dbscan::mr_dbscan(points, cfg);
     if (!cfg.checkpoint_dir.empty() && !flags.boolean("quiet")) {
       std::fprintf(stderr,

@@ -21,9 +21,9 @@ namespace {
 constexpr u64 kCompactMagicV2 = 0x53444232ull << 32;
 
 std::string encode_compact(const LocalClusterResult& result) {
-  // v2: header, members-only cluster records, per-point facts, then the
-  // seed-edge section (each cluster's seed list in clusters order — the
-  // same sorted/delta/varint bytes the v1 layout nested per cluster).
+  // v2: header, members-only cluster records, per-point facts, then each
+  // cluster's seed list in clusters order (the same sorted/delta/varint
+  // bytes the v1 layout nested per cluster).
   std::vector<char> out;
   put_varint(out, kCompactMagicV2);
   put_varint(out, kLocalResultWireV2);
@@ -63,7 +63,6 @@ LocalClusterResult decode_compact(const std::string& bytes) {
     result.core_points = get_id_list(data, size, pos);
     result.noise = get_id_list(data, size, pos);
     SDB_CHECK(pos == size, "compact codec: trailing bytes");
-    result.seed_edges = flatten_seed_edges(result);
     return result;
   }
   SDB_CHECK(head == kCompactMagicV2, "compact codec: bad wire magic");
@@ -86,7 +85,6 @@ LocalClusterResult decode_compact(const std::string& bytes) {
     result.clusters[i].seeds = get_id_list(data, size, pos);
   }
   SDB_CHECK(pos == size, "compact codec: trailing bytes");
-  result.seed_edges = flatten_seed_edges(result);
   return result;
 }
 

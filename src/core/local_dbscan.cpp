@@ -172,11 +172,6 @@ LocalClusterResult local_dbscan(const PointSet& points,
     if (membership.find(p) == nullptr) true_noise.push_back(p);
   }
   result.noise = std::move(true_noise);
-  // Emit the flat (origin uid, seed) edge view of the nested seed lists —
-  // the record the v2 wire format ships and the parallel merge shards over.
-  // A view construction folded into serialization, so it is not charged as
-  // algorithm work.
-  result.seed_edges = flatten_seed_edges(result);
   tally.frontier_peak = frontier_peak;
   counters::add(tally);
   return result;

@@ -13,24 +13,14 @@
 //
 // MergeStrategy::kUnionFind fixes both: every partial cluster's seeds are
 // processed, and a seed only fuses clusters when the seed point is core.
-//
-// With merge_threads > 1 the kUnionFind strategy runs as a parallel
-// edge-based pipeline (DESIGN.md §13): the per-result seed-edge records are
-// resolved against sharded point tables into (seed cluster, master cluster,
-// seed-is-core) edges, united through a lock-free ConcurrentUnionFind, and
-// relabeled by a deterministic uid-canonical pass — the output is
-// byte-identical to the sequential kUnionFind merge for any thread count
-// and any arrival permutation (tests/test_merge_equivalence.cpp).
+// Both strategies run sequentially on the driver: one job's seed edges are
+// too few to pay for a thread pool (DESIGN.md §13).
 #pragma once
 
 #include "core/dbscan.hpp"
 #include "core/partial_cluster.hpp"
 #include "core/partitioners.hpp"
 #include "util/counters.hpp"
-
-namespace sdb {
-class ThreadPool;
-}
 
 namespace sdb::dbscan {
 
@@ -46,18 +36,6 @@ struct MergeOptions {
   /// Drop partial clusters with fewer members before merging (the paper's
   /// small-cluster filter for the 1M-point runs). 0 = keep all.
   u64 min_partial_cluster_size = 0;
-  /// Driver threads for the kUnionFind merge. 1 = the sequential reference
-  /// path; >1 = the parallel edge-based pipeline on that many workers;
-  /// 0 = hardware concurrency. Labels and MergeStats (minus cas_retries/
-  /// rounds) are byte-identical across all values; only wall time and the
-  /// work-counter accounting model change (see DESIGN.md §13).
-  /// kPaperSinglePass ignores this: Algorithm 4's finished-status sweep is
-  /// inherently sequential.
-  unsigned merge_threads = 1;
-  /// Optional external worker pool for the parallel pipeline (benchmarks
-  /// reuse one pool across runs to keep thread spawn-cost out of the
-  /// measurement). null = spawn a pool internally when merge_threads > 1.
-  ThreadPool* pool = nullptr;
 };
 
 struct MergeStats {
@@ -67,16 +45,6 @@ struct MergeStats {
   u64 seeds_examined = 0;
   u64 merges = 0;
   u64 border_claims = 0;  ///< foreign noise/unclaimed points adopted via seeds
-  /// Seed-edge records processed by the kUnionFind merge (== seeds_examined
-  /// after the small-cluster filter; 0 for kPaperSinglePass).
-  u64 edges_emitted = 0;
-  /// Failed root CASes in the concurrent union-find. Schedule-dependent
-  /// observability — deliberately NOT part of the deterministic counters.
-  u64 cas_retries = 0;
-  /// Fixed-size edge chunks processed by the parallel pipeline
-  /// (ceil(edges / chunk)); 0 on the sequential paths. Deterministic for a
-  /// given input regardless of thread count.
-  u64 rounds = 0;
 };
 
 struct MergeResult {

@@ -69,7 +69,6 @@ MRDbscanReport mr_dbscan(const PointSet& points, const MRDbscanConfig& config) {
 
   MergeOptions merge_options;
   merge_options.strategy = config.merge_strategy;
-  merge_options.merge_threads = config.merge_threads;
   MergeResult merged;
   // Decoded checkpoint blobs join the shuffled values in the reducer.
   // Decoded eagerly: commit() below deletes the records.

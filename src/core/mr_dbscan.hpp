@@ -26,9 +26,6 @@ struct MRDbscanConfig {
   PartitionerKind partitioner = PartitionerKind::kBlock;
   SeedStrategy seed_strategy = SeedStrategy::kAllForeign;
   MergeStrategy merge_strategy = MergeStrategy::kUnionFind;
-  /// Reducer threads for the kUnionFind merge (see MergeOptions::
-  /// merge_threads). Labels are byte-identical for any value.
-  unsigned merge_threads = 1;
   /// Wire format for the partial clusters spilled by map tasks.
   Codec codec = Codec::kRaw;
   u64 seed = 42;

@@ -11,29 +11,6 @@ constexpr i64 kRawMagicV2 = -0x53444232;
 
 }  // namespace
 
-std::vector<SeedEdge> flatten_seed_edges(const LocalClusterResult& result) {
-  std::vector<SeedEdge> edges;
-  u64 total = 0;
-  for (const auto& c : result.clusters) total += c.seeds.size();
-  edges.reserve(total);
-  for (const auto& c : result.clusters) {
-    for (const PointId q : c.seeds) edges.push_back({c.uid, q});
-  }
-  return edges;
-}
-
-bool seed_edges_consistent(const LocalClusterResult& result) {
-  size_t pos = 0;
-  for (const auto& c : result.clusters) {
-    for (const PointId q : c.seeds) {
-      if (pos >= result.seed_edges.size()) return false;
-      const SeedEdge& e = result.seed_edges[pos++];
-      if (e.origin_uid != c.uid || e.seed != q) return false;
-    }
-  }
-  return pos == result.seed_edges.size();
-}
-
 void serialize(const PartialCluster& pc, BinaryWriter& w) {
   w.write_u64(pc.uid);
   w.write_i64(pc.partition);
@@ -51,10 +28,9 @@ PartialCluster deserialize_partial_cluster(BinaryReader& r) {
 }
 
 void serialize(const LocalClusterResult& result, BinaryWriter& w) {
-  // v2: header, members-only cluster records, per-point facts, then the
-  // seed-edge section — each cluster's seed list in clusters order (the
-  // byte content of the v1 nested lists, relocated so the driver's merge
-  // can treat the section as one flat edge array).
+  // v2: header, members-only cluster records, per-point facts, then each
+  // cluster's seed list in clusters order (the byte content of the v1
+  // nested lists, relocated to one trailing section).
   w.write_i64(kRawMagicV2);
   w.write_u32(kLocalResultWireV2);
   w.write_i64(result.partition);
@@ -84,7 +60,6 @@ LocalClusterResult deserialize_local_result(BinaryReader& r) {
     }
     result.core_points = r.read_i64_vec();
     result.noise = r.read_i64_vec();
-    result.seed_edges = flatten_seed_edges(result);
     return result;
   }
   SDB_CHECK(head == kRawMagicV2, "LocalClusterResult: bad wire magic");
@@ -106,7 +81,6 @@ LocalClusterResult deserialize_local_result(BinaryReader& r) {
   for (u64 i = 0; i < n; ++i) {
     result.clusters[i].seeds = r.read_i64_vec();
   }
-  result.seed_edges = flatten_seed_edges(result);
   return result;
 }
 
@@ -119,7 +93,9 @@ std::string to_bytes(const LocalClusterResult& result) {
 
 LocalClusterResult local_result_from_bytes(const std::string& bytes) {
   BinaryReader r(bytes.data(), bytes.size());
-  return deserialize_local_result(r);
+  LocalClusterResult result = deserialize_local_result(r);
+  SDB_CHECK(r.remaining() == 0, "LocalClusterResult: trailing bytes");
+  return result;
 }
 
 }  // namespace sdb::dbscan

@@ -36,26 +36,13 @@ struct PartialCluster {
   }
 };
 
-/// One merge edge as executors emit it: "partial cluster `origin_uid` dug
-/// out foreign point `seed`". The driver-side join against the owner
-/// partition's facts completes it to the (seed cluster, master cluster,
-/// seed-is-core) triple the parallel union-find merge consumes — the owner
-/// alone knows which of its clusters holds `seed` as a regular member and
-/// whether `seed` is core, so the resolved halves cannot be produced
-/// executor-side without peer communication (which the paper's design
-/// forbids).
-struct SeedEdge {
-  u64 origin_uid = 0;  ///< uid of the partial cluster that placed the seed
-  PointId seed = 0;    ///< the foreign point the BFS frontier touched
-  friend bool operator==(const SeedEdge&, const SeedEdge&) = default;
-};
-
-/// Wire versions for LocalClusterResult (see serialize()):
-///   v1 — legacy: seeds nested inside each PartialCluster record;
-///   v2 — seeds relocated into one flat per-result seed-edge section, the
-///        form the parallel merge shards over. Readers accept both; blobs
-///        recovered from old checkpoints/spills keep decoding.
-inline constexpr u32 kLocalResultWireV1 = 1;
+/// Wire version written by both codecs (see serialize()): member lists
+/// first, then every cluster's seed list in one trailing section. The
+/// legacy v1 layout, which nests each seed list inside its cluster record,
+/// has no version field; readers tell the two apart by the leading value
+/// and accept both, because checkpoint records written in either layout
+/// reach the decoders on resume (the job fingerprint does not cover the
+/// layout).
 inline constexpr u32 kLocalResultWireV2 = 2;
 
 /// Everything one executor ships back through the accumulator: its partial
@@ -66,12 +53,6 @@ struct LocalClusterResult {
   std::vector<PartialCluster> clusters;
   std::vector<PointId> core_points;  ///< local points with >= minpts neighbors
   std::vector<PointId> noise;        ///< local points marked noise
-  /// Flat (origin cluster uid, seed point) records: the v2 wire form of the
-  /// nested per-cluster seeds lists, grouped by cluster in `clusters`
-  /// order. local_dbscan emits both views; decoding a legacy v1 blob
-  /// synthesizes this from the nested lists. Invariant:
-  /// seed_edges == flatten_seed_edges(*this).
-  std::vector<SeedEdge> seed_edges;
 
   [[nodiscard]] u64 byte_size() const {
     u64 bytes = sizeof(partition) + 3 * sizeof(u64);
@@ -81,20 +62,10 @@ struct LocalClusterResult {
   }
 };
 
-/// The flat edge view of the nested seeds lists (clusters order, seeds
-/// order within each cluster).
-[[nodiscard]] std::vector<SeedEdge> flatten_seed_edges(
-    const LocalClusterResult& result);
-
-/// Cheap structural check that `seed_edges` matches the nested lists (used
-/// by the merge to fall back to flatten_seed_edges for hand-built
-/// fixtures): counts must match and edges must be grouped by cluster uid in
-/// clusters order.
-[[nodiscard]] bool seed_edges_consistent(const LocalClusterResult& result);
-
 /// Binary round trip (used by the MapReduce pipeline, whose intermediate
 /// data really does cross a serialization boundary). serialize() writes the
 /// v2 layout; deserialize_local_result() auto-detects v1 vs v2.
+/// local_result_from_bytes() also rejects bytes after the last id list.
 void serialize(const PartialCluster& pc, BinaryWriter& w);
 PartialCluster deserialize_partial_cluster(BinaryReader& r);
 void serialize(const LocalClusterResult& result, BinaryWriter& w);

@@ -261,7 +261,6 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
   MergeOptions merge_options;
   merge_options.strategy = config_.merge_strategy;
   merge_options.min_partial_cluster_size = config_.min_partial_cluster_size;
-  merge_options.merge_threads = config_.merge_threads;
   MergeResult merged =
       merge_partial_clusters(locals, points.size(), merge_options);
   report.sim_merge_s = ctx_.config().cost.compute_seconds(merged.counters);

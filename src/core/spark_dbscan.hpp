@@ -6,7 +6,8 @@
 //          run local_dbscan over their partition, ship partial clusters back
 //          through an accumulator.
 // Driver:  dig out SEEDs and merge partial clusters (Algorithm 4 or the
-//          union-find variant) into the global clustering.
+//          union-find variant, both single-threaded; see core/merge.hpp)
+//          into the global clustering.
 //
 // Every phase is measured on both clocks; the report carries exactly the
 // series the paper's Figures 5, 6 and 8 plot.
@@ -62,11 +63,6 @@ struct SparkDbscanConfig {
   PartitionerKind partitioner = PartitionerKind::kBlock;
   SeedStrategy seed_strategy = SeedStrategy::kAllForeign;
   MergeStrategy merge_strategy = MergeStrategy::kUnionFind;
-  /// Driver threads for the kUnionFind merge (see MergeOptions::
-  /// merge_threads). Labels are byte-identical for any value; affects wall
-  /// time and the counter accounting model only, so it is excluded from the
-  /// job fingerprint (checkpoints from different values interoperate).
-  unsigned merge_threads = 1;
   /// Approximate kd-tree search ("pruning branches", used for r1m).
   QueryBudget budget;
   /// Worker threads for the driver's kd-tree build (0 = auto, 1 =

@@ -175,7 +175,9 @@ std::string FaultPlan::spec() const {
     if (s.every != 0) keys += ",every=" + std::to_string(s.every);
     if (s.after != 0) keys += ",after=" + std::to_string(s.after);
     if (s.budget != kUnlimitedBudget) keys += ",budget=" + std::to_string(s.budget);
-    if (!keys.empty()) out += ":" + keys.substr(1);
+    // append rather than ":" + keys.substr(1): the temporary string trips
+    // a false GCC 12 -Wrestrict inside basic_string.
+    if (!keys.empty()) out.append(1, ':').append(keys, 1);
   }
   return out;
 }

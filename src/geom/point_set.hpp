@@ -7,6 +7,7 @@
 // are both defined on it.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -33,7 +34,11 @@ class PointSet {
   /// Append one point (coords.size() must equal dim()).
   PointId add(std::span<const double> coords) {
     SDB_CHECK(static_cast<int>(coords.size()) == dim_, "dimension mismatch");
-    data_.insert(data_.end(), coords.begin(), coords.end());
+    // resize + copy rather than insert: GCC 12 reports a false
+    // -Wstringop-overflow inside vector::insert once this is inlined.
+    const size_t at = data_.size();
+    data_.resize(at + coords.size());
+    std::copy(coords.begin(), coords.end(), data_.begin() + at);
     return static_cast<PointId>(size()) - 1;
   }
 

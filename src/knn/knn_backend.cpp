@@ -271,7 +271,6 @@ dbscan::LocalClusterResult local_knn_dbscan(
     if (membership.find(p) == nullptr) true_noise.push_back(p);
   }
   result.noise = std::move(true_noise);
-  result.seed_edges = flatten_seed_edges(result);
   tally.frontier_peak = frontier_peak;
   counters::add(tally);
   return result;

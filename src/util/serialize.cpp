@@ -6,6 +6,11 @@
 
 namespace sdb {
 
+void BinaryWriter::append(const void* p, size_t n) {
+  const char* c = static_cast<const char*>(p);
+  buf_.insert(buf_.end(), c, c + n);
+}
+
 void write_file(const std::string& path, const std::vector<char>& data) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   SDB_CHECK(f != nullptr, "cannot open for write: " + path);

@@ -45,10 +45,9 @@ class BinaryWriter {
   std::vector<char> take() { return std::move(buf_); }
 
  private:
-  void append(const void* p, size_t n) {
-    const char* c = static_cast<const char*>(p);
-    buf_.insert(buf_.end(), c, c + n);
-  }
+  /// Out of line: inlined into callers, GCC 12 reports false
+  /// -Wstringop-overflow/-Wrestrict positives inside vector::insert.
+  void append(const void* p, size_t n);
   std::vector<char> buf_;
 };
 

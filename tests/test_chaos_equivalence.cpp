@@ -133,8 +133,7 @@ struct ChaosRun {
 // One Spark pipeline execution under the given fault spec. The points are
 // read back from MiniDfs so the dfs.read.* sites sit on the real data path.
 ChaosRun run_spark(const dfs::MiniDfs& dfs, const DbscanParams& params,
-                   PartitionerKind partitioner, const std::string& spec,
-                   unsigned merge_threads = 1) {
+                   PartitionerKind partitioner, const std::string& spec) {
   fault::ScopedFaultPlan chaos(spec);
   minispark::ClusterConfig ccfg;
   ccfg.executors = 3;
@@ -144,7 +143,6 @@ ChaosRun run_spark(const dfs::MiniDfs& dfs, const DbscanParams& params,
   cfg.params = params;
   cfg.partitions = 3;
   cfg.partitioner = partitioner;
-  cfg.merge_threads = merge_threads;
   SparkDbscan dbscan(ctx, cfg);
   auto report = dbscan.run_from_dfs(dfs, "/points.txt");
   return {std::move(report.clustering), chaos.plan().log_digest(),
@@ -153,7 +151,7 @@ ChaosRun run_spark(const dfs::MiniDfs& dfs, const DbscanParams& params,
 
 ChaosRun run_mr(const PointSet& ps, const DbscanParams& params,
                 PartitionerKind partitioner, const std::string& spec,
-                const std::string& work_dir, unsigned merge_threads = 1) {
+                const std::string& work_dir) {
   fault::ScopedFaultPlan chaos(spec);
   MRDbscanConfig cfg;
   cfg.params = params;
@@ -161,7 +159,6 @@ ChaosRun run_mr(const PointSet& ps, const DbscanParams& params,
   cfg.partitioner = partitioner;
   cfg.mr.work_dir = work_dir;
   cfg.mr.cores = 3;
-  cfg.merge_threads = merge_threads;
   auto report = mr_dbscan(ps, cfg);
   return {std::move(report.clustering), chaos.plan().log_digest(),
           chaos.plan().hits(), chaos.plan().fires()};
@@ -256,65 +253,6 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(PartitionerKind::kBlock, PartitionerKind::kRandom,
                           PartitionerKind::kKdSplit),
         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u),
-        ::testing::Values(Engine::kSpark, Engine::kMapReduce)),
-    chaos_case_name);
-
-// Parallel-merge column of the chaos surface: the SAME faulted pipeline run
-// with the sequential merge and with the parallel edge-based merge
-// (merge_threads=3) must produce byte-identical labels AND a byte-identical
-// fault sequence — the merge runs driver-side after recovery, so the thread
-// count must be invisible to both the clustering and the chaos schedule.
-class ChaosParallelMerge : public ::testing::TestWithParam<ChaosParam> {};
-
-TEST_P(ChaosParallelMerge, ParallelMergeIsByteIdenticalUnderFaults) {
-  const auto [shape, partitioner, fault_seed, engine] = GetParam();
-  const std::string spec = engine == Engine::kSpark
-                               ? spark_fault_spec(fault_seed)
-                               : mr_fault_spec(fault_seed);
-  SCOPED_TRACE("fault spec: " + spec);
-
-  const PointSet ps = make_shape(shape, 1000 + static_cast<u64>(shape));
-  const DbscanParams params = shape_params(shape);
-
-  const std::string tag = std::string("pm_") + shape_name(shape) + "_" +
-                          partitioner_name(partitioner) + "_" +
-                          std::to_string(fault_seed) + "_" +
-                          std::to_string(::getpid());
-  const fs::path scratch = fs::temp_directory_path() / ("sdb_chaos_" + tag);
-  fs::remove_all(scratch);
-
-  ChaosRun sequential, parallel;
-  if (engine == Engine::kSpark) {
-    dfs::MiniDfs dfs((scratch / "dfs").string(), 1 << 12);
-    dfs.write("/points.txt", synth::to_text(ps));
-    sequential = run_spark(dfs, params, partitioner, spec, 1);
-    parallel = run_spark(dfs, params, partitioner, spec, 3);
-  } else {
-    sequential =
-        run_mr(ps, params, partitioner, spec, (scratch / "mr1").string(), 1);
-    parallel =
-        run_mr(ps, params, partitioner, spec, (scratch / "mr2").string(), 3);
-  }
-
-  EXPECT_EQ(sequential.clustering.labels, parallel.clustering.labels);
-  EXPECT_EQ(sequential.clustering.num_clusters,
-            parallel.clustering.num_clusters);
-  EXPECT_EQ(sequential.digest, parallel.digest);
-  EXPECT_EQ(sequential.hits, parallel.hits);
-  EXPECT_EQ(sequential.fires, parallel.fires);
-
-  fs::remove_all(scratch);
-}
-
-// 4 shapes x 3 partitioners x 2 fault seeds x 2 engines = 48 cells.
-INSTANTIATE_TEST_SUITE_P(
-    Grid, ChaosParallelMerge,
-    ::testing::Combine(
-        ::testing::Values(Shape::kBlobs, Shape::kUniform, Shape::kMoons,
-                          Shape::kRings),
-        ::testing::Values(PartitionerKind::kBlock, PartitionerKind::kRandom,
-                          PartitionerKind::kKdSplit),
-        ::testing::Values(2u, 7u),
         ::testing::Values(Engine::kSpark, Engine::kMapReduce)),
     chaos_case_name);
 

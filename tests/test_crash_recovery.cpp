@@ -81,8 +81,7 @@ struct EngineRun {
 
 EngineRun run_engine(Engine engine, const PointSet& ps,
                      const std::string& ckpt_dir, bool resume,
-                     const std::string& mr_work_dir,
-                     unsigned merge_threads = 1) {
+                     const std::string& mr_work_dir) {
   if (engine == Engine::kSpark) {
     minispark::ClusterConfig ccfg;
     ccfg.executors = 2;
@@ -93,7 +92,6 @@ EngineRun run_engine(Engine engine, const PointSet& ps,
     cfg.partitions = kPartitions;
     cfg.checkpoint_dir = ckpt_dir;
     cfg.resume = resume;
-    cfg.merge_threads = merge_threads;
     SparkDbscan dbscan(ctx, cfg);
     auto report = dbscan.run(ps);
     return {std::move(report.clustering), report.resumed_partitions,
@@ -106,7 +104,6 @@ EngineRun run_engine(Engine engine, const PointSet& ps,
   cfg.mr.cores = 2;
   cfg.checkpoint_dir = ckpt_dir;
   cfg.resume = resume;
-  cfg.merge_threads = merge_threads;
   auto report = mr_dbscan(ps, cfg);
   return {std::move(report.clustering), report.resumed_partitions,
           report.executed_partitions};
@@ -220,42 +217,6 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(0u, 1u, 2u),
         ::testing::Values(11u, 12u, 13u, 14u, 15u, 16u)),
     crash_case_name);
-
-// Parallel-merge column of the kill grid: a run killed mid-checkpoint and
-// resumed with merge_threads=3 must stay byte-identical to an uninterrupted
-// SEQUENTIAL-merge run — the merge thread count is excluded from the job
-// fingerprint precisely because it cannot change the labeling, and the
-// recovered partial clusters must replay through the parallel pipeline into
-// the exact same bytes.
-TEST(KillRecover, ParallelMergeResumeIsByteIdenticalToSequentialClean) {
-  for (const auto engine : {Engine::kSpark, Engine::kMapReduce}) {
-    const PointSet ps = make_points(14);
-    const std::string tag = std::string("pm_") + engine_name(engine) + "_" +
-                            std::to_string(::getpid());
-    const fs::path scratch = fs::temp_directory_path() / ("sdb_crash_" + tag);
-    fs::remove_all(scratch);
-    const std::string ckpt_dir = (scratch / "ckpt").string();
-
-    const int status = run_killed_child(
-        engine, ps, ckpt_dir,
-        "seed=1;ckpt.crash.before_rename:every=1,after=2,budget=1",
-        (scratch / "mr_child").string());
-    ASSERT_TRUE(WIFSIGNALED(status)) << engine_name(engine);
-
-    const EngineRun clean =
-        run_engine(engine, ps, (scratch / "ckpt_clean").string(),
-                   /*resume=*/false, (scratch / "mr_clean").string(),
-                   /*merge_threads=*/1);
-    const EngineRun resumed =
-        run_engine(engine, ps, ckpt_dir, /*resume=*/true,
-                   (scratch / "mr_resume").string(), /*merge_threads=*/3);
-    EXPECT_EQ(resumed.resumed, 2u) << engine_name(engine);
-    EXPECT_EQ(resumed.clustering.labels, clean.clustering.labels)
-        << engine_name(engine);
-    EXPECT_EQ(resumed.clustering.num_clusters, clean.clustering.num_clusters);
-    fs::remove_all(scratch);
-  }
-}
 
 // A completed job commits (deletes) its checkpoint: rerunning with resume
 // must start from zero, not trivially "resume" a finished job.

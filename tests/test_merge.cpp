@@ -82,6 +82,25 @@ TEST(Merge, UnclaimedBorderSeedAdopted) {
   }
 }
 
+TEST(Merge, BorderClaimGoesToLowerUid) {
+  // Two clusters claim the same unclaimed foreign point: the first claim in
+  // uid order wins, whatever order the results arrive in.
+  auto a = make_local(0, {make_pc(0, 0, {0, 1}, {20})}, {0, 1});
+  auto b = make_local(1, {make_pc(1, 0, {10, 11}, {20})}, {10, 11});
+  auto c = make_local(2, {}, {}, {20});
+  for (const auto strategy :
+       {MergeStrategy::kPaperSinglePass, MergeStrategy::kUnionFind}) {
+    MergeOptions opt;
+    opt.strategy = strategy;
+    for (const auto& locals : {std::vector{a, b, c}, std::vector{c, b, a}}) {
+      const auto merged = merge_partial_clusters(locals, 30, opt);
+      EXPECT_EQ(merged.clustering.labels[20], merged.clustering.labels[0]);
+      EXPECT_NE(merged.clustering.labels[20], merged.clustering.labels[10]);
+      EXPECT_EQ(merged.stats.border_claims, 1u);
+    }
+  }
+}
+
 TEST(Merge, UnionFindClosesChains) {
   // A -> B -> C chain: A's seed reaches B, B's seed reaches C. Union-find
   // must produce ONE cluster even though A and C never reference each other.
@@ -133,15 +152,28 @@ TEST(Merge, PaperSinglePassOverMergesOnBorderSeeds) {
 }
 
 TEST(Merge, MinSizeFilterDropsSmallClusters) {
+  // The filtered cluster's seeds go with it: they are never examined, so
+  // the foreign noise point only it reached stays noise.
   auto local0 = make_local(
-      0, {make_pc(0, 0, {0, 1, 2, 3}, {}), make_pc(0, 1, {7}, {})},
+      0, {make_pc(0, 0, {0, 1, 2, 3}, {8}), make_pc(0, 1, {7}, {8, 9})},
       {0, 1, 2, 3, 7});
-  MergeOptions opt;
-  opt.min_partial_cluster_size = 2;
-  const auto merged = merge_partial_clusters({local0}, 10, opt);
-  EXPECT_EQ(merged.clustering.num_clusters, 1u);
-  EXPECT_EQ(merged.clustering.labels[7], kNoise);
-  EXPECT_EQ(merged.stats.filtered_partial_clusters, 1u);
+  auto local1 = make_local(1, {}, {}, {8, 9});
+  for (const auto strategy :
+       {MergeStrategy::kPaperSinglePass, MergeStrategy::kUnionFind}) {
+    MergeOptions opt;
+    opt.strategy = strategy;
+    EXPECT_EQ(merge_partial_clusters({local0, local1}, 10, opt)
+                  .stats.seeds_examined,
+              3u);
+    opt.min_partial_cluster_size = 2;
+    const auto merged = merge_partial_clusters({local0, local1}, 10, opt);
+    EXPECT_EQ(merged.clustering.num_clusters, 1u);
+    EXPECT_EQ(merged.clustering.labels[7], kNoise);
+    EXPECT_EQ(merged.clustering.labels[8], merged.clustering.labels[0]);
+    EXPECT_EQ(merged.clustering.labels[9], kNoise);
+    EXPECT_EQ(merged.stats.filtered_partial_clusters, 1u);
+    EXPECT_EQ(merged.stats.seeds_examined, 1u);
+  }
 }
 
 TEST(Merge, StatsReportKAndM) {
@@ -167,33 +199,118 @@ TEST(Merge, CountersPopulated) {
   EXPECT_GT(merged.counters.merge_ops, 0u);
 }
 
-// Relabel clusters by order of first appearance so two labelings can be
-// compared up to cluster-id renaming (the id assignment is an artifact of
-// processing order; the partition of points is the semantic content).
-std::vector<ClusterId> canonical_labels(const Clustering& clustering) {
-  std::vector<ClusterId> mapping(clustering.num_clusters, -1);
-  std::vector<ClusterId> out;
-  out.reserve(clustering.labels.size());
-  ClusterId next = 0;
-  for (const ClusterId l : clustering.labels) {
-    if (l == kNoise) {
-      out.push_back(kNoise);
-      continue;
+/// Randomized partial-cluster topology. Points are laid out in
+/// per-partition blocks; each block ends in a small pool of unclaimed
+/// (local-noise) ids so seeds can hit the border-adoption path.
+struct FixtureConfig {
+  u32 partitions = 4;
+  bool chain = false;            ///< a merge chain through every partition
+  double core_fraction = 0.6;    ///< chance a member is core
+  double dup_seed_chance = 0.0;  ///< chance a seed repeats the previous one
+};
+
+constexpr u32 kFixtureClusters = 3;  ///< per partition
+constexpr u32 kFixtureMaxSize = 5;   ///< member count drawn from [1, max]
+constexpr u32 kFixtureSeeds = 4;     ///< per cluster
+constexpr u32 kNoisePool = 6;
+
+std::vector<LocalClusterResult> make_fixture(const FixtureConfig& cfg,
+                                             Rng& rng, u64* num_points) {
+  const u32 block = kFixtureClusters * kFixtureMaxSize + kNoisePool;
+  *num_points = static_cast<u64>(cfg.partitions) * block;
+  std::vector<LocalClusterResult> locals;
+
+  // Pass 1: members + core flags (so pass 2 can aim seeds at known ids).
+  for (u32 p = 0; p < cfg.partitions; ++p) {
+    LocalClusterResult local;
+    local.partition = static_cast<PartitionId>(p);
+    const PointId base = static_cast<PointId>(p) * block;
+    for (u32 c = 0; c < kFixtureClusters; ++c) {
+      const u32 size = 1 + static_cast<u32>(rng.uniform_index(kFixtureMaxSize));
+      PartialCluster pc;
+      pc.partition = local.partition;
+      pc.uid = PartialCluster::make_uid(local.partition, c);
+      for (u32 k = 0; k < size; ++k) {
+        const PointId id = base + c * kFixtureMaxSize + k;
+        pc.members.push_back(id);
+        if (rng.chance(cfg.core_fraction)) local.core_points.push_back(id);
+      }
+      local.clusters.push_back(std::move(pc));
     }
-    if (mapping[static_cast<size_t>(l)] < 0) {
-      mapping[static_cast<size_t>(l)] = next++;
+    for (u32 k = 0; k < kNoisePool; ++k) {
+      local.noise.push_back(base + block - kNoisePool + k);
     }
-    out.push_back(mapping[static_cast<size_t>(l)]);
+    locals.push_back(std::move(local));
   }
-  return out;
+
+  // Pass 2: seeds aimed at random foreign partitions — at members (core or
+  // border, whatever pass 1 rolled) or at the unclaimed noise pool — with
+  // optional duplicates and an optional chain cluster(p, 0) -> member of
+  // cluster(p+1, 0).
+  for (u32 p = 0; p < cfg.partitions; ++p) {
+    for (u32 c = 0; c < kFixtureClusters; ++c) {
+      auto& pc = locals[p].clusters[c];
+      for (u32 s = 0; s < kFixtureSeeds; ++s) {
+        if (!pc.seeds.empty() && rng.chance(cfg.dup_seed_chance)) {
+          pc.seeds.push_back(pc.seeds.back());
+          continue;
+        }
+        u32 q = static_cast<u32>(rng.uniform_index(cfg.partitions - 1));
+        if (q >= p) ++q;  // any partition but our own
+        const PointId q_base = static_cast<PointId>(q) * block;
+        if (rng.chance(0.2)) {
+          pc.seeds.push_back(q_base + block - kNoisePool +
+                             static_cast<PointId>(
+                                 rng.uniform_index(kNoisePool)));
+        } else {
+          const auto& target = locals[q].clusters[static_cast<size_t>(
+              rng.uniform_index(kFixtureClusters))];
+          pc.seeds.push_back(target.members[static_cast<size_t>(
+              rng.uniform_index(target.members.size()))]);
+        }
+      }
+      if (cfg.chain && c == 0) {
+        const u32 q = (p + 1) % cfg.partitions;
+        pc.seeds.push_back(locals[q].clusters[0].members.front());
+      }
+    }
+  }
+  return locals;
+}
+
+/// Labels, every MergeStats field and the charged merge work, byte for byte.
+void expect_identical(const MergeResult& a, const MergeResult& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.clustering.labels, b.clustering.labels) << what;
+  EXPECT_EQ(a.clustering.num_clusters, b.clustering.num_clusters) << what;
+  EXPECT_EQ(a.stats.partial_clusters, b.stats.partial_clusters) << what;
+  EXPECT_EQ(a.stats.filtered_partial_clusters,
+            b.stats.filtered_partial_clusters)
+      << what;
+  EXPECT_EQ(a.stats.max_partial_cluster_size, b.stats.max_partial_cluster_size)
+      << what;
+  EXPECT_EQ(a.stats.seeds_examined, b.stats.seeds_examined) << what;
+  EXPECT_EQ(a.stats.merges, b.stats.merges) << what;
+  EXPECT_EQ(a.stats.border_claims, b.stats.border_claims) << what;
+  EXPECT_EQ(a.counters.merge_ops, b.counters.merge_ops) << what;
 }
 
 // Property (the idempotent-accumulator contract's other half): the driver
 // merge must not care in which order partial results arrive. Task retries,
 // speculative duplicates and scheduling jitter all permute accumulator
 // arrival order, so any order sensitivity here would turn a recovered run
-// into a silently different clustering.
+// into a silently different clustering. The uid sort makes the output
+// byte-identical, label ids included.
 TEST(Merge, OrderInvariantAcrossArrivalPermutations) {
+  struct Input {
+    std::string name;
+    std::vector<LocalClusterResult> locals;
+    u64 num_points = 0;
+    u64 min_size = 0;
+  };
+  std::vector<Input> inputs;
+
+  // The real pipeline on gaussian data.
   Rng data_rng(321);
   synth::GaussianMixtureConfig gcfg;
   gcfg.n = 600;
@@ -212,26 +329,55 @@ TEST(Merge, OrderInvariantAcrossArrivalPermutations) {
   LocalDbscanConfig local_cfg;
   local_cfg.params = params;
   local_cfg.seed_strategy = SeedStrategy::kAllForeign;
-  std::vector<LocalClusterResult> locals;
+  Input real{"gaussian", {}, ps.size(), 0};
   for (u32 p = 0; p < kPartitions; ++p) {
-    locals.push_back(local_dbscan(ps, tree, partitioning,
-                                  static_cast<PartitionId>(p), local_cfg));
+    real.locals.push_back(local_dbscan(ps, tree, partitioning,
+                                       static_cast<PartitionId>(p), local_cfg));
+  }
+  inputs.push_back(std::move(real));
+
+  // The randomized fixture generator: chains as deep as the partition
+  // count, core/border seed mixes, duplicate seeds, the small-cluster filter.
+  for (const u32 partitions : {2u, 3u, 6u, 9u}) {
+    for (const bool chain : {false, true}) {
+      for (const double core_fraction : {0.35, 1.0}) {
+        for (const u64 min_size : {u64{0}, u64{2}}) {
+          FixtureConfig cfg;
+          cfg.partitions = partitions;
+          cfg.chain = chain;
+          cfg.core_fraction = core_fraction;
+          cfg.dup_seed_chance = 0.4;
+          Rng rng(partitions * 10 + (chain ? 1 : 0));
+          Input fixture;
+          fixture.name = "fixture partitions=" + std::to_string(partitions) +
+                         " chain=" + std::to_string(chain) + " core=" +
+                         std::to_string(core_fraction) +
+                         " min=" + std::to_string(min_size);
+          fixture.locals = make_fixture(cfg, rng, &fixture.num_points);
+          fixture.min_size = min_size;
+          inputs.push_back(std::move(fixture));
+        }
+      }
+    }
   }
 
-  for (const auto strategy :
-       {MergeStrategy::kUnionFind, MergeStrategy::kPaperSinglePass}) {
-    MergeOptions opt;
-    opt.strategy = strategy;
-    const auto baseline =
-        canonical_labels(merge_partial_clusters(locals, ps.size(), opt)
-                             .clustering);
-    for (u64 seed = 1; seed <= 50; ++seed) {
-      std::vector<LocalClusterResult> shuffled = locals;
-      Rng rng(seed);
-      rng.shuffle(shuffled);
-      const auto merged = merge_partial_clusters(shuffled, ps.size(), opt);
-      EXPECT_EQ(canonical_labels(merged.clustering), baseline)
-          << "strategy=" << static_cast<int>(strategy) << " seed=" << seed;
+  for (const Input& input : inputs) {
+    for (const auto strategy :
+         {MergeStrategy::kUnionFind, MergeStrategy::kPaperSinglePass}) {
+      MergeOptions opt;
+      opt.strategy = strategy;
+      opt.min_partial_cluster_size = input.min_size;
+      const auto baseline =
+          merge_partial_clusters(input.locals, input.num_points, opt);
+      for (u64 seed = 1; seed <= 50; ++seed) {
+        std::vector<LocalClusterResult> shuffled = input.locals;
+        Rng rng(seed);
+        rng.shuffle(shuffled);
+        expect_identical(
+            baseline, merge_partial_clusters(shuffled, input.num_points, opt),
+            input.name + " strategy=" + merge_strategy_name(strategy) +
+                " seed=" + std::to_string(seed));
+      }
     }
   }
 }
