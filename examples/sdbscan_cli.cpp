@@ -7,6 +7,7 @@
 //   ./sdbscan_cli data.txt --eps 0.5 --minpts 5 --partitions 8
 //   ./sdbscan_cli data.txt --estimate_eps            # 4-dist heuristic
 //   ./sdbscan_cli data.txt --engine seq|spark|mr
+//   ./sdbscan_cli data.txt --host-threads 1          # spark tasks on 1 core
 //   ./sdbscan_cli --demo                             # no file needed
 //   ./sdbscan_cli --preset e10k64 --backend knn      # d=64 KNN-DBSCAN demo
 //   ./sdbscan_cli data.txt --serve                   # then query via stdin
@@ -453,6 +454,9 @@ int main(int argc, char** argv) {
   flags.add_i64("minpts", 5, "DBSCAN minpts");
   flags.add_i64("partitions", 8, "partitions/executors (spark/mr engines)");
   flags.add_string("engine", "spark", "seq | spark | mr");
+  flags.add_i64("host-threads", 0,
+                "spark engine: host threads that run the executor tasks "
+                "(0 = every core, at most 16); labels do not depend on it");
   flags.add_string("backend", "exact",
                    "neighborhood backend (seq/spark engines): exact | knn "
                    "(approximate kNN graph; the high-dimensional mode)");
@@ -494,6 +498,8 @@ int main(int argc, char** argv) {
   flags.parse(argc, argv);
 
   // --- load points ---
+  const Stopwatch load_wall;
+  const char* load_phase = "generate";
   PointSet points;
   std::optional<synth::DatasetSpec> preset;
   if (!flags.string("preset").empty()) {
@@ -522,7 +528,9 @@ int main(int argc, char** argv) {
     std::ostringstream buffer;
     buffer << in.rdbuf();
     points = synth::from_text(buffer.str());
+    load_phase = "read+parse";
   }
+  const double load_s = load_wall.seconds();
   if (points.empty()) {
     std::fprintf(stderr, "no points parsed\n");
     return 2;
@@ -544,6 +552,10 @@ int main(int argc, char** argv) {
   }
   knn::KnnGraphConfig knn_cfg;
   knn_cfg.k = static_cast<u32>(flags.i64_flag("knn-k"));
+  if (flags.i64_flag("host-threads") < 0) {
+    std::fprintf(stderr, "--host-threads must be >= 0\n");
+    return 2;
+  }
 
   // --- cluster with the chosen engine ---
   dbscan::Clustering clustering;
@@ -559,6 +571,7 @@ int main(int argc, char** argv) {
   } else if (engine == "spark") {
     minispark::ClusterConfig cluster;
     cluster.executors = partitions;
+    cluster.host_threads = static_cast<u32>(flags.i64_flag("host-threads"));
     minispark::SparkContext ctx(cluster);
     dbscan::SparkDbscanConfig cfg;
     cfg.params = params;
@@ -571,6 +584,17 @@ int main(int argc, char** argv) {
     cfg.resume = flags.boolean("resume");
     dbscan::SparkDbscan dbscan(ctx, cfg);
     const auto report = dbscan.run(points);
+    if (!flags.boolean("quiet")) {
+      std::fprintf(stderr,
+                   "sdbscan: spark, host threads %u: wall %.3f s = %s %.3f "
+                   "+ index %.3f + executors %.3f + decode+merge %.3f "
+                   "+ other %.3f\n",
+                   ctx.host_threads(), load_s + report.wall_s, load_phase,
+                   load_s, report.wall_index_s, report.wall_executor_s,
+                   report.wall_merge_s,
+                   report.wall_s - report.wall_index_s -
+                       report.wall_executor_s - report.wall_merge_s);
+    }
     if (!cfg.checkpoint_dir.empty() && !flags.boolean("quiet")) {
       std::fprintf(stderr,
                    "sdbscan: checkpoint %s — resumed %llu partitions, "

@@ -30,10 +30,17 @@ LocalClusterResult local_dbscan(const PointSet& points,
   LocalClusterResult result;
   result.partition = partition;
 
-  // The paper's Hashtable: visited marks + cluster membership of local
-  // points. Algorithm 2 line 5 / line 11 / line 13 operate on it.
-  FlatIdMap<ClusterId> membership(my_points.size() * 2 + 16);
-  FlatIdSet visited(my_points.size() * 2 + 16);
+  // The paper's Hashtable (Algorithm 2 lines 5, 11, 13): one entry per
+  // visited local point, holding the uid of the partial cluster that claimed
+  // it, or kUnclaimed while none has (claimed implies visited, so one table
+  // serves both). Only local points enter it, so sized for the partition it
+  // never rehashes. Each host thread running a task holds one.
+  constexpr ClusterId kUnclaimed = -1;
+  FlatIdMap<ClusterId> table(my_points.size() + 16);
+  auto claimed = [&table](PointId r) {
+    const ClusterId* uid = table.find(r);
+    return uid != nullptr && *uid != kUnclaimed;
+  };
 
   std::vector<PointId> neighbors;
   std::deque<PointId> frontier;  // the paper's Queue (LinkedList)
@@ -55,8 +62,8 @@ LocalClusterResult local_dbscan(const PointSet& points,
 
   for (const PointId p : my_points) {
     tally.hash_ops += 1;
-    if (visited.contains(p)) continue;  // line 5: already processed
-    visited.insert(p);
+    if (table.find(p) != nullptr) continue;  // line 5: already processed
+    table.put(p, kUnclaimed);
     tally.hash_ops += 1;
     tally.points_processed += 1;
 
@@ -76,7 +83,7 @@ LocalClusterResult local_dbscan(const PointSet& points,
     pc.uid = PartialCluster::make_uid(partition,
                                       static_cast<u32>(result.clusters.size()));
     pc.members.push_back(p);
-    membership.put(p, static_cast<ClusterId>(pc.uid));
+    table.put(p, static_cast<ClusterId>(pc.uid));
     tally.hash_ops += 1;
 
     // Algorithm 3 state: reset the hoisted place flags, plus a dedup set so
@@ -97,10 +104,7 @@ LocalClusterResult local_dbscan(const PointSet& points,
     frontier.clear();
     auto enqueue = [&](PointId r) {
       tally.hash_ops += 1;
-      if (owner[static_cast<size_t>(r)] == partition &&
-          membership.find(r) != nullptr) {
-        return;
-      }
+      if (owner[static_cast<size_t>(r)] == partition && claimed(r)) return;
       tally.hash_ops += 1;
       if (!enqueued.insert(r)) return;
       frontier.push_back(r);
@@ -135,8 +139,8 @@ LocalClusterResult local_dbscan(const PointSet& points,
       }
 
       tally.hash_ops += 1;
-      if (!visited.contains(q)) {  // line 13: q unvisited
-        visited.insert(q);
+      if (table.find(q) == nullptr) {  // line 13: q unvisited
+        table.put(q, kUnclaimed);
         tally.hash_ops += 1;
         tally.points_processed += 1;
         neighbors.clear();
@@ -153,8 +157,8 @@ LocalClusterResult local_dbscan(const PointSet& points,
 
       // line 20-22: claim q for this cluster if unclaimed.
       tally.hash_ops += 1;
-      if (membership.find(q) == nullptr) {
-        membership.put(q, static_cast<ClusterId>(pc.uid));
+      if (!claimed(q)) {
+        table.put(q, static_cast<ClusterId>(pc.uid));
         tally.hash_ops += 1;
         pc.members.push_back(q);
       }
@@ -169,7 +173,7 @@ LocalClusterResult local_dbscan(const PointSet& points,
   true_noise.reserve(result.noise.size());
   for (const PointId p : result.noise) {
     tally.hash_ops += 1;
-    if (membership.find(p) == nullptr) true_noise.push_back(p);
+    if (!claimed(p)) true_noise.push_back(p);
   }
   result.noise = std::move(true_noise);
   tally.frontier_peak = frontier_peak;

@@ -88,10 +88,9 @@ MRDbscanReport mr_dbscan(const PointSet& points, const MRDbscanConfig& config) {
         }
         merged = merge_partial_clusters(collected, points.size(), merge_options);
         // Emit one record per cluster (member lists), the job's output.
-        BinaryWriter w;
+        StringWriter w;
         w.write_i64_vec(merged.clustering.labels);
-        const auto& buf = w.buffer();
-        emit("labels", std::string(buf.data(), buf.size()));
+        emit("labels", w.take());
       };
 
   if (pending.empty()) {

@@ -9,6 +9,22 @@ namespace {
 /// unambiguously a v2 header. ("SDB2" with the sign bit.)
 constexpr i64 kRawMagicV2 = -0x53444232;
 
+/// Bytes write_i64_vec(ids) appends: the u64 length, then the ids.
+u64 id_list_bytes(const std::vector<PointId>& ids) {
+  return sizeof(u64) + ids.size() * sizeof(i64);
+}
+
+/// Exact length of to_bytes(result).
+u64 raw_wire_size(const LocalClusterResult& result) {
+  u64 bytes = sizeof(i64) + sizeof(u32) + sizeof(i64) + sizeof(u64) +
+              id_list_bytes(result.core_points) + id_list_bytes(result.noise);
+  for (const auto& c : result.clusters) {
+    bytes += sizeof(u64) + sizeof(i64) + id_list_bytes(c.members) +
+             id_list_bytes(c.seeds);
+  }
+  return bytes;
+}
+
 }  // namespace
 
 void serialize(const PartialCluster& pc, BinaryWriter& w) {
@@ -27,10 +43,14 @@ PartialCluster deserialize_partial_cluster(BinaryReader& r) {
   return pc;
 }
 
-void serialize(const LocalClusterResult& result, BinaryWriter& w) {
+std::string to_bytes(const LocalClusterResult& result) {
   // v2: header, members-only cluster records, per-point facts, then each
   // cluster's seed list in clusters order (the byte content of the v1
-  // nested lists, relocated to one trailing section).
+  // nested lists, relocated to one trailing section). Written into one
+  // string of the exact final size: no regrowth, and no copy on return.
+  const u64 size = raw_wire_size(result);
+  StringWriter w;
+  w.reserve(size);
   w.write_i64(kRawMagicV2);
   w.write_u32(kLocalResultWireV2);
   w.write_i64(result.partition);
@@ -45,6 +65,8 @@ void serialize(const LocalClusterResult& result, BinaryWriter& w) {
   for (const auto& c : result.clusters) {
     w.write_i64_vec(c.seeds);
   }
+  SDB_CHECK(w.size() == size, "LocalClusterResult: wire size mismatch");
+  return w.take();
 }
 
 LocalClusterResult deserialize_local_result(BinaryReader& r) {
@@ -82,13 +104,6 @@ LocalClusterResult deserialize_local_result(BinaryReader& r) {
     result.clusters[i].seeds = r.read_i64_vec();
   }
   return result;
-}
-
-std::string to_bytes(const LocalClusterResult& result) {
-  BinaryWriter w;
-  serialize(result, w);
-  const auto& buf = w.buffer();
-  return std::string(buf.data(), buf.size());
 }
 
 LocalClusterResult local_result_from_bytes(const std::string& bytes) {

@@ -36,7 +36,7 @@ struct PartialCluster {
   }
 };
 
-/// Wire version written by both codecs (see serialize()): member lists
+/// Wire version written by both codecs (see to_bytes()): member lists
 /// first, then every cluster's seed list in one trailing section. The
 /// legacy v1 layout, which nests each seed list inside its cluster record,
 /// has no version field; readers tell the two apart by the leading value
@@ -62,16 +62,15 @@ struct LocalClusterResult {
   }
 };
 
-/// Binary round trip (used by the MapReduce pipeline, whose intermediate
-/// data really does cross a serialization boundary). serialize() writes the
-/// v2 layout; deserialize_local_result() auto-detects v1 vs v2.
-/// local_result_from_bytes() also rejects bytes after the last id list.
+/// Binary round trip: the raw codec (core/codec.hpp). serialize() writes one
+/// cluster record in the v1 layout; deserialize_local_result() auto-detects
+/// v1 vs v2.
 void serialize(const PartialCluster& pc, BinaryWriter& w);
 PartialCluster deserialize_partial_cluster(BinaryReader& r);
-void serialize(const LocalClusterResult& result, BinaryWriter& w);
 LocalClusterResult deserialize_local_result(BinaryReader& r);
 
-/// Convenience: serialize to / parse from a byte string.
+/// to_bytes() writes the v2 layout into one string of the exact size.
+/// local_result_from_bytes() also rejects bytes after the last id list.
 std::string to_bytes(const LocalClusterResult& result);
 LocalClusterResult local_result_from_bytes(const std::string& bytes);
 

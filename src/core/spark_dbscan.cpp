@@ -67,7 +67,7 @@ SparkDbscanReport SparkDbscan::run(const PointSet& points) {
   WorkCounters read_wc;
   read_wc.bytes_read = points.byte_size();
   read_wc.points_processed = points.size();
-  return run_impl(points, ctx_.config().cost.compute_seconds(read_wc));
+  return run_impl(points, ctx_.config().cost.compute_seconds(read_wc), 0.0);
 }
 
 SparkDbscanReport SparkDbscan::run_from_dfs(const dfs::MiniDfs& dfs,
@@ -75,6 +75,7 @@ SparkDbscanReport SparkDbscan::run_from_dfs(const dfs::MiniDfs& dfs,
   // Lines 1-2 of Algorithm 2: textFile -> parse into Point RDDs, collected
   // into the driver's PointSet (the driver also needs the full set to build
   // the kd-tree it broadcasts).
+  const Stopwatch read_wall;
   WorkCounters read_wc;
   PointSet points;
   {
@@ -83,14 +84,17 @@ SparkDbscanReport SparkDbscan::run_from_dfs(const dfs::MiniDfs& dfs,
     points = synth::from_text(text);
     counters::points_processed(points.size());
   }
-  return run_impl(points, ctx_.config().cost.compute_seconds(read_wc));
+  return run_impl(points, ctx_.config().cost.compute_seconds(read_wc),
+                  read_wall.seconds());
 }
 
 SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
-                                        double sim_read_s) {
-  Stopwatch wall;
+                                        double sim_read_s,
+                                        double wall_read_s) {
+  const Stopwatch wall;
   SparkDbscanReport report;
   report.sim_read_s = sim_read_s;
+  report.wall_read_s = wall_read_s;
 
   const u32 partitions = config_.partitions > 0 ? config_.partitions
                                                 : ctx_.default_parallelism();
@@ -134,6 +138,7 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
   // graph for the KNN backend. ---
   auto state = std::make_shared<BroadcastState>();
   state->points = &points;
+  const Stopwatch index_wall;
   if (config_.backend == DbscanBackend::kKnn) {
     WorkCounters graph_wc;
     ScopedCounters scope(&graph_wc);
@@ -162,6 +167,7 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
     tree_wc.distance_evals += static_cast<u64>(nlogn * log2n);
     report.sim_tree_s = ctx_.config().cost.compute_seconds(tree_wc);
   }
+  report.wall_index_s = index_wall.seconds();
   state->partitioning = make_partitioning(config_.partitioner, points,
                                           partitions, config_.seed);
   state->local_config.params = config_.params;
@@ -197,6 +203,7 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
   acc->begin_job(report.job_fingerprint);
   minispark::JobCheckpoint* ckpt_ptr = ckpt.get();
   if (!pending.empty()) {
+    const Stopwatch executor_wall;
     auto rdd = ctx_.generate<u32>(
         [&work](u32 i) { return std::vector<u32>{work[i]}; },
         static_cast<u32>(work.size()), "partitions");
@@ -216,8 +223,14 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
                                  static_cast<PartitionId>(p), st.local_config);
           std::string blob = encode(local, codec);
           const u64 bytes = blob.size();
+          // The blob moves into the accumulator; only a checkpoint record,
+          // written after the add, needs a copy of its own.
           std::vector<std::string> delta;
-          delta.push_back(blob);
+          if (ckpt_ptr != nullptr) {
+            delta.push_back(blob);
+          } else {
+            delta.push_back(std::move(blob));
+          }
           // Algorithm 2 lines 26-28. Tagged by partition so re-executed and
           // speculatively-duplicated tasks merge exactly once — the invariant
           // that keeps the chaos suite's faulted runs equal to dbscan_seq.
@@ -231,6 +244,7 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
     const minispark::JobMetrics& job = ctx_.last_job();
     report.sim_executor_s = job.sim_executor_makespan_s;
     report.sim_executor_total_s = job.sim_executor_total_s;
+    report.wall_executor_s = executor_wall.seconds();
   }
   report.sim_broadcast_s =
       ctx_.config().cost.broadcast_seconds(broadcast_bytes, ctx_.config().executors);
@@ -242,6 +256,7 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
   // Recovered blobs and freshly computed ones decode through the same path;
   // merge_partial_clusters sorts partial clusters into uid-canonical order,
   // so the mixed arrival order cannot perturb the labeling.
+  const Stopwatch merge_wall;
   std::vector<LocalClusterResult> locals;
   {
     WorkCounters decode_wc;
@@ -266,13 +281,14 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
   report.sim_merge_s = ctx_.config().cost.compute_seconds(merged.counters);
   report.merge_stats = merged.stats;
   report.clustering = std::move(merged.clustering);
+  report.wall_merge_s = merge_wall.seconds();
 
   // Job consumed: release the accumulator dedup tags and the checkpoint
   // records (the merged result supersedes them).
   acc->commit_job();
   if (ckpt != nullptr) ckpt->commit();
 
-  report.wall_s = wall.seconds();
+  report.wall_s = wall_read_s + wall.seconds();
   return report;
 }
 

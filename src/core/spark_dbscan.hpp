@@ -10,7 +10,9 @@
 //          into the global clustering.
 //
 // Every phase is measured on both clocks; the report carries exactly the
-// series the paper's Figures 5, 6 and 8 plot.
+// series the paper's Figures 5, 6 and 8 plot. The executor job runs its
+// tasks on ClusterConfig::host_threads host threads; the labels and every
+// simulated-clock figure are the same at any thread count.
 #pragma once
 
 #include <memory>
@@ -104,7 +106,12 @@ struct SparkDbscanReport {
   double sim_collect_s = 0.0;    ///< accumulator transfer back to driver
   double sim_merge_s = 0.0;      ///< Algorithm 4 / union-find merge
 
-  double wall_s = 0.0;           ///< real host time, whole pipeline
+  // --- wall-clock phase times (seconds of real host time) ---
+  double wall_read_s = 0.0;      ///< DFS read + text parse (run_from_dfs)
+  double wall_index_s = 0.0;     ///< index (or kNN graph) build
+  double wall_executor_s = 0.0;  ///< the executor job: local DBSCAN + encode
+  double wall_merge_s = 0.0;     ///< decode + merge in the driver
+  double wall_s = 0.0;           ///< whole pipeline, read + parse included
 
   u64 partial_clusters = 0;      ///< m (the Figure 6 right-axis series)
   u64 broadcast_bytes = 0;
@@ -148,7 +155,8 @@ class SparkDbscan {
                                  const std::string& path);
 
  private:
-  SparkDbscanReport run_impl(const PointSet& points, double sim_read_s);
+  SparkDbscanReport run_impl(const PointSet& points, double sim_read_s,
+                             double wall_read_s);
 
   minispark::SparkContext& ctx_;
   SparkDbscanConfig config_;

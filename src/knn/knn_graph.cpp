@@ -7,7 +7,6 @@
 #include <future>
 #include <limits>
 #include <queue>
-#include <thread>
 
 #include "fault/injection.hpp"
 #include "geom/distance.hpp"
@@ -71,13 +70,10 @@ struct RowHeap {
   }
 };
 
-unsigned resolve_threads(unsigned requested, size_t n) {
-  if (requested == 1) return 1;
-  unsigned t = requested != 0 ? requested
-                              : std::max(1u, std::thread::hardware_concurrency());
-  // Below ~4k points the task-spawn overhead beats the parallelism.
-  if (n < 4096) return 1;
-  return std::min<unsigned>(t, 16);
+/// Workers for a build over n points: sequential below ~4k points, where the
+/// task-spawn overhead beats the parallelism.
+unsigned build_threads(unsigned requested, size_t n) {
+  return n < 4096 ? 1 : resolve_threads(requested);
 }
 
 /// Run fn(begin, end, worker) over [0, n) in fixed chunks — inline as
@@ -119,7 +115,7 @@ void build_exact(const PointSet& points, const KnnGraphConfig& cfg,
     strip_store_row(strips.data(), i, points[static_cast<PointId>(i)]);
   }
   const simd::StripKernelFn kernel = simd::detail::strip_kernel();
-  const unsigned threads = resolve_threads(cfg.threads, n);
+  const unsigned threads = build_threads(cfg.threads, n);
 
   parallel_chunks(n, threads, [&](size_t begin, size_t end, unsigned) {
     RowHeap row;
@@ -312,7 +308,7 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
   const size_t n = points.size();
   const size_t dim = static_cast<size_t>(points.dim());
   const u32 k = cfg.k;
-  const unsigned threads = resolve_threads(cfg.threads, n);
+  const unsigned threads = build_threads(cfg.threads, n);
   const u64 init_seed = derive_seed(cfg.seed, "knn.init");
 
   // Per-slot new/old bits for the incremental local join (Dong et al.): a

@@ -13,9 +13,12 @@ struct ClusterConfig {
   u32 executors = 4;
   /// Simulated cores per executor (total cores = executors * cores).
   u32 cores_per_executor = 1;
-  /// Real worker threads used to run tasks on the host (independent of the
-  /// simulated core count; correctness never depends on it).
-  u32 host_threads = 1;
+  /// Real worker threads that run a job's tasks on the host, independent of
+  /// the simulated core count. 0 (the default) = the host's hardware
+  /// concurrency; at most 16 either way (resolve_threads). No result depends
+  /// on it: labels, work counters and simulated-clock times are the same at
+  /// any value. Chaos tests pin 1 so the fault log is totally ordered.
+  u32 host_threads = 0;
   /// Default partition count for parallelize() when unspecified (Spark's
   /// defaultParallelism). 0 = total simulated cores.
   u32 default_parallelism = 0;

@@ -16,6 +16,7 @@
 //     and network terms. All paper figures are reproduced on this clock.
 #pragma once
 
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -37,11 +38,14 @@ namespace sdb::minispark {
 class SparkContext {
  public:
   explicit SparkContext(ClusterConfig cfg)
-      : cfg_(std::move(cfg)), pool_(std::max<u32>(1, cfg_.host_threads)) {
+      : cfg_(std::move(cfg)), pool_(resolve_threads(cfg_.host_threads)) {
     SDB_CHECK(cfg_.executors > 0, "need at least one executor");
   }
 
   [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
+
+  /// Host threads that run tasks: config().host_threads resolved.
+  [[nodiscard]] u32 host_threads() const { return pool_.size(); }
 
   /// Default partition count for parallelize().
   [[nodiscard]] u32 default_parallelism() const {
@@ -188,7 +192,18 @@ class SparkContext {
         }
       }));
     }
-    for (auto& f : futures) f.get();  // rethrows task exceptions
+    // Every task must finish before this frame unwinds: the tasks write into
+    // `results`, `job` and `metrics_mutex` and call `fn`. So wait for all of
+    // them, then rethrow the first task exception in partition order.
+    std::exception_ptr first_error;
+    for (auto& f : futures) {
+      try {
+        f.get();
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
 
     job.wall_s = job_wall.seconds();
     std::vector<double> durations;

@@ -107,7 +107,7 @@ void ModelRegistry::load_snapshot_locked(const std::string& blob, u64* epoch) {
 }
 
 std::string ModelRegistry::encode_snapshot_locked(u64 epoch) const {
-  BinaryWriter w;
+  StringWriter w;
   w.write_u32(static_cast<u32>(dim_));
   w.write_u64(epoch);
   const auto view = incremental_.storage_view();
@@ -123,7 +123,7 @@ std::string ModelRegistry::encode_snapshot_locked(u64 epoch) const {
     const auto p = (*view.rows)[static_cast<PointId>(row)];
     for (int d = 0; d < dim_; ++d) w.write_f64(p[static_cast<size_t>(d)]);
   }
-  return std::string(w.buffer().data(), w.buffer().size());
+  return w.take();
 }
 
 u64 ModelRegistry::compact() {

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <numeric>
 #include <queue>
-#include <thread>
 
 #include "geom/distance.hpp"
 #include "util/thread_pool.hpp"
@@ -26,8 +25,6 @@ constexpr int kMaxFusedDim = 64;
 /// Below this many points a build is sequential regardless of the thread
 /// option: thread-spawn plus task overhead would dominate.
 constexpr u32 kParallelBuildThreshold = 1u << 14;
-/// Cap on auto-detected build threads.
-constexpr unsigned kMaxBuildThreads = 16;
 
 }  // namespace
 
@@ -147,11 +144,7 @@ KdTree::KdTree(const PointSet& points, const KdTreeOptions& options)
               0.0);
   }
 
-  unsigned threads = options.build_threads;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = std::min(threads, kMaxBuildThreads);
+  const unsigned threads = resolve_threads(options.build_threads);
 
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1 && n >= kParallelBuildThreshold) {

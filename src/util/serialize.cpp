@@ -6,10 +6,14 @@
 
 namespace sdb {
 
-void BinaryWriter::append(const void* p, size_t n) {
+template <typename Bytes>
+void BasicBinaryWriter<Bytes>::append(const void* p, size_t n) {
   const char* c = static_cast<const char*>(p);
   buf_.insert(buf_.end(), c, c + n);
 }
+
+template class BasicBinaryWriter<std::vector<char>>;
+template class BasicBinaryWriter<std::string>;
 
 void write_file(const std::string& path, const std::vector<char>& data) {
   std::FILE* f = std::fopen(path.c_str(), "wb");

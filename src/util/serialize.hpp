@@ -14,8 +14,16 @@
 
 namespace sdb {
 
-class BinaryWriter {
+/// Appends to a byte container: std::vector<char> (BinaryWriter) or
+/// std::string (StringWriter, for payloads that travel as strings, which
+/// take() then hands over without a copy).
+template <typename Bytes>
+class BasicBinaryWriter {
  public:
+  /// Reserve capacity for `n` bytes in total; a writer reserved at its
+  /// final size allocates exactly once.
+  void reserve(size_t n) { buf_.reserve(n); }
+
   void write_u8(u32 v) { buf_.push_back(static_cast<char>(v & 0xff)); }
   void write_u32(u32 v) { append(&v, sizeof(v)); }
   void write_u64(u64 v) { append(&v, sizeof(v)); }
@@ -40,16 +48,21 @@ class BinaryWriter {
     append(v.data(), v.size() * sizeof(double));
   }
 
-  [[nodiscard]] const std::vector<char>& buffer() const { return buf_; }
+  [[nodiscard]] const Bytes& buffer() const { return buf_; }
   [[nodiscard]] u64 size() const { return buf_.size(); }
-  std::vector<char> take() { return std::move(buf_); }
+  Bytes take() { return std::move(buf_); }
 
  private:
   /// Out of line: inlined into callers, GCC 12 reports false
   /// -Wstringop-overflow/-Wrestrict positives inside vector::insert.
   void append(const void* p, size_t n);
-  std::vector<char> buf_;
+  Bytes buf_;
 };
+
+extern template class BasicBinaryWriter<std::vector<char>>;
+extern template class BasicBinaryWriter<std::string>;
+using BinaryWriter = BasicBinaryWriter<std::vector<char>>;
+using StringWriter = BasicBinaryWriter<std::string>;
 
 class BinaryReader {
  public:

@@ -1,8 +1,17 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace sdb {
+
+unsigned resolve_threads(unsigned requested) {
+  constexpr unsigned kMaxThreads = 16;
+  const unsigned threads =
+      requested != 0 ? requested
+                     : std::max(1u, std::thread::hardware_concurrency());
+  return std::min(threads, kMaxThreads);
+}
 
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) threads = 1;

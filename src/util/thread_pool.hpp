@@ -13,6 +13,12 @@
 
 namespace sdb {
 
+/// The one thread-count rule of the `threads` knobs (kd-tree build, kNN
+/// graph build, minispark host threads): 0 means the host's hardware
+/// concurrency (at least 1), and the result is at most 16. Callers that fall
+/// back to one thread below a minimum input size apply it themselves.
+unsigned resolve_threads(unsigned requested);
+
 /// A classic fixed-size worker pool. Tasks are std::function<void()>;
 /// submit() returns a future for completion/exception propagation.
 ///

@@ -13,8 +13,8 @@
 // `budget` is below the pipeline's bounded retry limit, so recovery —
 // retries, timeouts, re-execution, idempotent accumulator merge — must make
 // the run succeed, not merely survive. Chaos plans run with host_threads=1
-// (the ClusterConfig default) so the fault log is totally ordered and the
-// digest is deterministic.
+// (set explicitly: the ClusterConfig default is every core) so the fault
+// log is totally ordered and the digest is deterministic.
 //
 // Repro cookbook: every failure message carries the one-line fault spec;
 //   ctest -R chaos            # run the whole chaos surface
@@ -138,6 +138,7 @@ ChaosRun run_spark(const dfs::MiniDfs& dfs, const DbscanParams& params,
   minispark::ClusterConfig ccfg;
   ccfg.executors = 3;
   ccfg.straggler.fraction = 0.0;
+  ccfg.host_threads = 1;  // one thread: totally ordered fault log
   minispark::SparkContext ctx(ccfg);
   SparkDbscanConfig cfg;
   cfg.params = params;
@@ -286,6 +287,7 @@ TEST_P(ChaosKnnBackend, FaultedGraphBuildConvergesAndReplays) {
     minispark::ClusterConfig ccfg;
     ccfg.executors = 3;
     ccfg.straggler.fraction = 0.0;
+    ccfg.host_threads = 1;  // one thread: totally ordered fault log
     minispark::SparkContext ctx(ccfg);
     SparkDbscanConfig cfg;
     cfg.params = {synth::embedding_suggested_eps(gen_cfg), 5};
@@ -346,6 +348,7 @@ TEST(ChaosEquivalence, NoPlanMeansNoFaults) {
   minispark::ClusterConfig ccfg;
   ccfg.executors = 3;
   ccfg.straggler.fraction = 0.0;
+  ccfg.host_threads = 1;  // the same pipeline as the grid's run_spark
   minispark::SparkContext ctx(ccfg);
   SparkDbscanConfig cfg;
   cfg.params = shape_params(Shape::kBlobs);

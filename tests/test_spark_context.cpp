@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 namespace sdb::minispark {
 namespace {
@@ -152,6 +155,38 @@ TEST(SparkContext, TaskExceptionPropagates) {
       },
       2, "boom");
   EXPECT_THROW(ctx.count(*rdd), std::runtime_error);
+}
+
+TEST(SparkContext, TaskExceptionWaitsForEveryTask) {
+  // Partition 0 throws at once while the other tasks are still queued or
+  // running. They write into run_job's frame, so the exception may only
+  // surface after every one of them has finished.
+  constexpr u32 kTasks = 8;
+  for (const u32 threads : {1u, 4u}) {
+    SCOPED_TRACE("host_threads=" + std::to_string(threads));
+    ClusterConfig cfg = quiet_config(2);
+    cfg.host_threads = threads;
+    SparkContext ctx(cfg);
+    std::atomic<u32> finished{0};
+    auto rdd = ctx.generate<int>(
+        [&finished](u32 p) -> std::vector<int> {
+          if (p == 0) throw std::runtime_error("task failure");
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          finished.fetch_add(1);
+          return {1};
+        },
+        kTasks, "boom");
+    EXPECT_THROW(ctx.count(*rdd), std::runtime_error);
+    EXPECT_EQ(finished.load(), kTasks - 1);
+  }
+}
+
+TEST(SparkContext, HostThreadsResolveToHardwareConcurrency) {
+  ClusterConfig cfg = quiet_config(2);
+  EXPECT_EQ(cfg.host_threads, 0u);  // the default: every core
+  EXPECT_EQ(SparkContext(cfg).host_threads(), resolve_threads(0));
+  cfg.host_threads = 3;
+  EXPECT_EQ(SparkContext(cfg).host_threads(), 3u);
 }
 
 }  // namespace

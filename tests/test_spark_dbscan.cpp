@@ -2,8 +2,11 @@
 #include "core/spark_dbscan.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
+#include <optional>
+#include <string>
 
 #include "core/dbscan_seq.hpp"
 #include "core/quality.hpp"
@@ -175,6 +178,77 @@ TEST(SparkDbscan, DeterministicAcrossRuns) {
   SparkDbscan d1(ctx1, cfg);
   SparkDbscan d2(ctx2, cfg);
   EXPECT_EQ(d1.run(ps).clustering.labels, d2.run(ps).clustering.labels);
+}
+
+TEST(SparkDbscan, IdenticalAcrossHostThreads) {
+  // The executor tasks share nothing mutable and the merge sorts partial
+  // clusters by uid, so no output depends on how many host threads ran
+  // them — in particular not on the arrival order of their blobs.
+  const PointSet ps = blob_data(3000, 23);
+  for (const Codec codec : {Codec::kRaw, Codec::kCompact}) {
+    SparkDbscanConfig cfg;
+    cfg.params = {1.0, 5};
+    cfg.partitions = 12;
+    cfg.codec = codec;
+    std::optional<SparkDbscanReport> first;
+    for (const u32 threads : {1u, 2u, 4u, 0u}) {
+      SCOPED_TRACE(std::string(codec_name(codec)) +
+                   " host_threads=" + std::to_string(threads));
+      minispark::ClusterConfig ccfg = cluster(4);
+      ccfg.host_threads = threads;
+      minispark::SparkContext ctx(ccfg);
+      SparkDbscan dbscan(ctx, cfg);
+      SparkDbscanReport report = dbscan.run(ps);
+      if (!first) {
+        EXPECT_GE(report.clustering.num_clusters, 3u);
+        first = std::move(report);
+        continue;
+      }
+      EXPECT_EQ(report.clustering.labels, first->clustering.labels);
+      EXPECT_EQ(report.clustering.num_clusters,
+                first->clustering.num_clusters);
+      EXPECT_EQ(report.sim_read_s, first->sim_read_s);
+      EXPECT_EQ(report.sim_tree_s, first->sim_tree_s);
+      EXPECT_EQ(report.sim_broadcast_s, first->sim_broadcast_s);
+      EXPECT_EQ(report.sim_executor_s, first->sim_executor_s);
+      EXPECT_EQ(report.sim_executor_total_s, first->sim_executor_total_s);
+      EXPECT_EQ(report.sim_collect_s, first->sim_collect_s);
+      EXPECT_EQ(report.sim_merge_s, first->sim_merge_s);
+      const MergeStats& a = report.merge_stats;
+      const MergeStats& b = first->merge_stats;
+      EXPECT_EQ(a.partial_clusters, b.partial_clusters);
+      EXPECT_EQ(a.filtered_partial_clusters, b.filtered_partial_clusters);
+      EXPECT_EQ(a.max_partial_cluster_size, b.max_partial_cluster_size);
+      EXPECT_EQ(a.seeds_examined, b.seeds_examined);
+      EXPECT_EQ(a.merges, b.merges);
+      EXPECT_EQ(a.border_claims, b.border_claims);
+      EXPECT_EQ(report.partial_clusters, first->partial_clusters);
+      EXPECT_EQ(report.accumulator_bytes, first->accumulator_bytes);
+    }
+  }
+}
+
+TEST(SparkDbscan, WallPhasesFitInsideWallTime) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("sdb_spark_wall_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  const PointSet ps = blob_data(1500, 29);
+  dfs::MiniDfs dfs(dir.string());
+  dfs.write("/points.txt", synth::to_text(ps));
+  minispark::SparkContext ctx(cluster(4));
+  SparkDbscanConfig cfg;
+  cfg.params = {1.0, 5};
+  cfg.partitions = 4;
+  SparkDbscan dbscan(ctx, cfg);
+  const SparkDbscanReport report = dbscan.run_from_dfs(dfs, "/points.txt");
+  EXPECT_GT(report.wall_read_s, 0.0);
+  EXPECT_GT(report.wall_index_s, 0.0);
+  EXPECT_GT(report.wall_executor_s, 0.0);
+  EXPECT_GT(report.wall_merge_s, 0.0);
+  EXPECT_LE(report.wall_read_s + report.wall_index_s + report.wall_executor_s +
+                report.wall_merge_s,
+            report.wall_s);
+  fs::remove_all(dir);
 }
 
 TEST(PartialClusterSerialization, RoundTrip) {
