@@ -66,10 +66,11 @@ inline u64 job_fingerprint(std::string_view engine, u64 dataset,
   h = detail::fnv1a_value(h, seed_strategy);
   h = detail::fnv1a_value(h, merge_strategy);
   h = detail::fnv1a_value(h, codec);
-  // Non-default neighborhood backends (KNN-DBSCAN) fold their parameters in
-  // as a salt: a knn checkpoint must never resume into an exact job or into
-  // a knn job with different graph parameters. Zero (the exact backend)
-  // folds nothing, so every pre-existing exact fingerprint is unchanged.
+  // Non-exact neighborhoods (the KNN-DBSCAN backend, or a query budget on
+  // the exact one) fold their parameters in as a salt: a knn or budgeted
+  // checkpoint must never resume into an exact job or into a job with other
+  // graph or budget parameters. Zero (exact queries) folds nothing, so
+  // every pre-existing exact fingerprint is unchanged.
   if (backend_salt != 0) h = detail::fnv1a_value(h, backend_salt);
   return h;
 }

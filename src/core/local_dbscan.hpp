@@ -7,9 +7,12 @@
 // expanding only points owned by this partition. Foreign points reached by
 // the frontier become SEEDs.
 //
-// Data structures follow the paper's Section III.B choices: a hash table for
-// the visited/processed check (put/containsKey are the counted hash_ops) and
-// a queue for the frontier (add/remove are the counted queue_ops).
+// The sweep itself is core/partition_bfs.hpp, shared with the KNN backend's
+// kernel (knn::local_knn_dbscan); local_dbscan supplies it the exact
+// neighborhood source, a range query over the broadcast index. Data
+// structures follow the paper's Section III.B choices: a hash table for the
+// visited/processed check (put/containsKey are the counted hash_ops) and a
+// queue for the frontier (add/remove are the counted queue_ops).
 #pragma once
 
 #include "core/dbscan.hpp"

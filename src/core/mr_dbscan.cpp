@@ -47,7 +47,8 @@ MRDbscanReport mr_dbscan(const PointSet& points, const MRDbscanConfig& config) {
   local_config.seed_strategy = config.seed_strategy;
   const u64 cache_bytes = tree.byte_size() + partitioning.byte_size();
 
-  std::vector<LocalClusterResult> locals(pending.size());
+  // Partial clusters found by each map task, for the report.
+  std::vector<u64> task_clusters(pending.size(), 0);
 
   minispark::JobCheckpoint* ckpt_ptr = ckpt.get();
   mapreduce::MRJob::Mapper mapper =
@@ -55,9 +56,9 @@ MRDbscanReport mr_dbscan(const PointSet& points, const MRDbscanConfig& config) {
         // Distributed-cache load: dataset + kd-tree from local disk.
         counters::bytes_read(cache_bytes);
         const auto partition = static_cast<PartitionId>(std::stol(split));
-        LocalClusterResult local =
+        const LocalClusterResult local =
             local_dbscan(points, tree, partitioning, partition, local_config);
-        locals[task] = local;  // kept for reporting only
+        task_clusters[task] = local.clusters.size();
         std::string blob = encode(local, config.codec);
         // Commit the map output before it enters the shuffle: Hadoop's map
         // outputs survive task death the same way (materialized spills).
@@ -121,8 +122,8 @@ MRDbscanReport mr_dbscan(const PointSet& points, const MRDbscanConfig& config) {
 
   report.clustering = std::move(merged.clustering);
   report.merge_stats = merged.stats;
-  for (const auto& local : locals) {
-    report.partial_clusters += local.clusters.size();
+  for (const u64 clusters : task_clusters) {
+    report.partial_clusters += clusters;
   }
   for (const auto& local : recovered_locals) {
     report.partial_clusters += local.clusters.size();

@@ -116,6 +116,16 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
       backend_salt =
           detail::fnv1a_value(backend_salt, config_.knn.termination_frac);
       backend_salt = detail::fnv1a_value(backend_salt, config_.knn.seed);
+    } else if (!config_.budget.exact()) {
+      // A budget drops neighbors, and which ones depends on the index's
+      // traversal order: fold both. Exact queries report the same hits on
+      // every index, so exact fingerprints stay as they were.
+      backend_salt = detail::fnv1a_append(1469598103934665603ull, "budget", 6);
+      backend_salt =
+          detail::fnv1a_value(backend_salt, config_.budget.max_neighbors);
+      backend_salt =
+          detail::fnv1a_value(backend_salt, config_.budget.max_nodes);
+      backend_salt = detail::fnv1a_value(backend_salt, config_.index);
     }
     report.job_fingerprint = job_fingerprint(
         "spark", dataset_digest(points), config_.params, config_.partitioner,

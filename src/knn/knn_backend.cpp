@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <deque>
 
-#include "util/counters.hpp"
-#include "util/flat_hash.hpp"
+#include "core/partition_bfs.hpp"
 
 namespace sdb::knn {
 
@@ -139,141 +138,24 @@ dbscan::Clustering knn_dbscan(const KnnEpsGraph& graph) {
 dbscan::LocalClusterResult local_knn_dbscan(
     const KnnEpsGraph& graph, const dbscan::Partitioning& partitioning,
     PartitionId partition, const LocalKnnDbscanConfig& config) {
-  using dbscan::PartialCluster;
-  using dbscan::SeedStrategy;
-  SDB_CHECK(partition >= 0 &&
-                static_cast<u32>(partition) < partitioning.num_partitions,
-            "partition id out of range");
-  const auto& my_points = partitioning.parts[static_cast<size_t>(partition)];
-  const auto& owner = partitioning.owner;
-
-  dbscan::LocalClusterResult result;
-  result.partition = partition;
-
-  // Same Hashtable / Queue structure (and counter charging) as local_dbscan;
-  // the eps-neighborhood "query" is a CSR row read, so the spatial work was
-  // all prepaid by the graph build's distance_evals.
-  FlatIdMap<ClusterId> membership(my_points.size() * 2 + 16);
-  FlatIdSet visited(my_points.size() * 2 + 16);
-
-  std::deque<PointId> frontier;
-  u64 frontier_peak = 0;
-  WorkCounters tally;
-
-  std::vector<char> seed_placed(partitioning.num_partitions, 0);
-  std::vector<PartitionId> seed_dirty;
-
-  for (const PointId p : my_points) {
-    tally.hash_ops += 1;
-    if (visited.contains(p)) continue;
-    visited.insert(p);
-    tally.hash_ops += 1;
-    tally.points_processed += 1;
-
-    if (!graph.is_core(p)) {
-      // Not core under the GLOBAL mask: provisional noise. If a local
-      // cluster claims it below it is promoted to border; if only a foreign
-      // cluster reaches it, the driver merge adopts it via its seed record
-      // — exactly the exact path's noise/border life cycle.
-      result.noise.push_back(p);
-      continue;
-    }
-
-    result.core_points.push_back(p);
-    PartialCluster pc;
-    pc.partition = partition;
-    pc.uid = PartialCluster::make_uid(partition,
-                                      static_cast<u32>(result.clusters.size()));
-    pc.members.push_back(p);
-    membership.put(p, static_cast<ClusterId>(pc.uid));
-    tally.hash_ops += 1;
-
-    for (const PartitionId d : seed_dirty) {
-      seed_placed[static_cast<size_t>(d)] = 0;
-    }
-    seed_dirty.clear();
-    FlatIdSet seeds_seen;
-
-    FlatIdSet enqueued(graph.neighbors(p).size() * 2 + 16);
-    frontier.clear();
-    auto enqueue = [&](PointId r) {
-      tally.hash_ops += 1;
-      if (owner[static_cast<size_t>(r)] == partition &&
-          membership.find(r) != nullptr) {
-        return;
-      }
-      tally.hash_ops += 1;
-      if (!enqueued.insert(r)) return;
-      frontier.push_back(r);
-      tally.queue_ops += 1;
-    };
-    auto expand = [&](PointId q) {
-      const auto targets = graph.neighbors(q);
-      const auto flags = graph.edge_flags(q);
-      for (size_t e = 0; e < targets.size(); ++e) {
-        if (expands_to(graph, targets[e], flags[e])) enqueue(targets[e]);
-      }
-    };
-    expand(p);
-    frontier_peak = std::max<u64>(frontier_peak, frontier.size());
-
-    while (!frontier.empty()) {
-      const PointId q = frontier.front();
-      frontier.pop_front();
-      tally.queue_ops += 1;
-
-      const PartitionId q_owner = owner[static_cast<size_t>(q)];
-      if (q_owner != partition) {
-        tally.seed_ops += 1;
-        switch (config.seed_strategy) {
-          case SeedStrategy::kOnePerPartition:
-            if (!seed_placed[static_cast<size_t>(q_owner)]) {
-              seed_placed[static_cast<size_t>(q_owner)] = 1;
-              seed_dirty.push_back(q_owner);
-              pc.seeds.push_back(q);
-            }
-            break;
-          case SeedStrategy::kAllForeign:
-            tally.hash_ops += 1;
-            if (seeds_seen.insert(q)) pc.seeds.push_back(q);
-            break;
+  // The eps-graph source: coreness from the GLOBAL mask (never recomputed
+  // locally, so every executor states the same facts to the merge), and a
+  // core point's frontier is its CSR row filtered by the expansion rule.
+  // The "query" is a row read: the spatial work was all prepaid by the
+  // graph build's distance_evals.
+  return dbscan::partition_bfs(
+      partitioning, partition, config.seed_strategy,
+      [&graph](PointId q, std::vector<PointId>& out) {
+        if (!graph.is_core(q)) return false;
+        const auto targets = graph.neighbors(q);
+        const auto flags = graph.edge_flags(q);
+        for (size_t e = 0; e < targets.size(); ++e) {
+          if (expands_to(graph, targets[e], flags[e])) {
+            out.push_back(targets[e]);
+          }
         }
-        continue;  // never expand foreign points: no peer communication
-      }
-
-      tally.hash_ops += 1;
-      if (!visited.contains(q)) {
-        visited.insert(q);
-        tally.hash_ops += 1;
-        tally.points_processed += 1;
-        if (graph.is_core(q)) {
-          result.core_points.push_back(q);
-          expand(q);
-          frontier_peak = std::max<u64>(frontier_peak, frontier.size());
-        }
-      }
-
-      tally.hash_ops += 1;
-      if (membership.find(q) == nullptr) {
-        membership.put(q, static_cast<ClusterId>(pc.uid));
-        tally.hash_ops += 1;
-        pc.members.push_back(q);
-      }
-    }
-    result.clusters.push_back(std::move(pc));
-  }
-
-  // Noise -> border promotion cleanup, as in local_dbscan.
-  std::vector<PointId> true_noise;
-  true_noise.reserve(result.noise.size());
-  for (const PointId p : result.noise) {
-    tally.hash_ops += 1;
-    if (membership.find(p) == nullptr) true_noise.push_back(p);
-  }
-  result.noise = std::move(true_noise);
-  tally.frontier_peak = frontier_peak;
-  counters::add(tally);
-  return result;
+        return true;
+      });
 }
 
 }  // namespace sdb::knn

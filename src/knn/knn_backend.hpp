@@ -22,7 +22,10 @@
 // partitioned executor kernel (local_knn_dbscan), so the two engines agree
 // exactly; approximation error relative to true DBSCAN enters only through
 // the graph build and is measured by the disagreement harness
-// (knn/disagreement.hpp).
+// (knn/disagreement.hpp). The executor kernel is the exact path's partition
+// sweep (core/partition_bfs.hpp) over an eps-graph neighborhood source;
+// knn_dbscan stays a separate BFS, so the reference shares no code with
+// what it checks.
 #pragma once
 
 #include <cstdint>
@@ -103,12 +106,14 @@ struct LocalKnnDbscanConfig {
   dbscan::SeedStrategy seed_strategy = dbscan::SeedStrategy::kAllForeign;
 };
 
-/// Executor kernel of the KNN backend — local_dbscan with the broadcast
-/// eps-graph substituted for the broadcast spatial index. Same BFS, same
-/// SEED placement, same LocalClusterResult wire shape, so codec /
-/// checkpoint / merge machinery is reused unchanged. Coreness comes from
-/// the graph's global mask (never recomputed locally), which keeps every
-/// executor's facts mutually consistent for the merge.
+/// Executor kernel of the KNN backend: local_dbscan's partition sweep
+/// (core/partition_bfs.hpp) with the broadcast eps-graph as its
+/// neighborhood source in place of the broadcast spatial index. Same
+/// single Hashtable, Queue and SEED placement, same LocalClusterResult wire
+/// shape, so codec / checkpoint / merge machinery is reused unchanged.
+/// Coreness comes from the graph's global mask (never recomputed locally),
+/// which keeps every executor's facts mutually consistent for the merge; a
+/// core point enqueues the row entries that pass the expansion rule.
 dbscan::LocalClusterResult local_knn_dbscan(
     const KnnEpsGraph& graph, const dbscan::Partitioning& partitioning,
     PartitionId partition, const LocalKnnDbscanConfig& config);

@@ -14,10 +14,24 @@
 
 namespace sdb {
 
+namespace detail {
+
+/// The capacity rule of both tables: the smallest power of two, at least
+/// 16, that holds `expected` keys below the 0.7 load factor they grow at.
+inline size_t flat_capacity_for(size_t expected) {
+  size_t cap = 16;
+  while (cap * 7 < expected * 10) cap *= 2;
+  return cap;
+}
+
+}  // namespace detail
+
 /// Hash set of non-negative i64 keys (PointId). Insert/contains only.
 class FlatIdSet {
  public:
-  explicit FlatIdSet(size_t expected = 16) { rehash(capacity_for(expected)); }
+  explicit FlatIdSet(size_t expected = 16) {
+    rehash(detail::flat_capacity_for(expected));
+  }
 
   /// Insert `key`; returns true if newly inserted.
   bool insert(i64 key) {
@@ -57,12 +71,6 @@ class FlatIdSet {
  private:
   static constexpr i64 kEmpty = -1;
 
-  static size_t capacity_for(size_t expected) {
-    size_t cap = 16;
-    while (cap * 7 < expected * 10) cap *= 2;
-    return cap;
-  }
-
   [[nodiscard]] size_t probe_start(i64 key) const {
     // Fibonacci hashing of the key.
     const u64 h = static_cast<u64>(key) * 11400714819323198485ull;
@@ -73,7 +81,6 @@ class FlatIdSet {
     std::vector<i64> old = std::move(slots_);
     slots_.assign(new_cap, kEmpty);
     mask_ = new_cap - 1;
-    shift_ = 64 - 6;
     // compute shift from capacity: log2(new_cap)
     unsigned bits = 0;
     for (size_t c = new_cap; c > 1; c >>= 1) ++bits;
@@ -95,9 +102,7 @@ template <typename V>
 class FlatIdMap {
  public:
   explicit FlatIdMap(size_t expected = 16) {
-    size_t cap = 16;
-    while (cap * 7 < expected * 10) cap *= 2;
-    rehash(cap);
+    rehash(detail::flat_capacity_for(expected));
   }
 
   /// Insert or overwrite. Returns true if the key was newly inserted.

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/dbscan_seq.hpp"
+#include "core/job_identity.hpp"
+#include "knn/knn_backend.hpp"
 #include "spatial/kd_tree.hpp"
 #include "synth/generators.hpp"
 #include "util/counters.hpp"
@@ -286,6 +289,134 @@ TEST(LocalDbscan, DeterministicAcrossRepeatedRuns) {
     }
     EXPECT_EQ(first.noise, again.noise);
     EXPECT_EQ(first.core_points, again.core_points);
+  }
+}
+
+// FNV-1a over a result's fields in order: partition; each cluster's uid,
+// members and seeds; core_points; noise. Digests the fields rather than the
+// wire bytes, so a codec layout change cannot move it.
+u64 result_digest(u64 h, const LocalClusterResult& r) {
+  auto fold_ids = [&h](const std::vector<PointId>& ids) {
+    h = detail::fnv1a_value(h, static_cast<u64>(ids.size()));
+    h = detail::fnv1a_append(h, ids.data(), ids.size() * sizeof(PointId));
+  };
+  h = detail::fnv1a_value(h, r.partition);
+  for (const PartialCluster& pc : r.clusters) {
+    h = detail::fnv1a_value(h, pc.uid);
+    fold_ids(pc.members);
+    fold_ids(pc.seeds);
+  }
+  fold_ids(r.core_points);
+  fold_ids(r.noise);
+  return h;
+}
+
+struct Golden {
+  u64 digest;
+  u64 distance_evals;
+  u64 tree_nodes;
+  u64 hash_ops;
+  u64 queue_ops;
+  u64 points_processed;
+  u64 seed_ops;
+  u64 frontier_peak;
+};
+
+void expect_golden(const Golden& want, u64 digest, const WorkCounters& wc) {
+  EXPECT_EQ(digest, want.digest);
+  EXPECT_EQ(wc.distance_evals, want.distance_evals);
+  EXPECT_EQ(wc.tree_nodes, want.tree_nodes);
+  EXPECT_EQ(wc.hash_ops, want.hash_ops);
+  EXPECT_EQ(wc.queue_ops, want.queue_ops);
+  EXPECT_EQ(wc.points_processed, want.points_processed);
+  EXPECT_EQ(wc.seed_ops, want.seed_ops);
+  EXPECT_EQ(wc.frontier_peak, want.frontier_peak);
+}
+
+TEST(LocalDbscan, GoldenResultsAndCountersPerBackend) {
+  // Pins both executor kernels — the exact range-query source and the kNN
+  // eps-graph source — to recorded member/seed/noise order and work
+  // counters, summed over every partition of each run. Any refactor of the
+  // shared sweep must leave every value unchanged.
+  {
+    Rng rng(31);
+    const PointSet ps = synth::blobs_2d(4000, 6, 0.04, 300, rng);
+    const KdTree tree(ps);
+    LocalDbscanConfig cfg;
+    cfg.params = {0.03, 6};
+    struct Case {
+      PartitionerKind partitioner;
+      SeedStrategy strategy;
+      Golden want;
+    };
+    const Case cases[] = {
+        {PartitionerKind::kBlock, SeedStrategy::kAllForeign,
+         {16236602016041878037ull, 1706400, 68990, 737895, 48910, 4300, 20503,
+          394}},
+        {PartitionerKind::kBlock, SeedStrategy::kOnePerPartition,
+         {8546718667956331759ull, 1706400, 68990, 717392, 48910, 4300, 20503,
+          394}},
+        {PartitionerKind::kRandom, SeedStrategy::kAllForeign,
+         {2210995881594213048ull, 1706400, 68990, 738920, 49140, 4300, 20639,
+          267}},
+        {PartitionerKind::kRandom, SeedStrategy::kOnePerPartition,
+         {9930683129439682314ull, 1706400, 68990, 718281, 49140, 4300, 20639,
+          267}},
+    };
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string("exact ") + partitioner_name(c.partitioner) +
+                   " " + seed_strategy_name(c.strategy));
+      const Partitioning part = make_partitioning(c.partitioner, ps, 6);
+      cfg.seed_strategy = c.strategy;
+      WorkCounters wc;
+      u64 digest = 1469598103934665603ull;
+      {
+        ScopedCounters scope(&wc);
+        for (PartitionId p = 0; p < 6; ++p) {
+          digest = result_digest(digest, local_dbscan(ps, tree, part, p, cfg));
+        }
+      }
+      expect_golden(c.want, digest, wc);
+    }
+  }
+  {
+    Rng rng(37);
+    synth::EmbeddingConfig gen;
+    gen.n = 1500;
+    gen.dim = 64;
+    const PointSet ps = synth::embedding_clusters(gen, rng);
+    knn::KnnGraphConfig graph_cfg;
+    graph_cfg.k = 16;
+    graph_cfg.build = knn::KnnGraphConfig::Build::kExact;
+    const knn::KnnEpsGraph eps = knn::KnnEpsGraph::build(
+        knn::build_knn_graph(ps, graph_cfg),
+        DbscanParams{synth::embedding_suggested_eps(gen), 5});
+    const Partitioning part =
+        make_partitioning(PartitionerKind::kRandom, ps, 5);
+    struct Case {
+      SeedStrategy strategy;
+      Golden want;
+    };
+    const Case cases[] = {
+        {SeedStrategy::kAllForeign,
+         {11357603239245262658ull, 0, 0, 39638, 15436, 1500, 6673, 41}},
+        {SeedStrategy::kOnePerPartition,
+         {1164634976710059942ull, 0, 0, 32965, 15436, 1500, 6673, 41}},
+    };
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string("knn ") + seed_strategy_name(c.strategy));
+      WorkCounters wc;
+      u64 digest = 1469598103934665603ull;
+      {
+        ScopedCounters scope(&wc);
+        for (PartitionId p = 0; p < 5; ++p) {
+          digest = result_digest(
+              digest, knn::local_knn_dbscan(
+                          eps, part, p, knn::LocalKnnDbscanConfig{c.strategy}));
+        }
+      }
+      expect_golden(c.want, digest, wc);
+    }
   }
 }
 

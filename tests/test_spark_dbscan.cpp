@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "core/dbscan_seq.hpp"
 #include "core/quality.hpp"
@@ -183,16 +184,24 @@ TEST(SparkDbscan, DeterministicAcrossRuns) {
 TEST(SparkDbscan, IdenticalAcrossHostThreads) {
   // The executor tasks share nothing mutable and the merge sorts partial
   // clusters by uid, so no output depends on how many host threads ran
-  // them — in particular not on the arrival order of their blobs.
+  // them — in particular not on the arrival order of their blobs. Both
+  // backends run the same partition sweep, each over its own neighborhood
+  // source.
   const PointSet ps = blob_data(3000, 23);
-  for (const Codec codec : {Codec::kRaw, Codec::kCompact}) {
+  for (const auto& [backend, codec] :
+       {std::pair{DbscanBackend::kExact, Codec::kRaw},
+        std::pair{DbscanBackend::kExact, Codec::kCompact},
+        std::pair{DbscanBackend::kKnn, Codec::kRaw},
+        std::pair{DbscanBackend::kKnn, Codec::kCompact}}) {
     SparkDbscanConfig cfg;
     cfg.params = {1.0, 5};
     cfg.partitions = 12;
+    cfg.backend = backend;
     cfg.codec = codec;
     std::optional<SparkDbscanReport> first;
     for (const u32 threads : {1u, 2u, 4u, 0u}) {
-      SCOPED_TRACE(std::string(codec_name(codec)) +
+      SCOPED_TRACE(std::string(backend_name(backend)) + " " +
+                   codec_name(codec) +
                    " host_threads=" + std::to_string(threads));
       minispark::ClusterConfig ccfg = cluster(4);
       ccfg.host_threads = threads;
@@ -224,8 +233,49 @@ TEST(SparkDbscan, IdenticalAcrossHostThreads) {
       EXPECT_EQ(a.border_claims, b.border_claims);
       EXPECT_EQ(report.partial_clusters, first->partial_clusters);
       EXPECT_EQ(report.accumulator_bytes, first->accumulator_bytes);
+      EXPECT_EQ(report.knn_eps_edges, first->knn_eps_edges);
+      EXPECT_EQ(report.knn_core_points, first->knn_core_points);
     }
   }
+}
+
+TEST(SparkDbscan, BudgetSeparatesJobFingerprints) {
+  // A query budget drops neighbors, so it changes partition results: a
+  // checkpoint written under one budget must never resume into a run under
+  // another budget, or into an exact run.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("sdb_budget_fp_" + std::to_string(::getpid()));
+  const PointSet ps = blob_data(2000, 31);
+  auto run = [&](QueryBudget budget, IndexKind index) {
+    fs::remove_all(dir);
+    minispark::SparkContext ctx(cluster(4));
+    SparkDbscanConfig cfg;
+    cfg.params = {1.0, 5};
+    cfg.partitions = 4;
+    cfg.budget = budget;
+    cfg.index = index;
+    cfg.checkpoint_dir = dir.string();
+    SparkDbscan dbscan(ctx, cfg);
+    return dbscan.run(ps);
+  };
+  const SparkDbscanReport exact = run({}, IndexKind::kKdTree);
+  const SparkDbscanReport capped =
+      run({.max_neighbors = 4}, IndexKind::kKdTree);
+  ASSERT_NE(exact.clustering.num_clusters, capped.clustering.num_clusters);
+  EXPECT_NE(exact.job_fingerprint, capped.job_fingerprint);
+  EXPECT_NE(capped.job_fingerprint,
+            run({.max_neighbors = 5}, IndexKind::kKdTree).job_fingerprint);
+  EXPECT_NE(capped.job_fingerprint,
+            run({.max_neighbors = 4, .max_nodes = 64}, IndexKind::kKdTree)
+                .job_fingerprint);
+  // Under a budget the traversal order decides which hits are reported.
+  EXPECT_NE(capped.job_fingerprint,
+            run({.max_neighbors = 4}, IndexKind::kRTree).job_fingerprint);
+  // Exact queries report the same hits on every index, so an exact
+  // fingerprint does not depend on the index.
+  EXPECT_EQ(exact.job_fingerprint,
+            run({}, IndexKind::kRTree).job_fingerprint);
+  fs::remove_all(dir);
 }
 
 TEST(SparkDbscan, WallPhasesFitInsideWallTime) {
