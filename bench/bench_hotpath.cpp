@@ -138,9 +138,14 @@ QueryNumbers measure_queries(const PointSet& points, const KdTree& legacy,
     out.neighbors = neighbors;
     return neighbors;
   };
-  run(legacy, &out.distance_evals_legacy, &out.legacy_qps);
+  const u64 legacy_neighbors =
+      run(legacy, &out.distance_evals_legacy, &out.legacy_qps);
   blocked_neighbors =
       run(blocked, &out.distance_evals_blocked, &out.blocked_qps);
+  // Layout self-check: the blocked tree's range scans must find exactly the
+  // legacy scalar per-row loop's neighbors (the caller checks the evals).
+  SDB_CHECK(legacy_neighbors == blocked_neighbors,
+            "blocked tree must find the legacy scalar path's neighbors");
   // Scalar-vs-SIMD self-check: the same blocked tree re-queried with the
   // dispatched kernel pinned to the scalar fallback must report the exact
   // same distance_evals and neighbor totals (the kernels' bit-identical
@@ -347,8 +352,10 @@ int main(int argc, char** argv) {
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   const int build_reps = smoke ? 2 : 3;
 
-  // 100k and 1M uniform points at the paper's d=10 (Table I r100k / r1m);
-  // smoke shrinks both so the perf-label ctest stays in the seconds range.
+  // 100k and 1M uniform points at the paper's d=10 (Table I r100k / r1m),
+  // plus the clustered c100k, whose ~100-neighbor queries are bound by the
+  // leaf scan rather than the descent; smoke shrinks the set so the
+  // perf-label ctest stays in the seconds range.
   struct Run {
     const char* preset;
     double scale;
@@ -358,6 +365,7 @@ int main(int argc, char** argv) {
   const std::vector<Run> runs =
       smoke ? std::vector<Run>{{"r10k", 1.0, true, false}}
             : std::vector<Run>{{"r100k", 1.0, true, false},
+                               {"c100k", 1.0, true, false},
                                {"r1m", 1.0, true, true}};
 
   std::vector<DatasetReport> reports;

@@ -75,14 +75,19 @@ MRDbscanReport mr_dbscan(const PointSet& points, const MRDbscanConfig& config) {
   // Decoded eagerly: commit() below deletes the records.
   std::vector<LocalClusterResult> recovered_locals;
   recovered_locals.reserve(recovered_parts.size());
+  u64 recovered_clusters = 0;
   for (const u32 p : recovered_parts) {
     recovered_locals.push_back(decode(ckpt->load(p), config.codec));
+    recovered_clusters += recovered_locals.back().clusters.size();
   }
   mapreduce::MRJob::Reducer reducer =
       [&](const std::string& key, std::vector<std::string>& values,
           const mapreduce::MRJob::Emit& emit) {
         SDB_CHECK(key == "partial", "unexpected reduce key: " + key);
-        std::vector<LocalClusterResult> collected = recovered_locals;
+        // Moved, not copied: the one reduce call runs once per successful
+        // attempt, and an injected reduce fault fires before the call, so
+        // a retry never sees the moved-from vector.
+        std::vector<LocalClusterResult> collected = std::move(recovered_locals);
         collected.reserve(collected.size() + values.size());
         for (const std::string& blob : values) {
           collected.push_back(decode(blob, config.codec));
@@ -122,11 +127,9 @@ MRDbscanReport mr_dbscan(const PointSet& points, const MRDbscanConfig& config) {
 
   report.clustering = std::move(merged.clustering);
   report.merge_stats = merged.stats;
+  report.partial_clusters = recovered_clusters;
   for (const u64 clusters : task_clusters) {
     report.partial_clusters += clusters;
-  }
-  for (const auto& local : recovered_locals) {
-    report.partial_clusters += local.clusters.size();
   }
   report.sim_total_s = report.job.sim_total_s;
   report.wall_s = wall.seconds();

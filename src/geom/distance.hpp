@@ -3,12 +3,14 @@
 // (the spatial indexes) batch their counts per query and flush once through
 // counters::add — same totals, no thread-local lookup per evaluation.
 //
-// The vectorized leaf-scan kernels live in distance_simd.hpp: a runtime-
-// dispatched AVX2/NEON strip kernel over a strip-transposed (SoA) layout,
-// bit-identical to the scalar loops here (unfused multiply+add, ascending-d
-// accumulation) so eps-membership decisions never depend on the host ISA.
+// The vectorized leaf-scan kernels live in distance_simd.hpp: runtime-
+// dispatched AVX2/AVX-512/NEON strip kernels and range scans over a
+// strip-transposed (SoA) layout, bit-identical to the scalar loops here
+// (unfused multiply+add, ascending-d accumulation) so eps-membership
+// decisions never depend on the host ISA.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <span>
@@ -82,23 +84,32 @@ inline void strip_store_row(double* base, size_t pos,
   for (size_t d = 0; d < p.size(); ++d) lane[d * kDistanceStrip] = p[d];
 }
 
-/// Eps-membership mask for `count` strip-layout points starting at global
-/// position `pos` in `strips`: bit j of the result is set iff the squared
-/// distance from `q` to point pos + j is <= eps2. `count` must not cross a
-/// strip-block boundary: count <= kDistanceStrip - pos % kDistanceStrip.
-/// Dispatches to the active SIMD kernel; counted as exactly `count`
-/// distance evaluations — one per candidate row, matching the scalar path,
-/// even though the kernel may abandon a lane's accumulation early once its
-/// partial sum exceeds eps2 (see distance_simd.hpp). Hot loops should
-/// instead fetch simd::detail::strip_kernel() once per query, call it per
-/// block, and batch-flush their counts (see KdTree::run_query).
-inline std::uint32_t within_eps_strip(std::span<const double> q, double eps2,
-                                      const double* strips, size_t pos,
-                                      size_t count) {
-  const std::uint32_t mask = simd::detail::strip_kernel()(
-      q.data(), q.size(), eps2, strip_lane(strips, pos, q.size()), count);
-  counters::distance_evals(count);
-  return mask;
+/// Position-buffer capacity of strip_scan_exact: 16 blocks (2 KiB of stack),
+/// so a kd-tree leaf of up to 16 * kDistanceStrip - 31 points is one
+/// range-scan call wherever it starts.
+inline constexpr size_t kRangeScanChunk = 16 * kDistanceStrip;
+
+/// Exact eps scan of packed strip positions [begin, end) through the range
+/// scan `scan` (simd::detail::kernels().range): calls emit(pos) for each
+/// position whose squared distance from q is <= eps2, in ascending order —
+/// the scalar loop's hits in the scalar loop's order. One kernel call per
+/// range; a range longer than the position buffer is scanned in chunks
+/// that end on block boundaries, so no block is loaded twice. Uncounted:
+/// the caller charges end - begin distance evaluations, one per row, as the
+/// scalar loop does.
+template <typename EmitFn>
+inline void strip_scan_exact(simd::RangeScanFn scan, std::span<const double> q,
+                             double eps2, const double* strips, size_t begin,
+                             size_t end, EmitFn&& emit) {
+  std::uint32_t pos[kRangeScanChunk];  // [0, hits) written by each call
+  while (begin < end) {
+    const size_t stop =
+        std::min(end, begin - begin % kDistanceStrip + kRangeScanChunk);
+    const std::uint32_t hits =
+        scan(q.data(), q.size(), eps2, strips, begin, stop, pos);
+    for (std::uint32_t k = 0; k < hits; ++k) emit(pos[k]);
+    begin = stop;
+  }
 }
 
 /// Neighbor-budgeted scan of packed strip positions [begin, end) through the

@@ -6,8 +6,6 @@
 namespace sdb::simd {
 namespace detail {
 
-std::atomic<StripKernelFn> g_strip{nullptr};
-
 std::uint32_t strip_scalar(const double* q, size_t dim, double eps2,
                            const double* lanes, size_t count) {
   std::uint32_t mask = 0;
@@ -30,11 +28,17 @@ std::uint32_t strip_scalar(const double* q, size_t dim, double eps2,
 // Defined in distance_simd_avx2.cpp (compiled with -mavx2 only).
 std::uint32_t strip_avx2(const double* q, size_t dim, double eps2,
                          const double* lanes, size_t count);
+std::uint32_t range_avx2(const double* q, size_t dim, double eps2,
+                         const double* strips, size_t begin, size_t end,
+                         std::uint32_t* out);
 #endif
 #if SDB_HAVE_AVX512
 // Defined in distance_simd_avx512.cpp (compiled with -mavx512f only).
 std::uint32_t strip_avx512(const double* q, size_t dim, double eps2,
                            const double* lanes, size_t count);
+std::uint32_t range_avx512(const double* q, size_t dim, double eps2,
+                           const double* strips, size_t begin, size_t end,
+                           std::uint32_t* out);
 #endif
 #if SDB_HAVE_NEON
 // Defined in distance_simd_neon.cpp.
@@ -43,6 +47,20 @@ std::uint32_t strip_neon(const double* q, size_t dim, double eps2,
 #endif
 
 namespace {
+
+constexpr KernelSet kScalarSet{KernelVariant::kScalar, &strip_scalar,
+                               &range_by_segments<&strip_scalar>};
+#if SDB_HAVE_AVX2
+constexpr KernelSet kAvx2Set{KernelVariant::kAvx2, &strip_avx2, &range_avx2};
+#endif
+#if SDB_HAVE_AVX512
+constexpr KernelSet kAvx512Set{KernelVariant::kAvx512, &strip_avx512,
+                               &range_avx512};
+#endif
+#if SDB_HAVE_NEON
+constexpr KernelSet kNeonSet{KernelVariant::kNeon, &strip_neon,
+                             &range_by_segments<&strip_neon>};
+#endif
 
 std::atomic<bool> g_forced_scalar{false};
 
@@ -55,47 +73,50 @@ bool env_forces_scalar() {
          std::strcmp(v, "0") == 0;
 }
 
-StripKernelFn best_kernel() {
+const KernelSet& best_kernels() {
   if (g_forced_scalar.load(std::memory_order_relaxed) || env_forces_scalar()) {
-    return &strip_scalar;
+    return kScalarSet;
   }
 #if SDB_HAVE_AVX512
-  if (__builtin_cpu_supports("avx512f")) return &strip_avx512;
+  if (__builtin_cpu_supports("avx512f")) return kAvx512Set;
 #endif
 #if SDB_HAVE_AVX2
-  if (__builtin_cpu_supports("avx2")) return &strip_avx2;
+  if (__builtin_cpu_supports("avx2")) return kAvx2Set;
 #endif
 #if SDB_HAVE_NEON
   // NEON is baseline on aarch64; no runtime probe needed.
-  return &strip_neon;
+  return kNeonSet;
 #endif
-  return &strip_scalar;
+  return kScalarSet;
 }
 
 }  // namespace
 
-StripKernelFn resolve() {
-  const StripKernelFn fn = best_kernel();
-  g_strip.store(fn, std::memory_order_relaxed);
-  return fn;
+std::atomic<const KernelSet*> g_kernels{nullptr};
+
+const KernelSet& resolve() {
+  const KernelSet& set = best_kernels();
+  g_kernels.store(&set, std::memory_order_relaxed);
+  return set;
+}
+
+std::vector<KernelSet> supported_kernels() {
+  std::vector<KernelSet> sets{kScalarSet};
+#if SDB_HAVE_AVX2
+  if (__builtin_cpu_supports("avx2")) sets.push_back(kAvx2Set);
+#endif
+#if SDB_HAVE_AVX512
+  if (__builtin_cpu_supports("avx512f")) sets.push_back(kAvx512Set);
+#endif
+#if SDB_HAVE_NEON
+  sets.push_back(kNeonSet);
+#endif
+  return sets;
 }
 
 }  // namespace detail
 
-KernelVariant active_variant() {
-  const StripKernelFn fn = detail::strip_kernel();
-#if SDB_HAVE_AVX512
-  if (fn == &detail::strip_avx512) return KernelVariant::kAvx512;
-#endif
-#if SDB_HAVE_AVX2
-  if (fn == &detail::strip_avx2) return KernelVariant::kAvx2;
-#endif
-#if SDB_HAVE_NEON
-  if (fn == &detail::strip_neon) return KernelVariant::kNeon;
-#endif
-  (void)fn;
-  return KernelVariant::kScalar;
-}
+KernelVariant active_variant() { return detail::kernels().variant; }
 
 const char* variant_name(KernelVariant v) {
   switch (v) {

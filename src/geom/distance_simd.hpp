@@ -36,20 +36,31 @@
 // value never decreases a sum), so a partial sum above eps^2 decides the
 // final test exactly; abandonment changes how many bytes the kernel reads,
 // never which bits it returns. This is why the contract hands the kernel
-// eps^2 and takes back a decision mask instead of raw squared distances:
-// returning the distances would force every lane to full depth, and the
-// leaf scan at scale is bound by strip memory traffic, not arithmetic.
-// Callers that need actual squared distances still get kernel help: kNN
-// filters leaf candidates through the mask with eps^2 = its current worst
-// heap distance and computes exact distances only for survivors, and
-// neighbor-budgeted scans reconstruct the scalar loop's exact stop row and
-// distance_evals charge from the mask (strip_scan_budgeted, distance.hpp).
+// eps^2 and takes back a decision instead of raw squared distances:
+// returning the distances would force every lane to full depth, which
+// sparse and high-dimensional scans mostly avoid.
 //
-// Dispatch: the kernel is a function pointer resolved on first use — CPU
-// feature detection (AVX-512F then AVX2 on x86-64, NEON on aarch64) gated by the
-// SDB_SIMD cmake option, the SDB_SIMD=scalar environment variable, and the
-// force_scalar() test hook. The scalar fallback is always compiled, so a
-// scalar-only build (-DSDB_SIMD=OFF) is just the permanent fallback.
+// Two entry points per variant:
+// - the strip kernel (StripKernelFn) decides one segment of one block and
+//   returns a mask. Callers that need per-block control use it: kNN filters
+//   leaf candidates through the mask with eps^2 = its current worst heap
+//   distance and computes exact distances only for survivors, and
+//   neighbor-budgeted scans reconstruct the scalar loop's exact stop row
+//   and distance_evals charge from the mask (strip_scan_budgeted,
+//   distance.hpp);
+// - the range scan (RangeScanFn) decides a whole position range in one
+//   call and writes the positions of its hits. Every exact eps scan uses
+//   it: one call per kd-tree leaf, grid cell, or brute-force chunk
+//   (strip_scan_exact, distance.hpp). A c100k query reaches ~21 leaves
+//   that span ~85 block segments; one call per leaf drops the per-segment
+//   calls, mask walks and ragged-edge paths that dominated the scan.
+//
+// Dispatch: the kernels are one set of function pointers per variant,
+// resolved together on first use — CPU feature detection (AVX-512F then
+// AVX2 on x86-64, NEON on aarch64) gated by the SDB_SIMD cmake option, the
+// SDB_SIMD=scalar environment variable, and the force_scalar() test hook.
+// The scalar fallback is always compiled, so a scalar-only build
+// (-DSDB_SIMD=OFF) is just the permanent fallback.
 //
 // Counters: these entry points do NOT touch work counters — callers charge
 // distance_evals themselves (see distance.hpp's counted wrappers and the
@@ -57,9 +68,12 @@
 // hot loop free of thread-local lookups.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace sdb {
 
@@ -79,38 +93,104 @@ enum class KernelVariant { kScalar = 0, kAvx2 = 1, kNeon = 2, kAvx512 = 3 };
 ///   mask fits a u32 exactly).
 /// `lanes` points at the first lane to evaluate inside one strip block
 /// (block base + lane offset); `count` never crosses a block boundary, so
-/// count + (lanes - block_base) % kDistanceStrip <= kDistanceStrip. Inputs
-/// are assumed finite (no NaN/inf coordinates or eps).
+/// count + (lanes - block_base) % kDistanceStrip <= kDistanceStrip.
+/// Coordinates are assumed finite (no NaN/inf). eps2 may be +inf: a squared
+/// distance that overflows to +inf then still counts as within eps, as it
+/// does in the <= of the scalar loops.
 using StripKernelFn = std::uint32_t (*)(const double* q, size_t dim,
                                         double eps2, const double* lanes,
                                         size_t count);
 
+/// fn(q, dim, eps2, strips, begin, end, out) -> hit count: the exact
+/// eps-range scan of global strip positions [begin, end) of the buffer at
+/// `strips`. Writes to `out`, in ascending order, every position whose
+/// squared distance from q is <= eps2 — the strip kernel's decision with the
+/// strip kernel's arithmetic, so the positions are exactly its mask walk —
+/// and returns how many it wrote. `out` must have room for end - begin
+/// entries; nothing past the returned count is written. The scan loads
+/// whole blocks (every strip buffer is padded to whole blocks, see
+/// strip_padded_len); lanes of the first and last block that lie outside
+/// the range start from +inf, so they never hold up abandonment, and are
+/// masked out of the result. One call replaces the per-block mask walk of
+/// a kd-tree leaf or grid cell. Same input assumptions as StripKernelFn.
+using RangeScanFn = std::uint32_t (*)(const double* q, size_t dim,
+                                      double eps2, const double* strips,
+                                      size_t begin, size_t end,
+                                      std::uint32_t* out);
+
 namespace detail {
 
-/// The dispatched kernel; null until first resolution. Relaxed atomics: all
-/// candidate values are interchangeable (bit-identical results), so racing
+/// One variant's entry points. The dispatcher selects a whole set, so the
+/// strip kernel and the range scan always come from the same variant — the
+/// SDB_SIMD=scalar environment variable and force_scalar() pin both.
+struct KernelSet {
+  KernelVariant variant;
+  StripKernelFn strip;
+  RangeScanFn range;
+};
+
+/// The dispatched set; null until first resolution. Relaxed atomics: all
+/// candidate sets are interchangeable (bit-identical results), so racing
 /// initializations are benign.
-extern std::atomic<StripKernelFn> g_strip;
+extern std::atomic<const KernelSet*> g_kernels;
 
 /// Scalar reference implementation — always built, and the ground truth the
 /// vector variants are tested bit-equal against.
 std::uint32_t strip_scalar(const double* q, size_t dim, double eps2,
                            const double* lanes, size_t count);
 
-/// CPU detection + SDB_SIMD env + force_scalar() -> best kernel. Stores the
-/// choice in g_strip and returns it.
-StripKernelFn resolve();
+/// CPU detection + SDB_SIMD env + force_scalar() -> best set. Stores the
+/// choice in g_kernels and returns it.
+const KernelSet& resolve();
 
-/// The active strip kernel (resolving on first use). Fetch once per query,
+/// The active kernel set (resolving on first use). Fetch once per query,
 /// not per strip, to keep the atomic load off the inner loop.
-inline StripKernelFn strip_kernel() {
-  StripKernelFn fn = g_strip.load(std::memory_order_relaxed);
-  return fn != nullptr ? fn : resolve();
+inline const KernelSet& kernels() {
+  const KernelSet* set = g_kernels.load(std::memory_order_relaxed);
+  return set != nullptr ? *set : resolve();
+}
+inline StripKernelFn strip_kernel() { return kernels().strip; }
+
+/// Test hook: every variant compiled into this build that the host CPU can
+/// run, scalar first — so the bit-exactness suites cover each of them, not
+/// only the one the dispatcher picks.
+std::vector<KernelSet> supported_kernels();
+
+/// A range scan built on a strip kernel: the kernel over each block segment
+/// of [begin, end), each mask walked into positions. The scalar and NEON
+/// range scans are this over their own strip kernels.
+template <StripKernelFn kStrip>
+std::uint32_t range_by_segments(const double* q, size_t dim, double eps2,
+                                const double* strips, size_t begin,
+                                size_t end, std::uint32_t* out) {
+  std::uint32_t* o = out;
+  for (size_t i = begin; i < end;) {
+    const size_t lane = i % kDistanceStrip;
+    const size_t m = std::min(kDistanceStrip - lane, end - i);
+    std::uint32_t mask =
+        kStrip(q, dim, eps2, strips + (i - lane) * dim + lane, m);
+    while (mask != 0) {
+      *o++ = static_cast<std::uint32_t>(i) +
+             static_cast<std::uint32_t>(std::countr_zero(mask));
+      mask &= mask - 1;
+    }
+    i += m;
+  }
+  return static_cast<std::uint32_t>(o - out);
 }
 
-}  // namespace detail
-
-namespace detail {
+/// Lanes of the block that starts at global position `block_pos` which lie
+/// in [begin, end), as a lane mask. Requires begin < block_pos +
+/// kDistanceStrip and block_pos < end.
+constexpr std::uint32_t block_lanes(size_t begin, size_t end,
+                                    size_t block_pos) {
+  const size_t lo = begin > block_pos ? begin - block_pos : 0;
+  const size_t hi = end - block_pos;
+  const std::uint32_t below_hi =
+      hi >= kDistanceStrip ? ~std::uint32_t{0}
+                           : (std::uint32_t{1} << hi) - 1;
+  return below_hi & ~((std::uint32_t{1} << lo) - 1);
+}
 
 /// Abandonment probe schedule shared by every vector kernel: probe after
 /// dimension `d` iff this returns true. Dense early (every 2nd dim through

@@ -1,4 +1,4 @@
-// AVX2 strip kernel. Compiled with -mavx2 ONLY (no -mfma) and
+// AVX2 strip kernel and range scan. Compiled with -mavx2 ONLY (no -mfma) and
 // -ffp-contract=off: the accumulation must stay an unfused multiply + add so
 // every lane's partial sums are bit-identical to the scalar fallback — a
 // fused multiply-add's single rounding would flip exactly-eps boundary
@@ -11,6 +11,8 @@
 // value never decreases the sum), so "partial > eps^2" decides the final
 // eps test exactly; abandonment changes how much memory the kernel reads —
 // decisive when the strip working set exceeds cache — never the answer.
+// The range scan runs the whole-block code on every block of its range and
+// walks each block's mask into positions.
 //
 // Only selected when __builtin_cpu_supports("avx2") at dispatch time, so
 // building this TU on any x86-64 toolchain is safe even for older hosts.
@@ -20,23 +22,50 @@
 
 #include <immintrin.h>
 
+#include <bit>
 #include <limits>
 
 namespace sdb::simd::detail {
 
 namespace {
 
-/// Full 32-lane block: eight 4-wide accumulators, fully unrolled so they
-/// live in registers. The abandonment probe (a 7-min tree + one compare +
-/// movemask, cheap against the 8 loads the skipped dimensions would have
-/// cost) runs on the shared dense-early/geometric-tail schedule —
-/// abandon_probe_due in distance_simd.hpp.
-inline std::uint32_t strip_avx2_full(const double* q, size_t dim, double eps2,
-                                     const double* lanes) {
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Start values of one 4-lane group: 0 on the lanes whose bit is set in the
+/// low 4 bits of `live`, +inf on the others.
+inline __m256d start_values(std::uint32_t live) {
+  const __m256i bit = _mm256_setr_epi64x(1, 2, 4, 8);
+  const __m256i sel = _mm256_and_si256(
+      _mm256_set1_epi64x(static_cast<long long>(live & 0xf)), bit);
+  const __m256d on = _mm256_castsi256_pd(_mm256_cmpeq_epi64(sel, bit));
+  return _mm256_andnot_pd(on, _mm256_set1_pd(kInf));
+}
+
+/// One whole 32-lane block: eight 4-wide accumulators, fully unrolled so
+/// they live in registers. Lanes in `live` accumulate from 0; the others
+/// start at +inf, so they never hold the abandonment min down, and are
+/// masked out of the result (+inf <= eps2 holds when eps2 itself is +inf).
+/// The abandonment probe (a 7-min tree + one compare + movemask, cheap
+/// against the 8 loads the skipped dimensions would have cost) runs on the
+/// shared dense-early/geometric-tail schedule — abandon_probe_due in
+/// distance_simd.hpp.
+inline std::uint32_t block_avx2(const double* q, size_t dim, double eps2,
+                                const double* lanes, std::uint32_t live) {
   __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
   __m256d a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
   __m256d a4 = _mm256_setzero_pd(), a5 = _mm256_setzero_pd();
   __m256d a6 = _mm256_setzero_pd(), a7 = _mm256_setzero_pd();
+  if (live != ~std::uint32_t{0}) {
+    // First or last block of a range scan.
+    a0 = start_values(live);
+    a1 = start_values(live >> 4);
+    a2 = start_values(live >> 8);
+    a3 = start_values(live >> 12);
+    a4 = start_values(live >> 16);
+    a5 = start_values(live >> 20);
+    a6 = start_values(live >> 24);
+    a7 = start_values(live >> 28);
+  }
   const __m256d veps = _mm256_set1_pd(eps2);
   for (size_t d = 0; d < dim; ++d) {
     const __m256d vq = _mm256_broadcast_sd(q + d);
@@ -86,20 +115,19 @@ inline std::uint32_t strip_avx2_full(const double* q, size_t dim, double eps2,
               _mm256_movemask_pd(_mm256_cmp_pd(a6, veps, _CMP_LE_OQ))) << 24;
   mask |= static_cast<std::uint32_t>(
               _mm256_movemask_pd(_mm256_cmp_pd(a7, veps, _CMP_LE_OQ))) << 28;
-  return mask;
+  return mask & live;
 }
 
 /// Partial strip (a scan entering or leaving a block mid-strip). Groups of
 /// 4 lanes; the ragged tail group loads through maskload — the lanes past
 /// `count` may sit past the end of the buffer's final dimension row, so an
 /// unmasked 4-wide load could fault. Inactive tail lanes accumulate from
-/// +inf: they never hold the min down (so they cannot block abandonment)
-/// and they compare false in the final <= eps^2 test, which keeps bits
-/// >= count zero without any extra masking.
+/// +inf, so they never hold the min down (they cannot block abandonment);
+/// the result keeps only the low `count` bits, because with eps2 = +inf
+/// those lanes pass the final <= test too.
 inline std::uint32_t strip_avx2_partial(const double* q, size_t dim,
                                         double eps2, const double* lanes,
                                         size_t count) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   const size_t full = count / 4;
   const size_t rem = count - full * 4;
   const size_t groups = full + (rem != 0 ? 1 : 0);
@@ -138,15 +166,35 @@ inline std::uint32_t strip_avx2_partial(const double* q, size_t dim,
                 _mm256_cmp_pd(acc[g], veps, _CMP_LE_OQ)))
             << (4 * g);
   }
-  return mask;
+  return mask & ((std::uint32_t{1} << count) - 1);
 }
 
 }  // namespace
 
 std::uint32_t strip_avx2(const double* q, size_t dim, double eps2,
                          const double* lanes, size_t count) {
-  if (count == kDistanceStrip) return strip_avx2_full(q, dim, eps2, lanes);
+  if (count == kDistanceStrip) {
+    return block_avx2(q, dim, eps2, lanes, ~std::uint32_t{0});
+  }
   return strip_avx2_partial(q, dim, eps2, lanes, count);
+}
+
+std::uint32_t range_avx2(const double* q, size_t dim, double eps2,
+                         const double* strips, size_t begin, size_t end,
+                         std::uint32_t* out) {
+  if (begin >= end) return 0;
+  std::uint32_t* o = out;
+  for (size_t pos = begin - begin % kDistanceStrip; pos < end;
+       pos += kDistanceStrip) {
+    std::uint32_t mask = block_avx2(q, dim, eps2, strips + pos * dim,
+                                    block_lanes(begin, end, pos));
+    while (mask != 0) {
+      *o++ = static_cast<std::uint32_t>(pos) +
+             static_cast<std::uint32_t>(std::countr_zero(mask));
+      mask &= mask - 1;
+    }
+  }
+  return static_cast<std::uint32_t>(o - out);
 }
 
 }  // namespace sdb::simd::detail

@@ -1,12 +1,14 @@
-// AVX-512F strip kernel. Compiled with -mavx512f ONLY (no -mfma implied
-// contraction: -ffp-contract=off is also pinned) so the accumulation stays
-// an unfused multiply + add, bit-identical to the scalar fallback — see the
-// determinism contract in distance_simd.hpp. Relative to the AVX2 variant
-// this halves the vector op count (8 doubles per register, a full
-// 32-lane strip in 4 accumulators) and replaces the movemask shuffle
-// dance with native mask registers: _mm512_cmp_pd_mask yields the
-// decision bits directly, and masked loads make the ragged tail group
-// fault-free without a separate maskload constant.
+// AVX-512F strip kernel and range scan. Compiled with -mavx512f ONLY (no
+// -mfma implied contraction: -ffp-contract=off is also pinned) so the
+// accumulation stays an unfused multiply + add, bit-identical to the scalar
+// fallback — see the determinism contract in distance_simd.hpp. Relative to
+// the AVX2 variant this halves the vector op count (8 doubles per register,
+// a full 32-lane strip in 4 accumulators) and replaces the movemask shuffle
+// dance with native mask registers: _mm512_cmp_pd_mask yields the decision
+// bits directly, and masked loads make the ragged tail group fault-free
+// without a separate maskload constant. The range scan runs the whole-block
+// code on every block of its range and writes the hit positions with
+// compress stores, no mask walk.
 //
 // Only selected when __builtin_cpu_supports("avx512f") at dispatch time,
 // so building this TU on any x86-64 toolchain is safe for older hosts.
@@ -16,20 +18,33 @@
 
 #include <immintrin.h>
 
+#include <bit>
 #include <limits>
 
 namespace sdb::simd::detail {
 
 namespace {
 
-/// Full 32-lane block: four 8-wide accumulators, fully unrolled so they
-/// live in registers. The abandonment probe runs every second dimension —
-/// a 3-min tree + one mask compare, cheap against the 4 loads the skipped
-/// dimensions would have cost.
-inline std::uint32_t strip_avx512_full(const double* q, size_t dim,
-                                       double eps2, const double* lanes) {
-  __m512d a0 = _mm512_setzero_pd(), a1 = _mm512_setzero_pd();
-  __m512d a2 = _mm512_setzero_pd(), a3 = _mm512_setzero_pd();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// One whole 32-lane block: four 8-wide accumulators, fully unrolled so they
+/// live in registers. Lanes in `live` accumulate from 0; the others start
+/// at +inf, so they never hold the abandonment min down, and are masked out
+/// of the result (+inf <= eps2 holds when eps2 itself is +inf). The
+/// abandonment probe — a 3-min tree + one mask compare, cheap against the 4
+/// loads the skipped dimensions would have cost — runs on the shared
+/// abandon_probe_due schedule.
+inline std::uint32_t block_avx512(const double* q, size_t dim, double eps2,
+                                  const double* lanes, std::uint32_t live) {
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512d inf = _mm512_set1_pd(kInf);
+  __m512d a0 = _mm512_mask_mov_pd(inf, static_cast<__mmask8>(live), zero);
+  __m512d a1 =
+      _mm512_mask_mov_pd(inf, static_cast<__mmask8>(live >> 8), zero);
+  __m512d a2 =
+      _mm512_mask_mov_pd(inf, static_cast<__mmask8>(live >> 16), zero);
+  __m512d a3 =
+      _mm512_mask_mov_pd(inf, static_cast<__mmask8>(live >> 24), zero);
   const __m512d veps = _mm512_set1_pd(eps2);
   for (size_t d = 0; d < dim; ++d) {
     const __m512d vq = _mm512_set1_pd(q[d]);
@@ -58,20 +73,19 @@ inline std::uint32_t strip_avx512_full(const double* q, size_t dim,
           << 16;
   mask |= static_cast<std::uint32_t>(_mm512_cmp_pd_mask(a3, veps, _CMP_LE_OQ))
           << 24;
-  return mask;
+  return mask & live;
 }
 
 /// Partial strip (a scan entering or leaving a block mid-strip). Groups of
 /// 8 lanes; the ragged tail group loads through a lane mask — the lanes
 /// past `count` may sit past the end of the buffer's final dimension row,
 /// so an unmasked 8-wide load could fault. Inactive tail lanes accumulate
-/// from +inf: they never hold the min down (so they cannot block
-/// abandonment) and they compare false in the final <= eps^2 test, which
-/// keeps bits >= count zero without any extra masking.
+/// from +inf, so they never hold the min down (they cannot block
+/// abandonment); the result keeps only the low `count` bits, because with
+/// eps2 = +inf those lanes pass the final <= test too.
 inline std::uint32_t strip_avx512_partial(const double* q, size_t dim,
                                           double eps2, const double* lanes,
                                           size_t count) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   const size_t full = count / 8;
   const size_t rem = count - full * 8;
   const size_t groups = full + (rem != 0 ? 1 : 0);
@@ -113,15 +127,44 @@ inline std::uint32_t strip_avx512_partial(const double* q, size_t dim,
                 _mm512_cmp_pd_mask(acc[g], veps, _CMP_LE_OQ))
             << (8 * g);
   }
-  return mask;
+  return mask & ((std::uint32_t{1} << count) - 1);
 }
 
 }  // namespace
 
 std::uint32_t strip_avx512(const double* q, size_t dim, double eps2,
                            const double* lanes, size_t count) {
-  if (count == kDistanceStrip) return strip_avx512_full(q, dim, eps2, lanes);
+  if (count == kDistanceStrip) {
+    return block_avx512(q, dim, eps2, lanes, ~std::uint32_t{0});
+  }
   return strip_avx512_partial(q, dim, eps2, lanes, count);
+}
+
+std::uint32_t range_avx512(const double* q, size_t dim, double eps2,
+                           const double* strips, size_t begin, size_t end,
+                           std::uint32_t* out) {
+  if (begin >= end) return 0;
+  std::uint32_t* o = out;
+  const __m512i lane_ids = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                             10, 11, 12, 13, 14, 15);
+  for (size_t pos = begin - begin % kDistanceStrip; pos < end;
+       pos += kDistanceStrip) {
+    const std::uint32_t mask =
+        block_avx512(q, dim, eps2, strips + pos * dim,
+                     block_lanes(begin, end, pos));
+    if (mask == 0) continue;
+    // Compress stores write exactly the selected positions, in lane order.
+    const __m512i lo = _mm512_add_epi32(
+        _mm512_set1_epi32(static_cast<int>(pos)), lane_ids);
+    const __m512i hi = _mm512_add_epi32(lo, _mm512_set1_epi32(16));
+    const auto lo_mask = static_cast<__mmask16>(mask);
+    const auto hi_mask = static_cast<__mmask16>(mask >> 16);
+    _mm512_mask_compressstoreu_epi32(o, lo_mask, lo);
+    o += std::popcount(static_cast<unsigned>(lo_mask));
+    _mm512_mask_compressstoreu_epi32(o, hi_mask, hi);
+    o += std::popcount(static_cast<unsigned>(hi_mask));
+  }
+  return static_cast<std::uint32_t>(o - out);
 }
 
 }  // namespace sdb::simd::detail

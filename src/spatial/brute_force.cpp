@@ -31,24 +31,13 @@ void BruteForceIndex::range_query_budgeted(std::span<const double> q,
   const double eps2 = eps * eps;
   const size_t n = points_.size();
   if (budget.max_neighbors == 0) {
-    // Ids are packed-position order here, so the exact scan is one long run
-    // of full strip blocks through the dispatched SIMD kernel (the final
-    // block is the only partial one).
-    const size_t dim = static_cast<size_t>(q.size());
-    const simd::StripKernelFn kernel = simd::detail::strip_kernel();
-    for (size_t i = 0; i < n;) {
-      const size_t m = std::min(kDistanceStrip, n - i);
-      u32 mask = kernel(q.data(), dim, eps2,
-                        strips_.data() + (i / kDistanceStrip) *
-                            (kDistanceStrip * dim),
-                        m);
-      while (mask != 0) {
-        const u32 j = static_cast<u32>(std::countr_zero(mask));
-        out.push_back(static_cast<PointId>(i + j));
-        mask &= mask - 1;
-      }
-      i += m;
-    }
+    // Ids are packed-position order here, so the exact scan is one long
+    // range-scan run over whole strip blocks (the final block is the only
+    // partial one), chunked by the position buffer.
+    strip_scan_exact(simd::detail::kernels().range, q, eps2, strips_.data(),
+                     0, n, [&](size_t pos) {
+                       out.push_back(static_cast<PointId>(pos));
+                     });
     counters::distance_evals(n);
     return;
   }

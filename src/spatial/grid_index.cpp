@@ -1,7 +1,6 @@
 #include "spatial/grid_index.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <queue>
 
@@ -92,7 +91,7 @@ void GridIndex::range_query_budgeted(std::span<const double> q, double eps,
   cell_coords(q, base);
 
   const double eps2 = eps * eps;
-  const simd::StripKernelFn kernel = simd::detail::strip_kernel();
+  const simd::detail::KernelSet& kernels = simd::detail::kernels();
   u64 found = 0;
   u64 visited_cells = 0;
   u64 evals = 0;
@@ -108,34 +107,23 @@ void GridIndex::range_query_budgeted(std::span<const double> q, double eps,
     if (auto it = cells_.find(coords_key(coords)); it != cells_.end()) {
       const CellRange range = it->second;
       if (budget.max_neighbors == 0) {
-        // SIMD strip kernel over the cell's packed blocks; a cell may enter
-        // its first block at any lane offset. Ascending mask-bit order is
-        // ascending packed position, so candidate order and the
-        // distance_evals tally match the scalar path exactly (one eval per
-        // candidate row, regardless of the kernel's internal abandonment).
+        // One range-scan call over the cell's packed positions (a cell may
+        // start and end mid-block). Hits come back in ascending packed
+        // position, so candidate order and the distance_evals tally match
+        // the scalar path exactly (one eval per candidate row, regardless
+        // of the kernel's internal abandonment).
         evals += range.end - range.begin;
-        for (u32 i = range.begin; i < range.end;) {
-          const u32 lane = i % static_cast<u32>(kDistanceStrip);
-          const u32 m = std::min<u32>(static_cast<u32>(kDistanceStrip) - lane,
-                                      range.end - i);
-          u32 mask = kernel(q.data(), static_cast<size_t>(dim), eps2,
-                            strip_lane(packed_coords_.data(), i,
-                                       static_cast<size_t>(dim)),
-                            m);
-          while (mask != 0) {
-            const u32 j = static_cast<u32>(std::countr_zero(mask));
-            out.push_back(packed_ids_[i + j]);
-            mask &= mask - 1;
-          }
-          i += m;
-        }
+        strip_scan_exact(kernels.range, q, eps2, packed_coords_.data(),
+                         range.begin, range.end,
+                         [&](size_t pos) { out.push_back(packed_ids_[pos]); });
       } else {
         // Neighbor-budgeted cell scan, still through the strip kernel: the
         // mask walk reconstructs the scalar loop's exact stop row and
         // distance_evals charge (strip_scan_budgeted), so output, counters,
         // and the stop point are byte-identical to a per-row scalar gather.
         stopped = strip_scan_budgeted(
-            kernel, q, eps2, packed_coords_.data(), range.begin, range.end,
+            kernels.strip, q, eps2, packed_coords_.data(), range.begin,
+            range.end,
             budget.max_neighbors, found, evals,
             [&](size_t pos) { out.push_back(packed_ids_[pos]); });
       }

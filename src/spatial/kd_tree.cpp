@@ -340,7 +340,9 @@ void KdTree::range_query_budgeted(std::span<const double> q, double eps,
                                   std::vector<PointId>& out) const {
   if (root_ < 0) return;
   QueryState st{eps, eps * eps, &budget, &out};
-  st.kernel = simd::detail::strip_kernel();
+  const simd::detail::KernelSet& kernels = simd::detail::kernels();
+  st.strip = kernels.strip;
+  st.range = kernels.range;
   run_query(q, st);
   // One thread-local flush per query instead of one per node/evaluation;
   // totals are exactly what the per-op increments would have produced.
@@ -359,11 +361,39 @@ void KdTree::run_query(std::span<const double> q, QueryState& st) const {
   i32 stack[kQueryStackCap];  // depth_ + 1 <= cap, checked at build
   int top = 0;
   stack[top++] = root_;
+
+  // Exact strip scans (no neighbor budget) are collected first: the descent
+  // only records each reached leaf, in visit order, and the leaves are then
+  // scanned one range-scan call each (strip_scan_exact). A full buffer is
+  // scanned before the descent goes on, so the hit order is the visit
+  // order, and nothing is allocated. Ascending positions within a leaf are
+  // ids_ order, so hits and order match the scalar path below; the
+  // distance_evals tally charges one evaluation per candidate row, exactly
+  // as the scalar path does — the kernel's internal partial-distance
+  // abandonment is an implementation detail of the evaluation, like
+  // box_distance2's monotone early exit, and never shows up in the counters.
+  const bool collect = strips != nullptr && st.budget->max_neighbors == 0;
+  struct LeafRange {
+    u32 begin;
+    u32 end;
+  };
+  LeafRange leaves[kLeafBatch];  // [0, reached) written before read
+  size_t reached = 0;
+  auto scan_leaves = [&] {
+    for (size_t k = 0; k < reached; ++k) {
+      st.distance_evals += leaves[k].end - leaves[k].begin;
+      strip_scan_exact(st.range, q, st.eps2, strips, leaves[k].begin,
+                       leaves[k].end,
+                       [&](size_t pos) { st.out->push_back(ids_[pos]); });
+    }
+    reached = 0;
+  };
+
   while (top > 0) {
     const Node& node = nodes_[static_cast<size_t>(stack[--top])];
     ++st.nodes_visited;
     if (st.budget->max_nodes != 0 && st.nodes_visited > st.budget->max_nodes) {
-      return;  // the paper's branch-pruning cutoff
+      break;  // the paper's branch-pruning cutoff
     }
     if (box_distance2(node, q, st.eps2) > st.eps2) continue;
 
@@ -385,7 +415,12 @@ void KdTree::run_query(std::span<const double> q, QueryState& st) const {
       continue;
     }
 
-    if (strips != nullptr && st.budget->max_neighbors != 0) {
+    if (collect) {
+      leaves[reached++] = LeafRange{node.begin, node.end};
+      if (reached == kLeafBatch) scan_leaves();
+      continue;
+    }
+    if (strips != nullptr) {
       // Neighbor-budgeted leaf scan, still through the strip kernel: the
       // mask walk reconstructs the scalar loop's exact stop row and
       // distance_evals charge (see strip_scan_budgeted), so wide vector-era
@@ -393,44 +428,10 @@ void KdTree::run_query(std::span<const double> q, QueryState& st) const {
       // scalar evaluation. Output, counters, and the stop point are byte-
       // identical to the scalar path below.
       const bool stop = strip_scan_budgeted(
-          st.kernel, q, st.eps2, strips, node.begin, node.end,
+          st.strip, q, st.eps2, strips, node.begin, node.end,
           st.budget->max_neighbors, st.found, st.distance_evals,
           [&](size_t pos) { st.out->push_back(ids_[pos]); });
       if (stop) return;
-      continue;
-    }
-    if (strips != nullptr) {
-      // Hot path: stream the strip-transposed blocks through the dispatched
-      // SIMD kernel and walk the returned eps-decision mask. A leaf may
-      // enter its first block at any lane offset; segments never cross a
-      // block boundary. Ascending bit order is ascending position, so
-      // candidate order matches the scalar path (ids_ order). The
-      // distance_evals tally charges one evaluation per candidate row,
-      // matching the scalar path's count exactly — the kernel's internal
-      // partial-distance abandonment is an implementation detail of the
-      // evaluation, like box_distance2's monotone early exit, and never
-      // shows up in the counters.
-      st.distance_evals += node.end - node.begin;
-      for (u32 i = node.begin; i < node.end;) {
-        const u32 lane = i % static_cast<u32>(kDistanceStrip);
-        const u32 m = std::min<u32>(static_cast<u32>(kDistanceStrip) - lane,
-                                    node.end - i);
-        if (i + m < node.end) {
-          // Start the next segment's first dimension rows toward L1 while
-          // the kernel chews this one; a leaf spans several strip blocks
-          // and the blocks are not adjacent in memory.
-          __builtin_prefetch(strip_lane(strips, i + m, dim));
-          __builtin_prefetch(strip_lane(strips, i + m, dim) + 8);
-        }
-        u32 mask =
-            st.kernel(q.data(), dim, st.eps2, strip_lane(strips, i, dim), m);
-        while (mask != 0) {
-          const u32 j = static_cast<u32>(std::countr_zero(mask));
-          st.out->push_back(ids_[i + j]);
-          mask &= mask - 1;
-        }
-        i += m;
-      }
       continue;
     }
     // Scalar path: legacy (reorder=false) layout only — the reference the
@@ -447,6 +448,7 @@ void KdTree::run_query(std::span<const double> q, QueryState& st) const {
       }
     }
   }
+  scan_leaves();
 }
 
 void KdTree::knn_query(std::span<const double> q, size_t k,
@@ -484,9 +486,9 @@ void KdTree::knn_query(std::span<const double> q, size_t k,
       return;
     }
     if (node.is_leaf()) {
-      // The kernel contract requires a finite eps^2; a heap of overflowed
-      // (inf) distances — possible with ~1e154-magnitude coordinates —
-      // falls back to the scalar loop.
+      // A heap of overflowed (inf) distances — possible with
+      // ~1e154-magnitude coordinates — would let the filter pass every
+      // row, so it falls back to the scalar loop.
       if (strips != nullptr && heap.size() == k &&
           std::isfinite(heap.top().first)) {
         // Kernel-filtered leaf scan: with the heap full, a row can only

@@ -13,16 +13,23 @@
 // (SoA) copy of the coordinates in leaf-traversal order — blocks of
 // kDistanceStrip points stored dimension-major (see distance_simd.hpp) —
 // filled IN PLACE as each leaf is finalized during the build, so the packed
-// layout costs the leaf stores only, not a second full pass. Leaf scans
-// stream the blocks through the runtime-dispatched SIMD strip kernel;
-// ids_ doubles as the remap table back to original PointIds.
-// Query: classic ball-overlap descent with AABB pruning; an optional
-// QueryBudget implements the paper's "kd-tree with pruning branches"
-// approximation used for the 1M-point experiments (it bounds the neighbor
-// count / node visits, trading exactness for time — see the approximation
-// contract on QueryBudget in spatial_index.hpp). Work counters are tallied
-// locally during the descent and flushed once per query (counters::add) —
-// exact totals, one thread-local access per query.
+// layout costs the leaf stores only, not a second full pass. ids_ doubles
+// as the remap table back to original PointIds.
+// Query: classic ball-overlap descent with AABB pruning. A query without a
+// neighbor budget first descends, collecting the reached leaves in visit
+// order into a fixed stack buffer, then scans each leaf with one call of
+// the runtime-dispatched SIMD range scan (distance_simd.hpp), which writes
+// the leaf's hit positions for the ids_ remap; a full buffer is scanned
+// before the descent goes on. Hits, their order and the work counters are
+// those of the scalar per-row loop. A neighbor-budgeted query scans each
+// leaf as it is reached, block by block through the strip kernel, so it
+// stops at the scalar loop's exact row. The optional QueryBudget
+// implements the paper's "kd-tree with pruning branches" approximation
+// used for the 1M-point experiments (it bounds the neighbor count / node
+// visits, trading exactness for time — see the approximation contract on
+// QueryBudget in spatial_index.hpp). Work counters are tallied locally
+// during the descent and flushed once per query (counters::add) — exact
+// totals, one thread-local access per query.
 #pragma once
 
 #include <memory>
@@ -98,6 +105,11 @@ class KdTree final : public SpatialIndex {
   /// Whether the strip-transposed leaf-order coordinate buffer is active.
   [[nodiscard]] bool reordered() const { return leaf_coords_len_ != 0; }
 
+  /// Capacity of the reached-leaf buffer of a query without a neighbor
+  /// budget (512 bytes of stack). A c100k query reaches ~21 leaves; a query
+  /// that reaches more scans the full buffer and carries on descending.
+  static constexpr size_t kLeafBatch = 64;
+
  private:
   struct Node {
     // Leaf: [begin, end) into ids_. Internal: split dim/value + children.
@@ -137,16 +149,20 @@ class KdTree final : public SpatialIndex {
     double eps2;
     const QueryBudget* budget;
     std::vector<PointId>* out;
-    /// Strip kernel fetched once per query (atomic dispatch load hoisted
-    /// out of the leaf loop).
-    simd::StripKernelFn kernel = nullptr;
+    /// Kernels fetched once per query (atomic dispatch load hoisted out of
+    /// the leaf loop): the strip kernel for neighbor-budgeted leaf scans,
+    /// the range scan for exact ones.
+    simd::StripKernelFn strip = nullptr;
+    simd::RangeScanFn range = nullptr;
     u64 nodes_visited = 0;
     u64 distance_evals = 0;
     u64 found = 0;
   };
   /// Iterative depth-first descent from the root (explicit stack, near
   /// child popped first). Visit order, counter totals, and output order are
-  /// exactly those of the textbook recursive formulation.
+  /// exactly those of the textbook recursive formulation. Exact strip scans
+  /// collect the reached leaves during the descent and scan them afterwards,
+  /// one range-scan call per leaf, in visit order.
   void run_query(std::span<const double> q, QueryState& st) const;
 
   /// Row i of the build permutation: the coordinates of point ids_[i]. The

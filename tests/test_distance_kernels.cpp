@@ -1,21 +1,25 @@
-// SIMD strip-kernel contract tests (see distance_simd.hpp).
+// SIMD kernel contract tests (see distance_simd.hpp).
 //
-// The dispatched kernel (AVX2/NEON when the host has it, scalar otherwise)
-// returns an eps-decision bitmask and must match the scalar reference AND
-// the per-point full-sum oracle bit-for-bit on every input — including
-// exactly-eps boundary pairs (eps2 values chosen to land exactly on a
-// point's squared distance), denormals, huge magnitudes, and partial final
-// strips. The kernels abandon a lane's accumulation once its partial sum
-// exceeds eps2; these tests pin that the abandonment never changes a
-// decision. Cluster labels must not depend on which variant ran. The
-// forced-scalar ctest cell (test_distance_kernels_scalar, SDB_SIMD=scalar in
-// the environment) re-runs this whole binary with dispatch pinned to the
-// fallback, so both sides of every comparison are exercised on SIMD hosts.
+// Every kernel variant compiled in and supported by the host (scalar,
+// AVX2, AVX-512, NEON — simd::detail::supported_kernels) is run directly,
+// not only the one the dispatcher picks. Each strip kernel returns an
+// eps-decision bitmask, and each range scan the positions of its hits; both
+// must match the scalar reference AND the per-point full-sum oracle
+// bit-for-bit on every input — including exactly-eps boundary pairs (eps2
+// values chosen to land exactly on a point's squared distance), denormals,
+// huge magnitudes, an eps2 of +inf, and partial final strips. The kernels
+// abandon a lane's accumulation once its partial sum exceeds eps2; these
+// tests pin that the abandonment never changes a decision. Cluster labels
+// must not depend on which variant ran. The forced-scalar ctest cell
+// (test_distance_kernels_scalar, SDB_SIMD=scalar in the environment)
+// re-runs this whole binary with dispatch pinned to the fallback, so the
+// index-level comparisons are exercised on both sides on SIMD hosts.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "core/dbscan_seq.hpp"
@@ -82,6 +86,12 @@ std::vector<std::vector<double>> adversarial_rows(size_t n, size_t dim,
   return rows;
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+const char* name_of(const simd::detail::KernelSet& set) {
+  return simd::variant_name(set.variant);
+}
+
 class StripKernelBitExact : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(StripKernelBitExact, MatchesScalarReferenceAndPerPointLoop) {
@@ -100,30 +110,32 @@ TEST_P(StripKernelBitExact, MatchesScalarReferenceAndPerPointLoop) {
   // Thresholds that make the decision a one-ulp question: 0 (only exact
   // duplicates pass), eps^2 exactly (the offset-by-eps partners land ON the
   // boundary), one ulp below it (they must flip out), exact squared
-  // distances of individual rows (<= must include them), tiny and huge.
+  // distances of individual rows (<= must include them), tiny and huge,
+  // and +inf (an eps that overflows when squared: every row is within it,
+  // and no bit at or past `count` may be set).
   std::vector<double> eps2s = {0.0, eps * eps,
                                std::nextafter(eps * eps, 0.0), 1e-310, 1e5,
-                               1e300};
+                               1e300, kInf};
   for (size_t i = 0; i < n; i += 5) {
     eps2s.push_back(squared_distance_uncounted(q, rows[i]));
   }
 
-  const simd::StripKernelFn dispatched = simd::detail::strip_kernel();
-  for (const double eps2 : eps2s) {
-    if (!std::isfinite(eps2)) continue;  // huge-coordinate rows overflow d2
-    for (size_t pos = 0; pos < n;) {
-      const size_t lane = pos % kDistanceStrip;
-      const size_t count = std::min(kDistanceStrip - lane, n - pos);
-      const double* lanes = strip_lane(strips.data(), pos, dim);
-      const u32 got = dispatched(q.data(), dim, eps2, lanes, count);
-      const u32 ref = simd::detail::strip_scalar(q.data(), dim, eps2, lanes,
-                                                 count);
-      const u32 want = oracle_mask(q, rows, pos, count, eps2);
-      EXPECT_EQ(got, ref) << "dispatched vs strip_scalar: dim=" << dim
-                          << " pos=" << pos << " eps2=" << eps2;
-      EXPECT_EQ(got, want) << "dispatched vs full-sum oracle: dim=" << dim
-                           << " pos=" << pos << " eps2=" << eps2;
-      pos += count;
+  for (const simd::detail::KernelSet& set : simd::detail::supported_kernels()) {
+    for (const double eps2 : eps2s) {
+      for (size_t pos = 0; pos < n;) {
+        const size_t lane = pos % kDistanceStrip;
+        const size_t count = std::min(kDistanceStrip - lane, n - pos);
+        const double* lanes = strip_lane(strips.data(), pos, dim);
+        const u32 got = set.strip(q.data(), dim, eps2, lanes, count);
+        const u32 ref = simd::detail::strip_scalar(q.data(), dim, eps2, lanes,
+                                                   count);
+        const u32 want = oracle_mask(q, rows, pos, count, eps2);
+        EXPECT_EQ(got, ref) << name_of(set) << " vs strip_scalar: dim=" << dim
+                            << " pos=" << pos << " eps2=" << eps2;
+        EXPECT_EQ(got, want) << name_of(set) << " vs full-sum oracle: dim="
+                             << dim << " pos=" << pos << " eps2=" << eps2;
+        pos += count;
+      }
     }
   }
 }
@@ -143,20 +155,21 @@ TEST_P(StripKernelBitExact, EveryLaneOffsetAndCount) {
   std::vector<double> strips(strip_padded_len(n, dim), 0.0);
   for (size_t i = 0; i < n; ++i) strip_store_row(strips.data(), i, rows[i]);
 
-  const simd::StripKernelFn dispatched = simd::detail::strip_kernel();
-  for (const double eps2 : {0.0, eps * eps, 1e4}) {
-    for (size_t lane = 0; lane < kDistanceStrip; ++lane) {
-      for (size_t count = 1; count <= kDistanceStrip - lane; ++count) {
-        const u32 got = dispatched(q.data(), dim, eps2,
-                                   strip_lane(strips.data(), lane, dim),
-                                   count);
-        const u32 want = oracle_mask(q, rows, lane, count, eps2);
-        EXPECT_EQ(got, want)
-            << "lane=" << lane << " count=" << count << " eps2=" << eps2;
-        if (count < 32) {
-          EXPECT_EQ(got >> count, 0u)
-              << "mask bit at/past count: lane=" << lane
-              << " count=" << count << " eps2=" << eps2;
+  for (const simd::detail::KernelSet& set : simd::detail::supported_kernels()) {
+    for (const double eps2 : {0.0, eps * eps, 1e4, kInf}) {
+      for (size_t lane = 0; lane < kDistanceStrip; ++lane) {
+        for (size_t count = 1; count <= kDistanceStrip - lane; ++count) {
+          const u32 got = set.strip(q.data(), dim, eps2,
+                                    strip_lane(strips.data(), lane, dim),
+                                    count);
+          const u32 want = oracle_mask(q, rows, lane, count, eps2);
+          EXPECT_EQ(got, want) << name_of(set) << " lane=" << lane
+                               << " count=" << count << " eps2=" << eps2;
+          if (count < 32) {
+            EXPECT_EQ(got >> count, 0u)
+                << name_of(set) << " mask bit at/past count: lane=" << lane
+                << " count=" << count << " eps2=" << eps2;
+          }
         }
       }
     }
@@ -165,6 +178,164 @@ TEST_P(StripKernelBitExact, EveryLaneOffsetAndCount) {
 
 INSTANTIATE_TEST_SUITE_P(Dims, StripKernelBitExact,
                          ::testing::Values<size_t>(1, 2, 3, 10, 64, 96, 128));
+
+// ---------------------------------------------------------------------------
+// Range scan: one call over a whole position range must write exactly the
+// same variant's strip-kernel mask walk over that range — ascending
+// positions, the same decisions bit for bit — and the full-sum oracle's
+// hits, from any start lane, at any length, and never write past the count
+// it returns.
+// ---------------------------------------------------------------------------
+
+class RangeScanBitExact : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(RangeScanBitExact, MatchesStripMaskWalkAndOracle) {
+  const size_t dim = GetParam();
+  const double eps = 25.0;
+  Rng rng(4321 + static_cast<u64>(dim));
+  std::vector<double> q(dim);
+  for (auto& x : q) x = rng.uniform(-100.0, 100.0);
+
+  // Three full blocks plus a partial one: a range of up to 65 positions
+  // from any start lane of the first two blocks spans up to 3 blocks, and
+  // the late ones end in the padded final block.
+  const size_t n = 3 * kDistanceStrip + 7;
+  const auto rows = adversarial_rows(n, dim, eps, q, rng);
+  std::vector<double> strips(strip_padded_len(n, dim), 0.0);
+  for (size_t i = 0; i < n; ++i) strip_store_row(strips.data(), i, rows[i]);
+
+  std::vector<double> eps2s = {0.0, eps * eps,
+                               std::nextafter(eps * eps, 0.0), 1e-310, 1e5,
+                               1e300, kInf};
+  for (size_t i = 0; i < n; i += 5) {
+    eps2s.push_back(squared_distance_uncounted(q, rows[i]));
+  }
+
+  constexpr u32 kCanary = 0xdeadbeefu;
+  for (const simd::detail::KernelSet& set : simd::detail::supported_kernels()) {
+    for (const double eps2 : eps2s) {
+      std::vector<u32> within;  // oracle hits over all rows, ascending
+      for (size_t i = 0; i < n; ++i) {
+        if (squared_distance_uncounted(q, rows[i]) <= eps2) {
+          within.push_back(static_cast<u32>(i));
+        }
+      }
+      for (size_t begin = 0; begin < 2 * kDistanceStrip; ++begin) {
+        for (const size_t len : {0, 1, 31, 32, 33, 64, 65}) {
+          const size_t end = std::min(n, begin + len);
+          std::vector<u32> walked;
+          for (size_t i = begin; i < end;) {
+            const size_t m =
+                std::min(kDistanceStrip - i % kDistanceStrip, end - i);
+            u32 mask = set.strip(q.data(), dim, eps2,
+                                 strip_lane(strips.data(), i, dim), m);
+            while (mask != 0) {
+              walked.push_back(static_cast<u32>(i) +
+                               static_cast<u32>(std::countr_zero(mask)));
+              mask &= mask - 1;
+            }
+            i += m;
+          }
+          std::vector<u32> want;
+          for (const u32 i : within) {
+            if (i >= begin && i < end) want.push_back(i);
+          }
+
+          std::vector<u32> out(end - begin + 8, kCanary);
+          const u32 hits = set.range(q.data(), dim, eps2, strips.data(),
+                                     begin, end, out.data());
+          ASSERT_LE(hits, end - begin) << name_of(set);
+          const std::vector<u32> got(out.begin(), out.begin() + hits);
+          EXPECT_EQ(got, walked) << name_of(set) << " vs strip mask walk: dim="
+                                 << dim << " begin=" << begin
+                                 << " end=" << end << " eps2=" << eps2;
+          EXPECT_EQ(got, want) << name_of(set) << " vs full-sum oracle: dim="
+                               << dim << " begin=" << begin
+                               << " end=" << end << " eps2=" << eps2;
+          for (size_t k = hits; k < out.size(); ++k) {
+            EXPECT_EQ(out[k], kCanary)
+                << name_of(set) << " wrote past its count: dim=" << dim
+                << " begin=" << begin << " end=" << end << " eps2=" << eps2
+                << " slot=" << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, RangeScanBitExact,
+                         ::testing::Values<size_t>(1, 2, 3, 10, 64));
+
+TEST(RangeScan, LongRangesAreChunkedWithoutChangingHits) {
+  // strip_scan_exact splits a range longer than its position buffer at
+  // block boundaries: the hits of a long range, from every start lane,
+  // must be the full-sum oracle's, in ascending order, on every variant.
+  const size_t dim = 3;
+  const size_t n = 3 * kRangeScanChunk + 11;
+  Rng rng(777);
+  PointSet ps(3);
+  std::vector<double> p(dim);
+  for (size_t i = 0; i < n; ++i) {
+    for (auto& x : p) x = rng.uniform(0.0, 10.0);
+    ps.add(p);
+  }
+  std::vector<double> strips(strip_padded_len(n, dim), 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    strip_store_row(strips.data(), i, ps[static_cast<PointId>(i)]);
+  }
+  const auto q = ps[0];
+  const double eps2 = 16.0;
+  for (const simd::detail::KernelSet& set : simd::detail::supported_kernels()) {
+    for (size_t begin = 0; begin < kDistanceStrip; ++begin) {
+      std::vector<size_t> got;
+      strip_scan_exact(set.range, q, eps2, strips.data(), begin, n,
+                       [&](size_t pos) { got.push_back(pos); });
+      std::vector<size_t> want;
+      for (size_t i = begin; i < n; ++i) {
+        if (squared_distance_uncounted(q, ps[static_cast<PointId>(i)]) <=
+            eps2) {
+          want.push_back(i);
+        }
+      }
+      EXPECT_EQ(got, want) << name_of(set) << " begin=" << begin;
+    }
+  }
+}
+
+TEST(RangeScan, OverflowedEpsReturnsEveryIdOnce) {
+  // eps = 1e155 squares to +inf. Every point is then within eps, and each
+  // exact and budgeted scan must report each id exactly once — never a
+  // padding lane, a lane past the range, or an id read past the end of the
+  // index's id table.
+  Rng rng(1155);
+  PointSet ps(3);
+  std::vector<double> p(3);
+  for (int i = 0; i < 5; ++i) {
+    for (auto& x : p) x = rng.uniform(-10.0, 10.0);
+    ps.add(p);
+  }
+  const double eps = 1e155;
+  ASSERT_TRUE(std::isinf(eps * eps));
+  const KdTree blocked(ps, KdTreeOptions{.build_threads = 1, .reorder = true});
+  const KdTree legacy(ps, KdTreeOptions{.build_threads = 1, .reorder = false});
+  const BruteForceIndex brute(ps);
+  const std::vector<PointId> every = {0, 1, 2, 3, 4};
+  QueryBudget budgeted;
+  budgeted.max_neighbors = 100;
+  for (const SpatialIndex* index :
+       {static_cast<const SpatialIndex*>(&blocked),
+        static_cast<const SpatialIndex*>(&legacy),
+        static_cast<const SpatialIndex*>(&brute)}) {
+    for (const QueryBudget& budget : {QueryBudget{}, budgeted}) {
+      std::vector<PointId> hits;
+      index->range_query_budgeted(ps[0], eps, budget, hits);
+      std::sort(hits.begin(), hits.end());
+      EXPECT_EQ(hits, every) << index->name() << " max_neighbors="
+                             << budget.max_neighbors;
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Partial-distance abandonment at high dimension. The probe schedule
@@ -215,21 +386,22 @@ TEST_P(AbandonmentHighDim, AllFarRowsMatchScalarBitExactly) {
     eps2s.push_back(squared_distance_uncounted(q, rows[i]));
   }
 
-  const simd::StripKernelFn dispatched = simd::detail::strip_kernel();
-  for (const double eps2 : eps2s) {
-    for (size_t pos = 0; pos < n;) {
-      const size_t count = std::min(kDistanceStrip - pos % kDistanceStrip,
-                                    n - pos);
-      const double* lanes = strip_lane(strips.data(), pos, dim);
-      const u32 got = dispatched(q.data(), dim, eps2, lanes, count);
-      const u32 ref = simd::detail::strip_scalar(q.data(), dim, eps2, lanes,
-                                                 count);
-      const u32 want = oracle_mask(q, rows, pos, count, eps2);
-      EXPECT_EQ(got, ref) << "dim=" << dim << " pos=" << pos
-                          << " eps2=" << eps2;
-      EXPECT_EQ(got, want) << "dim=" << dim << " pos=" << pos
-                           << " eps2=" << eps2;
-      pos += count;
+  for (const simd::detail::KernelSet& set : simd::detail::supported_kernels()) {
+    for (const double eps2 : eps2s) {
+      for (size_t pos = 0; pos < n;) {
+        const size_t count = std::min(kDistanceStrip - pos % kDistanceStrip,
+                                      n - pos);
+        const double* lanes = strip_lane(strips.data(), pos, dim);
+        const u32 got = set.strip(q.data(), dim, eps2, lanes, count);
+        const u32 ref = simd::detail::strip_scalar(q.data(), dim, eps2, lanes,
+                                                   count);
+        const u32 want = oracle_mask(q, rows, pos, count, eps2);
+        EXPECT_EQ(got, ref) << name_of(set) << " dim=" << dim
+                            << " pos=" << pos << " eps2=" << eps2;
+        EXPECT_EQ(got, want) << name_of(set) << " dim=" << dim
+                             << " pos=" << pos << " eps2=" << eps2;
+        pos += count;
+      }
     }
   }
 }

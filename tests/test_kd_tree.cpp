@@ -234,6 +234,51 @@ TEST(KdTree, ReorderedMatchesLegacyExactlyIncludingCounters) {
   }
 }
 
+TEST(KdTree, QueryReachingMoreLeavesThanTheLeafBatchMatchesLegacy) {
+  // An exact query collects the leaves it reaches and scans them in
+  // batches of KdTree::kLeafBatch. Tiny leaves and a radius that reaches
+  // most of them make a query fill the batch many times over, and a node
+  // budget makes the descent stop with a partial batch collected: hits,
+  // their order and the counters must still be the legacy (reorder=false)
+  // tree's per-row loop.
+  const PointSet ps = random_points(3000, 3, 30.0, 83);
+  const KdTreeOptions small_leaves{.leaf_size = 4, .build_threads = 1};
+  KdTreeOptions legacy_options = small_leaves;
+  legacy_options.reorder = false;
+  const KdTree legacy(ps, legacy_options);
+  const KdTree blocked(ps, small_leaves);
+  const size_t leaves = (blocked.node_count() + 1) / 2;
+  ASSERT_GT(leaves, 8 * KdTree::kLeafBatch);
+  QueryBudget node_capped;
+  node_capped.max_nodes = 700;
+  for (const double eps : {6.0, 20.0, 60.0}) {
+    for (const QueryBudget& budget : {QueryBudget{}, node_capped}) {
+      for (const PointId q : {PointId{0}, PointId{1234}, PointId{2999}}) {
+        WorkCounters wl;
+        std::vector<PointId> a;
+        {
+          ScopedCounters scope(&wl);
+          legacy.range_query_budgeted(ps[q], eps, budget, a);
+        }
+        WorkCounters wb;
+        std::vector<PointId> b;
+        {
+          ScopedCounters scope(&wb);
+          blocked.range_query_budgeted(ps[q], eps, budget, b);
+        }
+        EXPECT_EQ(a, b) << "eps=" << eps << " max_nodes=" << budget.max_nodes
+                        << " q=" << q;
+        EXPECT_EQ(wl.distance_evals, wb.distance_evals);
+        EXPECT_EQ(wl.tree_nodes, wb.tree_nodes);
+      }
+    }
+  }
+  // The widest radius reaches every leaf, so it reports every point.
+  std::vector<PointId> all;
+  blocked.range_query(ps[0], 60.0, all);
+  EXPECT_EQ(all.size(), ps.size());
+}
+
 TEST(KdTree, BudgetedQueriesReproducible) {
   // The QueryBudget approximation contract (spatial_index.hpp): truncation
   // follows the fixed traversal order, so repeated invocations — and trees
