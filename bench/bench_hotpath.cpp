@@ -1,13 +1,15 @@
 // Hot-path benchmark + perf-regression baseline (BENCH_hotpath.json).
 //
-// Three sections, each measured on the legacy path (sequential build,
-// row-major gather leaf scans — byte-equivalent to the pre-overhaul code)
-// and on the optimized path (thread-pool parallel build, leaf-contiguous
-// layout, blocked distance kernel):
-//   build  — kd-tree construction wall time;
+// Three sections:
+//   build  — kd-tree construction wall time, sequential and over the
+//            thread pool;
 //   query  — exact range-query throughput through the executor's
-//            range_query_budgeted entry point;
+//            range_query_budgeted entry point, with the dispatched SIMD
+//            kernel and with dispatch pinned to the scalar fallback;
 //   e2e    — the full spark_dbscan pipeline wall time.
+// Every run SDB_CHECKs the query section's neighbour totals and
+// distance_evals: the exact path must match the same tree's budgeted path
+// under a budget that never fires, and the forced-scalar rerun.
 // Results print as tables and are also written as machine-readable JSON
 // (schema documented in README "Hot-path bench") so every future PR can
 // diff its perf trajectory against the committed BENCH_hotpath.json.
@@ -31,27 +33,22 @@ using namespace sdb;
 namespace {
 
 struct BuildNumbers {
-  double seq_legacy_ms = 0.0;
-  double seq_reorder_ms = 0.0;
-  double parallel_ms = 0.0;
+  double seq_ms = 0.0;       ///< 1 build thread
+  double parallel_ms = 0.0;  ///< --threads build threads
 };
 
 struct QueryNumbers {
   u64 queries = 0;
-  double legacy_qps = 0.0;
-  double blocked_qps = 0.0;
-  double scalar_qps = 0.0;  ///< blocked layout, forced-scalar kernel
-  u64 distance_evals_legacy = 0;
-  u64 distance_evals_blocked = 0;
-  u64 distance_evals_scalar = 0;
+  double qps = 0.0;
+  double scalar_qps = 0.0;  ///< forced-scalar kernel
+  u64 distance_evals = 0;
   u64 neighbors = 0;
 };
 
 struct E2eNumbers {
   bool pruned = false;
   u32 cores = 0;
-  double legacy_wall_s = 0.0;
-  double optimized_wall_s = 0.0;
+  double wall_s = 0.0;
   double sim_total_s = 0.0;
 };
 
@@ -101,25 +98,27 @@ void best_build_ms_interleaved(const PointSet& points,
 }
 
 /// Exact range queries from `queries` dataset points, round-robin. Each
-/// variant is timed `reps` times and reports its best pass — on shared /
+/// timed arm runs `reps` times and reports its best pass — on shared /
 /// virtualized hosts the run-to-run swing is easily 2x, and best-of keeps
-/// the legacy/blocked RATIO meaningful even when a slow window hits one of
+/// the SIMD/scalar RATIO meaningful even when a slow window hits one of
 /// the passes.
-QueryNumbers measure_queries(const PointSet& points, const KdTree& legacy,
-                             const KdTree& blocked, double eps, u64 queries,
-                             int reps) {
+QueryNumbers measure_queries(const PointSet& points, const KdTree& tree,
+                             double eps, u64 queries, int reps) {
   QueryNumbers out;
   out.queries = queries;
   const size_t stride = std::max<size_t>(1, points.size() / queries);
   std::vector<PointId> hits;
-  u64 blocked_neighbors = 0;
-  auto run = [&](const KdTree& tree, u64* evals, double* qps) {
+  struct Totals {
     u64 neighbors = 0;
+    u64 distance_evals = 0;
     double best_qps = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
+  };
+  auto run = [&](const QueryBudget& budget, int passes) {
+    Totals t;
+    for (int rep = 0; rep < passes; ++rep) {
       WorkCounters wc;
       Stopwatch sw;
-      neighbors = 0;
+      t.neighbors = 0;
       {
         ScopedCounters scope(&wc);
         u64 done = 0;
@@ -127,38 +126,44 @@ QueryNumbers measure_queries(const PointSet& points, const KdTree& legacy,
              i += stride, ++done) {
           hits.clear();
           tree.range_query_budgeted(points[static_cast<PointId>(i)], eps,
-                                    QueryBudget{}, hits);
-          neighbors += hits.size();
+                                    budget, hits);
+          t.neighbors += hits.size();
         }
       }
-      best_qps = std::max(best_qps, static_cast<double>(queries) / sw.seconds());
-      *evals = wc.distance_evals;
+      t.best_qps =
+          std::max(t.best_qps, static_cast<double>(queries) / sw.seconds());
+      t.distance_evals = wc.distance_evals;
     }
-    *qps = best_qps;
-    out.neighbors = neighbors;
-    return neighbors;
+    return t;
   };
-  const u64 legacy_neighbors =
-      run(legacy, &out.distance_evals_legacy, &out.legacy_qps);
-  blocked_neighbors =
-      run(blocked, &out.distance_evals_blocked, &out.blocked_qps);
-  // Layout self-check: the blocked tree's range scans must find exactly the
-  // legacy scalar per-row loop's neighbors (the caller checks the evals).
-  SDB_CHECK(legacy_neighbors == blocked_neighbors,
-            "blocked tree must find the legacy scalar path's neighbors");
-  // Scalar-vs-SIMD self-check: the same blocked tree re-queried with the
-  // dispatched kernel pinned to the scalar fallback must report the exact
-  // same distance_evals and neighbor totals (the kernels' bit-identical
+  const Totals exact = run(QueryBudget{}, reps);
+  out.qps = exact.best_qps;
+  out.distance_evals = exact.distance_evals;
+  out.neighbors = exact.neighbors;
+
+  // Scan-path self-check: a neighbor budget no query can reach sends every
+  // leaf through the per-strip budgeted scan during the descent instead of
+  // the collected-leaf range scan; both must find and charge the same rows.
+  QueryBudget unreachable;
+  unreachable.max_neighbors = points.size() + 1;
+  const Totals budgeted = run(unreachable, 1);
+  SDB_CHECK(budgeted.neighbors == exact.neighbors,
+            "unreachable-budget path must find the exact path's neighbors");
+  SDB_CHECK(budgeted.distance_evals == exact.distance_evals,
+            "unreachable-budget path must evaluate the same candidates");
+
+  // Scalar-vs-SIMD self-check: the same tree re-queried with the dispatched
+  // kernel pinned to the scalar fallback must report the exact same
+  // distance_evals and neighbor totals (the kernels' bit-identical
   // contract, distance_simd.hpp). scalar_qps also isolates the kernel's
-  // contribution from the layout/traversal work shared by both variants.
+  // contribution from the traversal work shared by both variants.
   simd::force_scalar(true);
-  const u64 scalar_neighbors =
-      run(blocked, &out.distance_evals_scalar, &out.scalar_qps);
+  const Totals scalar = run(QueryBudget{}, reps);
   simd::force_scalar(false);
-  out.neighbors = blocked_neighbors;
-  SDB_CHECK(out.distance_evals_scalar == out.distance_evals_blocked,
+  out.scalar_qps = scalar.best_qps;
+  SDB_CHECK(scalar.distance_evals == exact.distance_evals,
             "forced-scalar rerun must evaluate the same candidates");
-  SDB_CHECK(scalar_neighbors == blocked_neighbors,
+  SDB_CHECK(scalar.neighbors == exact.neighbors,
             "forced-scalar rerun must find the same neighbors");
   return out;
 }
@@ -245,19 +250,13 @@ E2eNumbers measure_e2e(const PointSet& points, const synth::DatasetSpec& spec,
     cfg.budget.max_neighbors = 64;  // the paper's r1m pruning configuration
     cfg.min_partial_cluster_size = 4;
   }
-  auto run = [&](unsigned threads, bool reorder) {
-    minispark::SparkContext ctx(bench::cluster_config(out.cores, seed));
-    cfg.index_build_threads = threads;
-    cfg.index_reorder = reorder;
-    dbscan::SparkDbscan dbscan(ctx, cfg);
-    const auto report = dbscan.run(points);
-    out.sim_total_s = report.sim_read_s + report.sim_tree_s +
-                      report.sim_broadcast_s + report.sim_executor_s +
-                      report.sim_collect_s + report.sim_merge_s;
-    return report.wall_s;
-  };
-  out.legacy_wall_s = run(1, false);
-  out.optimized_wall_s = run(0, true);
+  minispark::SparkContext ctx(bench::cluster_config(out.cores, seed));
+  dbscan::SparkDbscan dbscan(ctx, cfg);
+  const auto report = dbscan.run(points);
+  out.wall_s = report.wall_s;
+  out.sim_total_s = report.sim_read_s + report.sim_tree_s +
+                    report.sim_broadcast_s + report.sim_executor_s +
+                    report.sim_collect_s + report.sim_merge_s;
   return out;
 }
 
@@ -282,27 +281,19 @@ void write_json(const std::string& path, const std::string& mode,
                  "\"eps\": %.3f,\n",
                  r.name.c_str(), r.n, r.dim, r.eps);
     std::fprintf(f,
-                 "     \"build\": {\"seq_legacy_ms\": %.3f, "
-                 "\"seq_reorder_ms\": %.3f, \"parallel_ms\": %.3f, "
+                 "     \"build\": {\"seq_ms\": %.3f, \"parallel_ms\": %.3f, "
                  "\"parallel_speedup\": %.3f},\n",
-                 r.build.seq_legacy_ms, r.build.seq_reorder_ms,
-                 r.build.parallel_ms,
-                 r.build.seq_legacy_ms / r.build.parallel_ms);
+                 r.build.seq_ms, r.build.parallel_ms,
+                 r.build.seq_ms / r.build.parallel_ms);
     std::fprintf(f,
-                 "     \"query\": {\"queries\": %llu, \"legacy_qps\": %.1f, "
-                 "\"blocked_qps\": %.1f, \"speedup\": %.3f, "
+                 "     \"query\": {\"queries\": %llu, \"qps\": %.1f, "
                  "\"scalar_qps\": %.1f, \"simd_speedup\": %.3f, "
-                 "\"neighbors\": %llu,\n"
-                 "               \"distance_evals_legacy\": %llu, "
-                 "\"distance_evals_blocked\": %llu}",
+                 "\"neighbors\": %llu, \"distance_evals\": %llu}",
                  static_cast<unsigned long long>(r.query.queries),
-                 r.query.legacy_qps, r.query.blocked_qps,
-                 r.query.blocked_qps / r.query.legacy_qps, r.query.scalar_qps,
-                 r.query.blocked_qps / r.query.scalar_qps,
+                 r.query.qps, r.query.scalar_qps,
+                 r.query.qps / r.query.scalar_qps,
                  static_cast<unsigned long long>(r.query.neighbors),
-                 static_cast<unsigned long long>(r.query.distance_evals_legacy),
-                 static_cast<unsigned long long>(
-                     r.query.distance_evals_blocked));
+                 static_cast<unsigned long long>(r.query.distance_evals));
     std::fprintf(f, ",\n     \"scaling\": [");
     for (size_t s = 0; s < r.scaling.size(); ++s) {
       const ScalingPoint& sp = r.scaling[s];
@@ -315,12 +306,9 @@ void write_json(const std::string& path, const std::string& mode,
     if (r.has_e2e) {
       std::fprintf(f,
                    ",\n     \"e2e\": {\"pruned\": %s, \"cores\": %u, "
-                   "\"legacy_wall_s\": %.3f, \"optimized_wall_s\": %.3f, "
-                   "\"speedup\": %.3f, \"sim_total_s\": %.3f}",
+                   "\"wall_s\": %.3f, \"sim_total_s\": %.3f}",
                    r.e2e.pruned ? "true" : "false", r.e2e.cores,
-                   r.e2e.legacy_wall_s, r.e2e.optimized_wall_s,
-                   r.e2e.legacy_wall_s / r.e2e.optimized_wall_s,
-                   r.e2e.sim_total_s);
+                   r.e2e.wall_s, r.e2e.sim_total_s);
     }
     std::fprintf(f, "}%s\n", i + 1 < reports.size() ? "," : "");
   }
@@ -378,22 +366,13 @@ int main(int argc, char** argv) {
     r.dim = points.dim();
     r.eps = spec.eps;
 
-    const KdTreeOptions build_cfgs[] = {
-        {.build_threads = 1, .reorder = false},
-        {.build_threads = 1, .reorder = true},
-        {.build_threads = threads, .reorder = true}};
-    double* const build_outs[] = {&r.build.seq_legacy_ms,
-                                  &r.build.seq_reorder_ms,
-                                  &r.build.parallel_ms};
+    const KdTreeOptions build_cfgs[] = {{.build_threads = 1},
+                                        {.build_threads = threads}};
+    double* const build_outs[] = {&r.build.seq_ms, &r.build.parallel_ms};
     best_build_ms_interleaved(points, build_cfgs, build_outs, build_reps);
 
-    const KdTree legacy(points, {.build_threads = 1, .reorder = false});
-    const KdTree blocked(points, {.build_threads = threads, .reorder = true});
-    r.query = measure_queries(points, legacy, blocked, spec.eps, queries,
-                              smoke ? 2 : 3);
-    SDB_CHECK(r.query.distance_evals_legacy == r.query.distance_evals_blocked,
-              "blocked kernel must evaluate exactly the scalar path's "
-              "candidates");
+    const KdTree tree(points, {.build_threads = threads});
+    r.query = measure_queries(points, tree, spec.eps, queries, smoke ? 2 : 3);
 
     // Thread-scaling: parallel build and concurrent query throughput at
     // 1/2/4/hw threads (the ROADMAP's multi-thread build/query row).
@@ -421,12 +400,10 @@ int main(int argc, char** argv) {
         ScalingPoint& sp = r.scaling[s];
         sp.build_ms = std::min(
             sp.build_ms,
-            best_build_ms(points,
-                          {.build_threads = sp.threads, .reorder = true}, 1));
+            best_build_ms(points, {.build_threads = sp.threads}, 1));
         sp.query_qps = std::max(
-            sp.query_qps,
-            threaded_query_qps(points, blocked, spec.eps, queries, sp.threads,
-                               1));
+            sp.query_qps, threaded_query_qps(points, tree, spec.eps, queries,
+                                             sp.threads, 1));
       }
     }
 
@@ -436,25 +413,20 @@ int main(int argc, char** argv) {
     }
     reports.push_back(r);
 
-    TablePrinter table({"metric", "legacy", "optimized", "speedup"});
-    table.add_row({"build (ms)", TablePrinter::cell(r.build.seq_legacy_ms, 1),
+    TablePrinter table({"metric", "baseline", "measured", "speedup"});
+    table.add_row({"build: 1 vs " + std::to_string(threads) + " threads (ms)",
+                   TablePrinter::cell(r.build.seq_ms, 1),
                    TablePrinter::cell(r.build.parallel_ms, 1),
-                   TablePrinter::cell(
-                       r.build.seq_legacy_ms / r.build.parallel_ms, 2)});
+                   TablePrinter::cell(r.build.seq_ms / r.build.parallel_ms,
+                                      2)});
     table.add_row(
-        {"query (q/s)", TablePrinter::cell(r.query.legacy_qps, 0),
-         TablePrinter::cell(r.query.blocked_qps, 0),
-         TablePrinter::cell(r.query.blocked_qps / r.query.legacy_qps, 2)});
-    table.add_row(
-        {"query scalar-kernel (q/s)", TablePrinter::cell(r.query.scalar_qps, 0),
-         TablePrinter::cell(r.query.blocked_qps, 0),
-         TablePrinter::cell(r.query.blocked_qps / r.query.scalar_qps, 2)});
+        {"query: scalar vs dispatched kernel (q/s)",
+         TablePrinter::cell(r.query.scalar_qps, 0),
+         TablePrinter::cell(r.query.qps, 0),
+         TablePrinter::cell(r.query.qps / r.query.scalar_qps, 2)});
     if (r.has_e2e) {
-      table.add_row(
-          {"e2e wall (s)", TablePrinter::cell(r.e2e.legacy_wall_s, 2),
-           TablePrinter::cell(r.e2e.optimized_wall_s, 2),
-           TablePrinter::cell(r.e2e.legacy_wall_s / r.e2e.optimized_wall_s,
-                              2)});
+      table.add_row({"e2e wall (s)", "", TablePrinter::cell(r.e2e.wall_s, 2),
+                     ""});
     }
     bench::emit(table,
                 "hot path: " + r.name + " (" + std::to_string(r.n) +

@@ -15,15 +15,16 @@ const char* codec_name(Codec codec) {
 
 namespace {
 
-/// v2 compact framing sentinel. A v1 stream starts with the partition id
-/// varint; partitions are i32 values (< 2^31), so a leading varint at or
-/// above this constant is unambiguously a v2 header. ("SDB2" << 32.)
+/// Compact framing sentinel: "SDB2" << 32.
 constexpr u64 kCompactMagicV2 = 0x53444232ull << 32;
 
+/// Fewest bytes one cluster adds to a compact blob: one varint each for its
+/// uid and its member and seed list lengths.
+constexpr size_t kCompactClusterMinBytes = 3;
+
 std::string encode_compact(const LocalClusterResult& result) {
-  // v2: header, members-only cluster records, per-point facts, then each
-  // cluster's seed list in clusters order (the same sorted/delta/varint
-  // bytes the v1 layout nested per cluster).
+  // Header, members-only cluster records, per-point facts, then each
+  // cluster's seed list in clusters order (sorted/delta/varint id lists).
   std::vector<char> out;
   put_varint(out, kCompactMagicV2);
   put_varint(out, kLocalResultWireV2);
@@ -46,31 +47,15 @@ LocalClusterResult decode_compact(const std::string& bytes) {
   size_t pos = 0;
   const char* data = bytes.data();
   const size_t size = bytes.size();
-  const u64 head = get_varint(data, size, pos);
-  if (head < kCompactMagicV2) {
-    // Legacy v1: `head` is the partition id, clusters carry nested seeds.
-    result.partition = static_cast<PartitionId>(head);
-    const u64 n = get_varint(data, size, pos);
-    result.clusters.reserve(n);
-    for (u64 i = 0; i < n; ++i) {
-      PartialCluster pc;
-      pc.uid = get_varint(data, size, pos);
-      pc.partition = result.partition;
-      pc.members = get_id_list(data, size, pos);
-      pc.seeds = get_id_list(data, size, pos);
-      result.clusters.push_back(std::move(pc));
-    }
-    result.core_points = get_id_list(data, size, pos);
-    result.noise = get_id_list(data, size, pos);
-    SDB_CHECK(pos == size, "compact codec: trailing bytes");
-    return result;
-  }
-  SDB_CHECK(head == kCompactMagicV2, "compact codec: bad wire magic");
+  SDB_CHECK(get_varint(data, size, pos) == kCompactMagicV2,
+            "compact codec: bad wire magic");
   const u64 version = get_varint(data, size, pos);
   SDB_CHECK(version == kLocalResultWireV2,
             "compact codec: unknown wire version");
   result.partition = static_cast<PartitionId>(get_varint(data, size, pos));
   const u64 n = get_varint(data, size, pos);
+  SDB_CHECK(n <= (size - pos) / kCompactClusterMinBytes,
+            "compact codec: truncated input");
   result.clusters.reserve(n);
   for (u64 i = 0; i < n; ++i) {
     PartialCluster pc;

@@ -2,11 +2,12 @@
 //
 // A checkpoint is only safe to resume if the restarted job is *the same
 // job*: same input bytes, same eps/minpts, same partitioning, same merge
-// semantics, same wire codec. The fingerprint folds every parameter that
-// can change a partition's LocalClusterResult (or its serialized bytes)
-// into one FNV-1a digest; JobCheckpoint embeds it in every record and
-// discards records whose fingerprint differs, so a stale checkpoint
-// directory can never contaminate a different run.
+// semantics, same wire codec and wire layout. The fingerprint folds every
+// parameter that can change a partition's LocalClusterResult (or its
+// serialized bytes) into one FNV-1a digest; JobCheckpoint embeds it in
+// every record and discards records whose fingerprint differs, so a stale
+// checkpoint directory can never contaminate a different run, and the
+// decoders only ever see records in the layout they read.
 #pragma once
 
 #include "core/codec.hpp"
@@ -66,11 +67,11 @@ inline u64 job_fingerprint(std::string_view engine, u64 dataset,
   h = detail::fnv1a_value(h, seed_strategy);
   h = detail::fnv1a_value(h, merge_strategy);
   h = detail::fnv1a_value(h, codec);
+  h = detail::fnv1a_value(h, kLocalResultWireV2);
   // Non-exact neighborhoods (the KNN-DBSCAN backend, or a query budget on
   // the exact one) fold their parameters in as a salt: a knn or budgeted
   // checkpoint must never resume into an exact job or into a job with other
-  // graph or budget parameters. Zero (exact queries) folds nothing, so
-  // every pre-existing exact fingerprint is unchanged.
+  // graph or budget parameters. Zero (exact queries) folds nothing.
   if (backend_salt != 0) h = detail::fnv1a_value(h, backend_salt);
   return h;
 }

@@ -4,10 +4,12 @@ namespace sdb::dbscan {
 
 namespace {
 
-/// v2 raw framing sentinel. A v1 stream starts with write_i64(partition)
-/// and partitions are always >= 0, so any negative leading i64 is
-/// unambiguously a v2 header. ("SDB2" with the sign bit.)
+/// Raw framing sentinel: "SDB2" with the sign bit.
 constexpr i64 kRawMagicV2 = -0x53444232;
+
+/// Fewest bytes one cluster adds to a raw blob: uid, partition, and the
+/// member and seed list lengths.
+constexpr u64 kRawClusterMinBytes = 4 * sizeof(u64);
 
 /// Bytes write_i64_vec(ids) appends: the u64 length, then the ids.
 u64 id_list_bytes(const std::vector<PointId>& ids) {
@@ -27,27 +29,10 @@ u64 raw_wire_size(const LocalClusterResult& result) {
 
 }  // namespace
 
-void serialize(const PartialCluster& pc, BinaryWriter& w) {
-  w.write_u64(pc.uid);
-  w.write_i64(pc.partition);
-  w.write_i64_vec(pc.members);
-  w.write_i64_vec(pc.seeds);
-}
-
-PartialCluster deserialize_partial_cluster(BinaryReader& r) {
-  PartialCluster pc;
-  pc.uid = r.read_u64();
-  pc.partition = static_cast<PartitionId>(r.read_i64());
-  pc.members = r.read_i64_vec();
-  pc.seeds = r.read_i64_vec();
-  return pc;
-}
-
 std::string to_bytes(const LocalClusterResult& result) {
-  // v2: header, members-only cluster records, per-point facts, then each
-  // cluster's seed list in clusters order (the byte content of the v1
-  // nested lists, relocated to one trailing section). Written into one
-  // string of the exact final size: no regrowth, and no copy on return.
+  // Header, members-only cluster records, per-point facts, then each
+  // cluster's seed list in clusters order. Written into one string of the
+  // exact final size: no regrowth, and no copy on return.
   const u64 size = raw_wire_size(result);
   StringWriter w;
   w.reserve(size);
@@ -71,25 +56,14 @@ std::string to_bytes(const LocalClusterResult& result) {
 
 LocalClusterResult deserialize_local_result(BinaryReader& r) {
   LocalClusterResult result;
-  const i64 head = r.read_i64();
-  if (head >= 0) {
-    // Legacy v1: `head` is the partition id, clusters carry nested seeds.
-    result.partition = static_cast<PartitionId>(head);
-    const u64 n = r.read_u64();
-    result.clusters.reserve(n);
-    for (u64 i = 0; i < n; ++i) {
-      result.clusters.push_back(deserialize_partial_cluster(r));
-    }
-    result.core_points = r.read_i64_vec();
-    result.noise = r.read_i64_vec();
-    return result;
-  }
-  SDB_CHECK(head == kRawMagicV2, "LocalClusterResult: bad wire magic");
+  SDB_CHECK(r.read_i64() == kRawMagicV2, "LocalClusterResult: bad wire magic");
   const u32 version = r.read_u32();
   SDB_CHECK(version == kLocalResultWireV2,
             "LocalClusterResult: unknown wire version");
   result.partition = static_cast<PartitionId>(r.read_i64());
   const u64 n = r.read_u64();
+  SDB_CHECK(n <= r.remaining() / kRawClusterMinBytes,
+            "LocalClusterResult: truncated input");
   result.clusters.reserve(n);
   for (u64 i = 0; i < n; ++i) {
     PartialCluster pc;

@@ -36,13 +36,12 @@ struct PartialCluster {
   }
 };
 
-/// Wire version written by both codecs (see to_bytes()): member lists
-/// first, then every cluster's seed list in one trailing section. The
-/// legacy v1 layout, which nests each seed list inside its cluster record,
-/// has no version field; readers tell the two apart by the leading value
-/// and accept both, because checkpoint records written in either layout
-/// reach the decoders on resume (the job fingerprint does not cover the
-/// layout).
+/// The one wire layout both codecs write and read (see to_bytes()): a magic
+/// value and this version, the member lists, then every cluster's seed list
+/// in one trailing section. The job fingerprint folds the version in
+/// (core/job_identity.hpp), so a checkpoint record in any other layout is
+/// recomputed on resume rather than decoded; the readers reject every other
+/// magic value or version.
 inline constexpr u32 kLocalResultWireV2 = 2;
 
 /// Everything one executor ships back through the accumulator: its partial
@@ -62,15 +61,11 @@ struct LocalClusterResult {
   }
 };
 
-/// Binary round trip: the raw codec (core/codec.hpp). serialize() writes one
-/// cluster record in the v1 layout; deserialize_local_result() auto-detects
-/// v1 vs v2.
-void serialize(const PartialCluster& pc, BinaryWriter& w);
-PartialCluster deserialize_partial_cluster(BinaryReader& r);
+/// Binary round trip: the raw codec (core/codec.hpp). to_bytes() writes one
+/// string of the exact size; deserialize_local_result() reads one result
+/// from `r`, and local_result_from_bytes() also rejects bytes after the
+/// last id list.
 LocalClusterResult deserialize_local_result(BinaryReader& r);
-
-/// to_bytes() writes the v2 layout into one string of the exact size.
-/// local_result_from_bytes() also rejects bytes after the last id list.
 std::string to_bytes(const LocalClusterResult& result);
 LocalClusterResult local_result_from_bytes(const std::string& bytes);
 

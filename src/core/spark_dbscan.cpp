@@ -44,13 +44,11 @@ struct BroadcastState {
 
 std::unique_ptr<SpatialIndex> build_index(IndexKind kind,
                                           const PointSet& points,
-                                          unsigned build_threads,
-                                          bool reorder) {
+                                          unsigned build_threads) {
   switch (kind) {
     case IndexKind::kKdTree:
       return std::make_unique<KdTree>(
-          points,
-          KdTreeOptions{.build_threads = build_threads, .reorder = reorder});
+          points, KdTreeOptions{.build_threads = build_threads});
     case IndexKind::kRTree: return std::make_unique<RTree>(points);
     case IndexKind::kBruteForce:
       return std::make_unique<BruteForceIndex>(points);
@@ -165,9 +163,8 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
   } else {
     WorkCounters tree_wc;
     ScopedCounters scope(&tree_wc);
-    state->tree = build_index(config_.index, points,
-                              config_.index_build_threads,
-                              config_.index_reorder);
+    state->tree =
+        build_index(config_.index, points, config_.index_build_threads);
     // Tree build work is dominated by nth_element coordinate comparisons;
     // they are not individually counted, so price them explicitly:
     // ~n log2(n) comparisons at distance-eval granularity per dim pass.

@@ -71,10 +71,6 @@ struct SparkDbscanConfig {
   /// sequential). Affects wall time only: the tree structure, the query
   /// results, and the simulated clock are identical either way.
   unsigned index_build_threads = 0;
-  /// Leaf-contiguous kd-tree layout (see KdTreeOptions::reorder). false
-  /// selects the legacy gather path — kept for before/after benchmarking
-  /// (bench_hotpath); results are identical either way.
-  bool index_reorder = true;
   /// Drop partial clusters smaller than this before merging (r1m runs).
   u64 min_partial_cluster_size = 0;
   /// Wire format for the partial clusters shipped via the accumulator

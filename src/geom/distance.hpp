@@ -113,9 +113,9 @@ inline void strip_scan_exact(simd::RangeScanFn scan, std::span<const double> q,
 }
 
 /// Neighbor-budgeted scan of packed strip positions [begin, end) through the
-/// dispatched SIMD kernel, with SCALAR stop-and-count semantics: the scalar
-/// reference loop walks rows in packed order, charges one distance_eval per
-/// row it visits, and returns the moment `found` reaches `max_neighbors` —
+/// dispatched SIMD kernel, with PER-ROW stop-and-count semantics: a per-row
+/// loop walks rows in packed order, charges one distance_eval per row it
+/// visits, and returns the moment `found` reaches `max_neighbors` —
 /// charging the stopping row but nothing after it. This helper reproduces
 /// that observable behavior exactly from the kernel's per-segment masks
 /// (eps decisions are bit-identical by the kernel contract, so the stopping
@@ -142,7 +142,7 @@ inline bool strip_scan_budgeted(simd::StripKernelFn kernel,
         kernel(q.data(), dim, eps2, strip_lane(strips, i, dim), m);
     const u64 hits = static_cast<u64>(std::popcount(mask));
     if (found + hits < max_neighbors) {
-      // Budget cannot fire inside this segment: the scalar loop would have
+      // Budget cannot fire inside this segment: the per-row loop would have
       // visited (and charged) every row of it.
       evals += m;
       found += hits;
@@ -154,7 +154,7 @@ inline bool strip_scan_budgeted(simd::StripKernelFn kernel,
       continue;
     }
     // The budget fires at the (max_neighbors - found)-th match of this
-    // segment; the scalar loop stops right after that row.
+    // segment; the per-row loop stops right after that row.
     while (mask != 0) {
       const size_t j = static_cast<size_t>(std::countr_zero(mask));
       push(i + j);
@@ -168,57 +168,6 @@ inline bool strip_scan_budgeted(simd::StripKernelFn kernel,
     i += m;
   }
   return false;
-}
-
-/// Blocked row-major (AoS) kernel: squared distances from `q` to `count`
-/// points stored contiguously row-major at `rows` (row stride == q.size()
-/// doubles), one result per row into `out`. The pre-SIMD leaf-scan
-/// workhorse, kept as the reference batch path for callers without a
-/// strip-transposed layout and as the oracle the strip kernels are tested
-/// against. Counted as exactly `count` distance evaluations — one per row,
-/// the same count the scalar squared_distance path would produce. Callers
-/// that must honor a neighbor budget mid-strip should use
-/// strip_scan_budgeted (strip layout) or the scalar path instead of passing
-/// rows they might not consume.
-inline void squared_distance_batch(std::span<const double> q,
-                                   const double* rows, size_t count,
-                                   double* out) {
-  const size_t dim = q.size();
-  switch (dim) {
-    case 1:
-      for (size_t i = 0; i < count; ++i) {
-        const double d0 = q[0] - rows[i];
-        out[i] = d0 * d0;
-      }
-      break;
-    case 2:
-      for (size_t i = 0; i < count; ++i) {
-        const double d0 = q[0] - rows[2 * i];
-        const double d1 = q[1] - rows[2 * i + 1];
-        out[i] = d0 * d0 + d1 * d1;
-      }
-      break;
-    case 3:
-      for (size_t i = 0; i < count; ++i) {
-        const double d0 = q[0] - rows[3 * i];
-        const double d1 = q[1] - rows[3 * i + 1];
-        const double d2 = q[2] - rows[3 * i + 2];
-        out[i] = d0 * d0 + d1 * d1 + d2 * d2;
-      }
-      break;
-    default:
-      for (size_t i = 0; i < count; ++i) {
-        const double* p = rows + i * dim;
-        double s = 0.0;
-        for (size_t d = 0; d < dim; ++d) {
-          const double diff = q[d] - p[d];
-          s += diff * diff;
-        }
-        out[i] = s;
-      }
-      break;
-  }
-  counters::distance_evals(count);
 }
 
 }  // namespace sdb

@@ -10,11 +10,6 @@
 #include "geom/distance.hpp"
 #include "util/thread_pool.hpp"
 
-#if defined(__linux__)
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
-
 namespace sdb {
 
 namespace {
@@ -112,37 +107,15 @@ KdTree::KdTree(const PointSet& points, const KdTreeOptions& options)
   nodes_.resize(max_nodes);
   boxes_.resize(max_nodes * 2 * dim);
 
-  if (options.reorder) {
-    // Strip-transposed leaf-order buffer, filled in place as leaves
-    // finalize. Allocate without zero-filling the whole buffer (the leaf
-    // stores overwrite every live lane); only the final block's padding
-    // lanes need zeros so vector loads never read uninitialized memory.
-    leaf_coords_len_ = strip_padded_len(n, dim);
-    leaf_coords_ = std::make_unique_for_overwrite<double[]>(leaf_coords_len_);
-#if defined(__linux__)
-    // The buffer is large, written exactly once (by the leaf scatters), and
-    // freshly mmapped by the allocator at this size — so at 4KiB pages the
-    // build pays one minor fault per page (~2k faults at 1m points), a cost
-    // the legacy build simply doesn't have. Ask for transparent huge pages
-    // on the page-aligned interior; a kernel without (or with disabled) THP
-    // just returns EINVAL/ENOMEM and nothing changes.
-    {
-      const auto page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
-      const auto lo =
-          (reinterpret_cast<uintptr_t>(leaf_coords_.get()) + page - 1) &
-          ~(page - 1);
-      const auto hi = (reinterpret_cast<uintptr_t>(leaf_coords_.get()) +
-                       leaf_coords_len_ * sizeof(double)) &
-                      ~(page - 1);
-      if (hi > lo) {
-        (void)madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_HUGEPAGE);
-      }
-    }
-#endif
-    const size_t live = ((n - 1) / kDistanceStrip) * kDistanceStrip * dim;
-    std::fill(leaf_coords_.get() + live, leaf_coords_.get() + leaf_coords_len_,
-              0.0);
-  }
+  // Strip-transposed leaf-order buffer, filled in place as leaves
+  // finalize. Allocate without zero-filling the whole buffer (the leaf
+  // stores overwrite every live lane); only the final block's padding lanes
+  // need zeros so vector loads never read uninitialized memory.
+  leaf_coords_len_ = strip_padded_len(n, dim);
+  leaf_coords_ = std::make_unique_for_overwrite<double[]>(leaf_coords_len_);
+  const size_t live = ((n - 1) / kDistanceStrip) * kDistanceStrip * dim;
+  std::fill(leaf_coords_.get() + live, leaf_coords_.get() + leaf_coords_len_,
+            0.0);
 
   const unsigned threads = resolve_threads(options.build_threads);
 
@@ -204,15 +177,15 @@ void KdTree::build_range(i32 idx, u32 begin, u32 end, int depth,
   }
 
   if (end - begin <= static_cast<u32>(leaf_size_)) {
-    // Size-bounded leaf. Reorder mode scatters the rows into the
-    // strip-transposed buffer in place (no build-then-copy), fused with the
-    // bounding-box reduction in a single pass over the rows.
-    if (leaf_coords_ != nullptr && dim <= kMaxFusedDim) {
+    // Size-bounded leaf: scatter the rows into the strip-transposed buffer
+    // in place (no build-then-copy), fused with the bounding-box reduction
+    // in a single pass over the rows.
+    if (dim <= kMaxFusedDim) {
       // STACK-LOCAL min/max accumulators: locals provably don't alias the
       // lane stores, so the accumulators live in registers/L1 instead of
-      // the load-modify-store chain on b that the legacy branch pays per
-      // element (b could alias the coordinate loads as far as the compiler
-      // can prove).
+      // the load-modify-store chain on b that the per-row branch below pays
+      // per element (b could alias the coordinate loads as far as the
+      // compiler can prove).
       double lo[kMaxFusedDim], hi[kMaxFusedDim];
       for (int d = 0; d < dim; ++d) {
         lo[d] = std::numeric_limits<double>::infinity();
@@ -234,10 +207,9 @@ void KdTree::build_range(i32 idx, u32 begin, u32 end, int depth,
         b[2 * d + 1] = hi[d];
       }
     } else {
-      // Legacy layout, or a dimensionality too wide for the stack
-      // accumulators (rare): plain per-row box update, plus the strip
-      // export when the packed layout is on.
-      if (leaf_coords_ != nullptr) export_leaf_strips(begin, end);
+      // A dimensionality too wide for the stack accumulators (rare): the
+      // strip export, then a plain per-row box update.
+      export_leaf_strips(begin, end);
       for (u32 i = begin; i < end; ++i) {
         const auto p = points_[ids_[i]];
         for (int d = 0; d < dim; ++d) {
@@ -272,7 +244,7 @@ void KdTree::build_range(i32 idx, u32 begin, u32 end, int depth,
   // Degenerate spread (all coordinates equal): keep as leaf to guarantee
   // termination.
   if (best_spread <= 0.0) {
-    if (leaf_coords_ != nullptr) export_leaf_strips(begin, end);
+    export_leaf_strips(begin, end);
     nodes_[static_cast<size_t>(idx)] = node;
     return;
   }
@@ -366,13 +338,12 @@ void KdTree::run_query(std::span<const double> q, QueryState& st) const {
   // only records each reached leaf, in visit order, and the leaves are then
   // scanned one range-scan call each (strip_scan_exact). A full buffer is
   // scanned before the descent goes on, so the hit order is the visit
-  // order, and nothing is allocated. Ascending positions within a leaf are
-  // ids_ order, so hits and order match the scalar path below; the
-  // distance_evals tally charges one evaluation per candidate row, exactly
-  // as the scalar path does — the kernel's internal partial-distance
-  // abandonment is an implementation detail of the evaluation, like
-  // box_distance2's monotone early exit, and never shows up in the counters.
-  const bool collect = strips != nullptr && st.budget->max_neighbors == 0;
+  // order (ascending ids_ position within a leaf), and nothing is
+  // allocated. The distance_evals tally charges one evaluation per
+  // candidate row — the kernel's internal partial-distance abandonment is
+  // an implementation detail of the evaluation, like box_distance2's
+  // monotone early exit, and never shows up in the counters.
+  const bool collect = st.budget->max_neighbors == 0;
   struct LeafRange {
     u32 begin;
     u32 end;
@@ -420,32 +391,17 @@ void KdTree::run_query(std::span<const double> q, QueryState& st) const {
       if (reached == kLeafBatch) scan_leaves();
       continue;
     }
-    if (strips != nullptr) {
-      // Neighbor-budgeted leaf scan, still through the strip kernel: the
-      // mask walk reconstructs the scalar loop's exact stop row and
-      // distance_evals charge (see strip_scan_budgeted), so wide vector-era
-      // leaves don't degrade the paper's pruned 1M-point mode to per-row
-      // scalar evaluation. Output, counters, and the stop point are byte-
-      // identical to the scalar path below.
-      const bool stop = strip_scan_budgeted(
-          st.strip, q, st.eps2, strips, node.begin, node.end,
-          st.budget->max_neighbors, st.found, st.distance_evals,
-          [&](size_t pos) { st.out->push_back(ids_[pos]); });
-      if (stop) return;
-      continue;
-    }
-    // Scalar path: legacy (reorder=false) layout only — the reference the
-    // strip paths above are bit-identical to, budgeted or not.
-    for (u32 i = node.begin; i < node.end; ++i) {
-      ++st.distance_evals;
-      if (squared_distance_uncounted(q, row(i)) <= st.eps2) {
-        st.out->push_back(ids_[i]);
-        ++st.found;
-        if (st.budget->max_neighbors != 0 &&
-            st.found >= st.budget->max_neighbors) {
-          return;
-        }
-      }
+    // Neighbor-budgeted leaf scan, still through the strip kernel: the mask
+    // walk stops at the exact row that fills the budget and charges the
+    // rows up to it (see strip_scan_budgeted), so wide vector-era leaves
+    // don't degrade the paper's pruned 1M-point mode to per-row scalar
+    // evaluation.
+    if (strip_scan_budgeted(st.strip, q, st.eps2, strips, node.begin,
+                            node.end, st.budget->max_neighbors, st.found,
+                            st.distance_evals, [&](size_t pos) {
+                              st.out->push_back(ids_[pos]);
+                            })) {
+      return;
     }
   }
   scan_leaves();
@@ -470,8 +426,7 @@ void KdTree::knn_query(std::span<const double> q, size_t k,
   // pruning is simpler and the call sites (examples, tests, the exact kNN
   // graph builder's oracle) are small.
   const double* strips = leaf_coords_.get();
-  const simd::StripKernelFn kernel =
-      strips != nullptr ? simd::detail::strip_kernel() : nullptr;
+  const simd::StripKernelFn kernel = simd::detail::strip_kernel();
   auto visit = [&](auto&& self, i32 node_id) -> void {
     // Node budget: stop descending once the cap is reached (max_neighbors
     // is ignored for kNN — see the contract in spatial_index.hpp).
@@ -489,8 +444,7 @@ void KdTree::knn_query(std::span<const double> q, size_t k,
       // A heap of overflowed (inf) distances — possible with
       // ~1e154-magnitude coordinates — would let the filter pass every
       // row, so it falls back to the scalar loop.
-      if (strips != nullptr && heap.size() == k &&
-          std::isfinite(heap.top().first)) {
+      if (heap.size() == k && std::isfinite(heap.top().first)) {
         // Kernel-filtered leaf scan: with the heap full, a row can only
         // matter if (d2, id) < heap.top(), which requires d2 <= top.d2 —
         // and top.d2 never increases — so the kernel mask at cutoff =
@@ -526,8 +480,8 @@ void KdTree::knn_query(std::span<const double> q, size_t k,
         }
         return;
       }
-      // Scalar leaf scan — always while the heap is filling (the first
-      // leaves), and the whole query on legacy (reorder=false) trees.
+      // Scalar leaf scan while the heap is filling (the first leaves) or
+      // its cutoff is not finite.
       for (u32 i = node.begin; i < node.end; ++i) {
         ++evals;
         const Entry cand{squared_distance_uncounted(q, row(i)), ids_[i]};

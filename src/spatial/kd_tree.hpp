@@ -9,27 +9,28 @@
 // structure to a sequential build. Sequential builds (build_threads <= 1,
 // or below the size threshold) skip the parallel machinery entirely —
 // plain slot counters, no atomics, no pool.
-// Layout: with `reorder` on (the default), the tree keeps a strip-transposed
-// (SoA) copy of the coordinates in leaf-traversal order — blocks of
-// kDistanceStrip points stored dimension-major (see distance_simd.hpp) —
-// filled IN PLACE as each leaf is finalized during the build, so the packed
-// layout costs the leaf stores only, not a second full pass. ids_ doubles
-// as the remap table back to original PointIds.
+// Layout: the tree keeps a strip-transposed (SoA) copy of the coordinates
+// in leaf-traversal order — blocks of kDistanceStrip points stored
+// dimension-major (see distance_simd.hpp) — filled IN PLACE as each leaf is
+// finalized during the build, so the packed layout costs the leaf stores
+// only, not a second full pass. ids_ doubles as the remap table back to
+// original PointIds.
 // Query: classic ball-overlap descent with AABB pruning. A query without a
 // neighbor budget first descends, collecting the reached leaves in visit
 // order into a fixed stack buffer, then scans each leaf with one call of
 // the runtime-dispatched SIMD range scan (distance_simd.hpp), which writes
 // the leaf's hit positions for the ids_ remap; a full buffer is scanned
-// before the descent goes on. Hits, their order and the work counters are
-// those of the scalar per-row loop. A neighbor-budgeted query scans each
-// leaf as it is reached, block by block through the strip kernel, so it
-// stops at the scalar loop's exact row. The optional QueryBudget
-// implements the paper's "kd-tree with pruning branches" approximation
-// used for the 1M-point experiments (it bounds the neighbor count / node
-// visits, trading exactness for time — see the approximation contract on
-// QueryBudget in spatial_index.hpp). Work counters are tallied locally
-// during the descent and flushed once per query (counters::add) — exact
-// totals, one thread-local access per query.
+// before the descent goes on. A neighbor-budgeted query scans each leaf as
+// it is reached, block by block through the strip kernel, so it stops at
+// the exact row that fills the budget. Both report hits in visit order,
+// ascending position within a leaf, and charge one distance_eval per row
+// they scan. The optional QueryBudget implements the paper's "kd-tree with
+// pruning branches" approximation used for the 1M-point experiments (it
+// bounds the neighbor count / node visits, trading exactness for time —
+// see the approximation contract on QueryBudget in spatial_index.hpp).
+// Work counters are tallied locally during the descent and flushed once
+// per query (counters::add) — exact totals, one thread-local access per
+// query.
 #pragma once
 
 #include <memory>
@@ -39,8 +40,7 @@
 
 namespace sdb {
 
-/// Build-time knobs. The defaults are the fast path; the legacy flags exist
-/// for parity tests and before/after benchmarking (bench_hotpath).
+/// Build-time knobs.
 struct KdTreeOptions {
   /// Leaf bucket capacity. 192 is the vector-era tuning: wider leaves
   /// convert expensive per-node box tests into strip-kernel lanes that cost
@@ -53,10 +53,6 @@ struct KdTreeOptions {
   /// 1 = fully sequential. Parallelism only engages above a size threshold,
   /// so small builds never pay thread-spawn cost.
   unsigned build_threads = 0;
-  /// Keep the strip-transposed leaf-order coordinate copy (one extra
-  /// ~n*dim*8-byte buffer, reflected in byte_size()). false = legacy gather
-  /// path (scalar per-point evaluation through the id permutation).
-  bool reorder = true;
 };
 
 class ThreadPool;
@@ -64,10 +60,11 @@ class ThreadPool;
 class KdTree final : public SpatialIndex {
  public:
   /// Build over all points in `points`. The tree keeps a reference to the
-  /// PointSet (and, with reorder on, a strip-transposed coordinate
-  /// snapshot); the caller must keep it alive and unmutated for the tree's
-  /// lifetime — post-build mutations would not be reflected in the packed
-  /// layout, the split structure, or the bounding boxes.
+  /// PointSet and a strip-transposed coordinate snapshot (one extra
+  /// ~n*dim*8-byte buffer, reflected in byte_size()); the caller must keep
+  /// the PointSet alive and unmutated for the tree's lifetime — post-build
+  /// mutations would not be reflected in the packed layout, the split
+  /// structure, or the bounding boxes.
   explicit KdTree(const PointSet& points, int leaf_size = 192)
       : KdTree(points, KdTreeOptions{.leaf_size = leaf_size}) {}
 
@@ -102,8 +99,6 @@ class KdTree final : public SpatialIndex {
   /// Number of internal + leaf nodes (exposed for tests/benches).
   [[nodiscard]] size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] int depth() const { return depth_; }
-  /// Whether the strip-transposed leaf-order coordinate buffer is active.
-  [[nodiscard]] bool reordered() const { return leaf_coords_len_ != 0; }
 
   /// Capacity of the reached-leaf buffer of a query without a neighbor
   /// budget (512 bytes of stack). A c100k query reaches ~21 leaves; a query
@@ -166,9 +161,9 @@ class KdTree final : public SpatialIndex {
   void run_query(std::span<const double> q, QueryState& st) const;
 
   /// Row i of the build permutation: the coordinates of point ids_[i]. The
-  /// strip buffer has no contiguous rows, so scalar consumers (knn, the
-  /// budgeted fallback) gather through the id permutation — the same doubles
-  /// bit-for-bit.
+  /// strip buffer has no contiguous rows, so knn_query's exact distances
+  /// (the heap-filling scan and the filter's survivors) gather through the
+  /// id permutation — the same doubles bit-for-bit.
   [[nodiscard]] std::span<const double> row(u32 i) const {
     return points_[ids_[i]];
   }
@@ -188,10 +183,10 @@ class KdTree final : public SpatialIndex {
                               // the remap table: position -> original PointId
   std::vector<Node> nodes_;
   std::vector<double> boxes_;  // per node: interleaved [lo, hi] per dim
-  // Strip-transposed leaf-order coordinates (see distance_simd.hpp);
-  // len == 0 when reorder is off. unique_ptr + explicit length instead of a
-  // vector so the build can allocate without a redundant zero-fill (only the
-  // final block's padding lanes need zeroing).
+  // Strip-transposed leaf-order coordinates (see distance_simd.hpp).
+  // unique_ptr + explicit length instead of a vector so the build can
+  // allocate without a redundant zero-fill (only the final block's padding
+  // lanes need zeroing).
   std::unique_ptr<double[]> leaf_coords_;
   size_t leaf_coords_len_ = 0;
   i32 root_ = -1;

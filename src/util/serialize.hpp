@@ -3,7 +3,9 @@
 //
 // Format: little-endian fixed-width scalars, u64 length prefixes for
 // strings/vectors. The writers/readers are deliberately simple: the goal is
-// measurable byte volumes, not schema evolution.
+// measurable byte volumes, not schema evolution. The reader checks every
+// length prefix against the bytes left before it allocates, so a corrupt or
+// hostile prefix aborts as truncated input instead of allocating.
 #pragma once
 
 #include <cstring>
@@ -102,6 +104,7 @@ class BinaryReader {
   template <typename T>
   std::vector<T> read_vec() {
     const u64 n = read_u64();
+    SDB_CHECK(n <= remaining() / sizeof(T), "BinaryReader: truncated input");
     std::vector<T> v(n);
     if (n > 0) {
       std::memcpy(v.data(), peek(n * sizeof(T)), n * sizeof(T));
@@ -111,7 +114,7 @@ class BinaryReader {
   }
 
   const char* peek(size_t n) {
-    SDB_CHECK(pos_ + n <= size_, "BinaryReader: truncated input");
+    SDB_CHECK(n <= size_ - pos_, "BinaryReader: truncated input");
     return data_ + pos_;
   }
 

@@ -16,6 +16,9 @@ void put_id_list(std::vector<char>& out, std::vector<i64> ids) {
 
 std::vector<i64> get_id_list(const char* data, size_t size, size_t& pos) {
   const u64 n = get_varint(data, size, pos);
+  // Every id takes at least one byte: a longer count is truncated input,
+  // caught here before it sizes the allocation.
+  SDB_CHECK(n <= size - pos, "varint: truncated input");
   std::vector<i64> ids;
   ids.reserve(n);
   i64 previous = 0;

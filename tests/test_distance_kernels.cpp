@@ -24,6 +24,7 @@
 
 #include "core/dbscan_seq.hpp"
 #include "geom/distance.hpp"
+#include "query_oracles.hpp"
 #include "spatial/brute_force.hpp"
 #include "spatial/grid_index.hpp"
 #include "spatial/kd_tree.hpp"
@@ -33,6 +34,11 @@
 
 namespace sdb {
 namespace {
+
+using test::brute_oracle;
+using test::per_point_hits;
+using test::run_query;
+using test::run_unreachable_budget;
 
 /// Oracle mask: full-sum squared distance per lane (same ascending-d unfused
 /// accumulation as the kernels), compared against eps2 with <= — the
@@ -307,7 +313,8 @@ TEST(RangeScan, OverflowedEpsReturnsEveryIdOnce) {
   // eps = 1e155 squares to +inf. Every point is then within eps, and each
   // exact and budgeted scan must report each id exactly once — never a
   // padding lane, a lane past the range, or an id read past the end of the
-  // index's id table.
+  // index's id table. The kd-tree's exact path must also report them in the
+  // order, and with the counters, of its per-strip budgeted scan.
   Rng rng(1155);
   PointSet ps(3);
   std::vector<double> p(3);
@@ -317,16 +324,14 @@ TEST(RangeScan, OverflowedEpsReturnsEveryIdOnce) {
   }
   const double eps = 1e155;
   ASSERT_TRUE(std::isinf(eps * eps));
-  const KdTree blocked(ps, KdTreeOptions{.build_threads = 1, .reorder = true});
-  const KdTree legacy(ps, KdTreeOptions{.build_threads = 1, .reorder = false});
+  const KdTree tree(ps, KdTreeOptions{.build_threads = 1});
   const BruteForceIndex brute(ps);
   const std::vector<PointId> every = {0, 1, 2, 3, 4};
+  ASSERT_EQ(per_point_hits(ps, ps[0], eps), every);
   QueryBudget budgeted;
   budgeted.max_neighbors = 100;
-  for (const SpatialIndex* index :
-       {static_cast<const SpatialIndex*>(&blocked),
-        static_cast<const SpatialIndex*>(&legacy),
-        static_cast<const SpatialIndex*>(&brute)}) {
+  for (const SpatialIndex* index : {static_cast<const SpatialIndex*>(&tree),
+                                    static_cast<const SpatialIndex*>(&brute)}) {
     for (const QueryBudget& budget : {QueryBudget{}, budgeted}) {
       std::vector<PointId> hits;
       index->range_query_budgeted(ps[0], eps, budget, hits);
@@ -335,6 +340,11 @@ TEST(RangeScan, OverflowedEpsReturnsEveryIdOnce) {
                              << budget.max_neighbors;
     }
   }
+  const auto exact = run_query(tree, ps[0], eps);
+  const auto reference = run_unreachable_budget(tree, ps[0], eps);
+  EXPECT_EQ(exact.hits, reference.hits);
+  EXPECT_EQ(exact.distance_evals, reference.distance_evals);
+  EXPECT_EQ(exact.tree_nodes, reference.tree_nodes);
 }
 
 // ---------------------------------------------------------------------------
@@ -419,8 +429,9 @@ TEST_P(StripBoundarySizes, ReorderedTreeMatchesLegacyAndBruteExactly) {
   // Dataset sizes straddling the strip width: 1, kDistanceStrip +- 1, etc.
   // With leaf_size >= n the whole dataset is one leaf, so the query IS one
   // kernel call with a partial final strip — the tail-handling regression
-  // this suite pins down. Results AND distance_evals must match the scalar
-  // paths exactly.
+  // this suite pins down. The hit set must be the per-point loop's, and the
+  // hit order, distance_evals and tree_nodes those of the same tree's
+  // per-strip budgeted scan.
   const size_t n = GetParam();
   const double eps = 30.0;
   Rng rng(7 + static_cast<u64>(n));
@@ -430,35 +441,26 @@ TEST_P(StripBoundarySizes, ReorderedTreeMatchesLegacyAndBruteExactly) {
     for (auto& x : p) x = rng.uniform(0.0, 60.0);
     ps.add(p);
   }
-  const KdTree legacy(ps, KdTreeOptions{.build_threads = 1, .reorder = false});
-  const KdTree blocked(ps, KdTreeOptions{.build_threads = 1, .reorder = true});
+  const KdTree tree(ps, KdTreeOptions{.build_threads = 1});
   const BruteForceIndex brute(ps);
 
   for (size_t qi = 0; qi < n; ++qi) {
     const auto q = ps[static_cast<PointId>(qi)];
-    WorkCounters wc_legacy, wc_blocked, wc_brute;
-    std::vector<PointId> out_legacy, out_blocked, out_brute;
-    {
-      ScopedCounters scope(&wc_legacy);
-      legacy.range_query(q, eps, out_legacy);
-    }
-    {
-      ScopedCounters scope(&wc_blocked);
-      blocked.range_query(q, eps, out_blocked);
-    }
-    {
-      ScopedCounters scope(&wc_brute);
-      brute.range_query(q, eps, out_brute);
-    }
-    EXPECT_EQ(out_blocked, out_legacy) << "n=" << n << " q=" << qi;
-    EXPECT_EQ(wc_blocked.distance_evals, wc_legacy.distance_evals)
+    const auto exact = run_query(tree, q, eps);
+    const auto reference = run_unreachable_budget(tree, q, eps);
+    const auto by_brute = run_query(brute, q, eps);
+    EXPECT_EQ(exact.hits, reference.hits) << "n=" << n << " q=" << qi;
+    EXPECT_EQ(exact.distance_evals, reference.distance_evals)
         << "n=" << n << " q=" << qi;
-    EXPECT_EQ(wc_blocked.tree_nodes, wc_legacy.tree_nodes)
+    EXPECT_EQ(exact.tree_nodes, reference.tree_nodes)
         << "n=" << n << " q=" << qi;
     // Brute force streams the same kernel over id order; same totals.
-    std::sort(out_blocked.begin(), out_blocked.end());
-    EXPECT_EQ(out_blocked, out_brute) << "n=" << n << " q=" << qi;
-    EXPECT_EQ(wc_brute.distance_evals, n) << "n=" << n << " q=" << qi;
+    std::vector<PointId> sorted_hits = exact.hits;
+    std::sort(sorted_hits.begin(), sorted_hits.end());
+    EXPECT_EQ(sorted_hits, per_point_hits(ps, q, eps))
+        << "n=" << n << " q=" << qi;
+    EXPECT_EQ(sorted_hits, by_brute.hits) << "n=" << n << " q=" << qi;
+    EXPECT_EQ(by_brute.distance_evals, n) << "n=" << n << " q=" << qi;
   }
 }
 
@@ -471,9 +473,80 @@ INSTANTIATE_TEST_SUITE_P(AroundStripWidth, StripBoundarySizes,
 
 // ---------------------------------------------------------------------------
 // Budgeted queries through the strip kernel (strip_scan_budgeted): hits,
-// order, distance_evals, and the early-stop row must be exactly the scalar
-// loop's — across indexes, kernel variants, and strip-boundary sizes.
+// order, distance_evals, and the early-stop row must be exactly a per-row
+// loop's — for the function itself on every kernel variant, and across
+// indexes, variants, and strip-boundary sizes for the queries built on it.
 // ---------------------------------------------------------------------------
+
+TEST(BudgetedStripScan, MatchesPerRowLoopOnEveryVariant) {
+  // The reference walks the packed rows of [begin, end) in order, charges
+  // one evaluation per row it visits, and stops right after the row whose
+  // hit makes `found` reach the budget. strip_scan_budgeted must push the
+  // same positions and leave the same `found`, `evals` and return value,
+  // from every start lane of two blocks, on every supported variant.
+  const double eps = 25.0;
+  for (const size_t dim : {size_t{1}, size_t{3}, size_t{10}, size_t{64}}) {
+    Rng rng(9090 + static_cast<u64>(dim));
+    std::vector<double> q(dim);
+    for (auto& x : q) x = rng.uniform(-100.0, 100.0);
+    const size_t n = 3 * kDistanceStrip + 7;
+    const auto rows = adversarial_rows(n, dim, eps, q, rng);
+    std::vector<double> strips(strip_padded_len(n, dim), 0.0);
+    for (size_t i = 0; i < n; ++i) strip_store_row(strips.data(), i, rows[i]);
+    std::vector<double> eps2s = {0.0, eps * eps, std::nextafter(eps * eps, 0.0),
+                                 1e300, kInf};
+    for (size_t i = 0; i < n; i += 11) {
+      eps2s.push_back(squared_distance_uncounted(q, rows[i]));
+    }
+
+    for (const simd::detail::KernelSet& set :
+         simd::detail::supported_kernels()) {
+      for (const double eps2 : eps2s) {
+        for (size_t begin = 0; begin < 2 * kDistanceStrip; ++begin) {
+          for (const size_t end : {begin + 1, begin + 40, n}) {
+            for (const u64 max_neighbors : {u64{1}, u64{3}, u64{31}, u64{32},
+                                            u64{33}, u64{64}}) {
+              for (const u64 found_before : {u64{0}, u64{5}}) {
+                std::vector<size_t> want;
+                u64 want_found = found_before;
+                u64 want_evals = 7;  // the scan adds to earlier ranges' charges
+                bool want_stop = false;
+                for (size_t i = begin; i < end && !want_stop; ++i) {
+                  ++want_evals;
+                  if (squared_distance_uncounted(q, rows[i]) <= eps2) {
+                    want.push_back(i);
+                    want_stop = ++want_found >= max_neighbors;
+                  }
+                }
+
+                std::vector<size_t> got;
+                u64 found = found_before;
+                u64 evals = 7;
+                const bool stop = strip_scan_budgeted(
+                    set.strip, q, eps2, strips.data(), begin, end,
+                    max_neighbors, found, evals,
+                    [&](size_t pos) { got.push_back(pos); });
+                const auto where = [&] {
+                  return std::string(name_of(set)) +
+                         " dim=" + std::to_string(dim) +
+                         " begin=" + std::to_string(begin) +
+                         " end=" + std::to_string(end) +
+                         " eps2=" + std::to_string(eps2) +
+                         " max_neighbors=" + std::to_string(max_neighbors) +
+                         " found_before=" + std::to_string(found_before);
+                };
+                EXPECT_EQ(got, want) << where();
+                EXPECT_EQ(found, want_found) << where();
+                EXPECT_EQ(evals, want_evals) << where();
+                EXPECT_EQ(stop, want_stop) << where();
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(BudgetedStripScan, BitIdenticalAcrossVariantsAndLayouts) {
   // Dataset sizes straddling the strip width so the budget can fire inside
@@ -490,10 +563,7 @@ TEST(BudgetedStripScan, BitIdenticalAcrossVariantsAndLayouts) {
       for (auto& x : p) x = rng.uniform(0.0, 50.0);
       ps.add(p);
     }
-    const KdTree legacy(ps,
-                        KdTreeOptions{.build_threads = 1, .reorder = false});
-    const KdTree blocked(ps,
-                         KdTreeOptions{.build_threads = 1, .reorder = true});
+    const KdTree tree(ps, KdTreeOptions{.build_threads = 1});
     const BruteForceIndex brute(ps);
     const GridIndex grid(ps, 20.0);
 
@@ -512,9 +582,12 @@ TEST(BudgetedStripScan, BitIdenticalAcrossVariantsAndLayouts) {
           }
           return std::make_pair(hits, wc.distance_evals);
         };
-        // Kernel-vs-scalar parity on every index type.
+        // Kernel-vs-scalar parity on every index type, and truncation
+        // order: a budgeted query reports the first max_neighbors hits of
+        // the same index's exact query, in its order (same traversal; the
+        // stop row itself is pinned by MatchesPerRowLoopOnEveryVariant).
         for (const SpatialIndex* index :
-             {static_cast<const SpatialIndex*>(&blocked),
+             {static_cast<const SpatialIndex*>(&tree),
               static_cast<const SpatialIndex*>(&brute),
               static_cast<const SpatialIndex*>(&grid)}) {
           const auto dispatched = run(*index);
@@ -527,16 +600,12 @@ TEST(BudgetedStripScan, BitIdenticalAcrossVariantsAndLayouts) {
           EXPECT_EQ(dispatched.second, scalar.second)
               << index->name() << " n=" << n << " q=" << qi
               << " max_neighbors=" << max_neighbors;
+          std::vector<PointId> prefix = run_query(*index, q, 20.0).hits;
+          prefix.resize(std::min<size_t>(prefix.size(), max_neighbors));
+          EXPECT_EQ(dispatched.first, prefix)
+              << index->name() << " n=" << n << " q=" << qi
+              << " max_neighbors=" << max_neighbors;
         }
-        // Layout parity: the blocked tree must also reproduce the legacy
-        // (gather-path) tree's hits and charges exactly — same visit order,
-        // same stop row.
-        const auto blocked_run = run(blocked);
-        const auto legacy_run = run(legacy);
-        EXPECT_EQ(blocked_run.first, legacy_run.first)
-            << "n=" << n << " q=" << qi << " max_neighbors=" << max_neighbors;
-        EXPECT_EQ(blocked_run.second, legacy_run.second)
-            << "n=" << n << " q=" << qi << " max_neighbors=" << max_neighbors;
       }
     }
   }
@@ -545,7 +614,8 @@ TEST(BudgetedStripScan, BitIdenticalAcrossVariantsAndLayouts) {
 // ---------------------------------------------------------------------------
 // kNN through the kernel filter: the heap-refinement path masks leaf
 // candidates with the current worst heap distance and must return exactly
-// the scalar path's neighbors and charges.
+// the forced-scalar run's neighbors and charges, and the per-point oracle's
+// neighbors.
 // ---------------------------------------------------------------------------
 
 TEST(KnnKernelFilter, BitIdenticalScalarVsSimdAndLegacyLayout) {
@@ -557,17 +627,20 @@ TEST(KnnKernelFilter, BitIdenticalScalarVsSimdAndLegacyLayout) {
   cfg.sigma = 3.0;
   cfg.box_side = 80.0;
   const PointSet ps = synth::gaussian_clusters(cfg, rng);
-  const KdTree legacy(ps, KdTreeOptions{.build_threads = 1, .reorder = false});
-  const KdTree blocked(ps, KdTreeOptions{.build_threads = 1, .reorder = true});
+  const KdTree tree(ps, KdTreeOptions{.build_threads = 1});
 
   for (const size_t k : {size_t{1}, size_t{4}, size_t{33}, size_t{200}}) {
     for (PointId q = 0; q < 60; ++q) {
-      const auto dispatched = blocked.knn(ps[q], k);
+      const auto dispatched = tree.knn(ps[q], k);
       simd::force_scalar(true);
-      const auto scalar = blocked.knn(ps[q], k);
+      const auto scalar = tree.knn(ps[q], k);
       simd::force_scalar(false);
       EXPECT_EQ(dispatched, scalar) << "k=" << k << " q=" << q;
-      EXPECT_EQ(dispatched, legacy.knn(ps[q], k)) << "k=" << k << " q=" << q;
+      std::vector<PointId> want;
+      for (const KnnHit& hit : brute_oracle(ps, ps[q], k)) {
+        want.push_back(hit.id);
+      }
+      EXPECT_EQ(dispatched, want) << "k=" << k << " q=" << q;
     }
   }
 }
@@ -581,7 +654,7 @@ TEST(KnnKernelFilter, HighDimAndTiesMatchScalarAndBruteOracle) {
   //    true neighbor.
   //  * ties at exactly the k-th distance: duplicated points and partners at
   //    identical d2 must resolve by point id, identically on every variant
-  //    and layout.
+  //    and index, as the per-point oracle resolves them.
   Rng rng(8128);
   PointSet ps(128);
   std::vector<double> p(128);
@@ -603,28 +676,22 @@ TEST(KnnKernelFilter, HighDimAndTiesMatchScalarAndBruteOracle) {
     }
   }
   // Small leaves so k=64 exceeds any single leaf's occupancy.
-  const KdTree legacy(ps, KdTreeOptions{.leaf_size = 8,
-                                        .build_threads = 1,
-                                        .reorder = false});
-  const KdTree blocked(ps, KdTreeOptions{.leaf_size = 8,
-                                         .build_threads = 1,
-                                         .reorder = true});
+  const KdTree tree(ps, KdTreeOptions{.leaf_size = 8, .build_threads = 1});
   const BruteForceIndex brute(ps);
   const QueryBudget exact;
 
   for (const size_t k : {size_t{1}, size_t{9}, size_t{64}, size_t{200}}) {
     for (PointId q = 0; q < 50; ++q) {
-      std::vector<KnnHit> oracle;
-      brute.knn_query(ps[q], k, exact, oracle);
+      const std::vector<KnnHit> oracle = brute_oracle(ps, ps[q], k);
       std::vector<KnnHit> hits;
-      blocked.knn_query(ps[q], k, exact, hits);
-      EXPECT_EQ(hits, oracle) << "blocked k=" << k << " q=" << q;
+      brute.knn_query(ps[q], k, exact, hits);
+      EXPECT_EQ(hits, oracle) << "brute k=" << k << " q=" << q;
       hits.clear();
-      legacy.knn_query(ps[q], k, exact, hits);
-      EXPECT_EQ(hits, oracle) << "legacy k=" << k << " q=" << q;
+      tree.knn_query(ps[q], k, exact, hits);
+      EXPECT_EQ(hits, oracle) << "kd-tree k=" << k << " q=" << q;
       hits.clear();
       simd::force_scalar(true);
-      blocked.knn_query(ps[q], k, exact, hits);
+      tree.knn_query(ps[q], k, exact, hits);
       simd::force_scalar(false);
       EXPECT_EQ(hits, oracle) << "scalar k=" << k << " q=" << q;
     }
@@ -649,7 +716,7 @@ TEST(KernelDispatch, ForceScalarPinsFallbackAndResultsAreIdentical) {
     cfg.box_side = 60.0;
     return synth::gaussian_clusters(cfg, rng);
   }();
-  const KdTree tree(ps, KdTreeOptions{.build_threads = 1, .reorder = true});
+  const KdTree tree(ps, KdTreeOptions{.build_threads = 1});
 
   auto run_queries = [&] {
     std::vector<PointId> all;
@@ -720,7 +787,7 @@ TEST(KernelDeterminism, ClusterLabelsByteIdenticalScalarVsSimd) {
     }
   }
   const dbscan::DbscanParams params{eps, 4};
-  const KdTree tree(ps, KdTreeOptions{.build_threads = 1, .reorder = true});
+  const KdTree tree(ps, KdTreeOptions{.build_threads = 1});
 
   const auto with_dispatch = dbscan::dbscan_sequential(ps, tree, params);
   simd::force_scalar(true);

@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "geom/distance.hpp"
+#include "query_oracles.hpp"
 #include "spatial/brute_force.hpp"
 #include "spatial/grid_index.hpp"
 #include "spatial/kd_tree.hpp"
@@ -99,21 +100,25 @@ TEST_P(IndexParityAdversarial, AllIndexesAndLayoutsAgree) {
   const auto [dim, eps] = GetParam();
   const PointSet ps =
       adversarial_points(700, dim, eps, 113 + static_cast<u64>(dim));
-  const KdTree kd_legacy(ps, KdTreeOptions{.build_threads = 1,
-                                           .reorder = false});
-  const KdTree kd_blocked(ps, KdTreeOptions{.build_threads = 4,
-                                            .reorder = true});
+  const KdTree kd(ps, KdTreeOptions{.build_threads = 4});
   const RTree rt(ps);
   const GridIndex grid(ps, eps);
   const BruteForceIndex brute(ps);
-  const std::vector<const SpatialIndex*> indexes = {&kd_legacy, &kd_blocked,
-                                                    &rt, &grid, &brute};
+  const std::vector<const SpatialIndex*> indexes = {&kd, &rt, &grid, &brute};
   Rng rng(17);
   for (int trial = 0; trial < 30; ++trial) {
     const PointId q = static_cast<PointId>(rng.uniform_index(ps.size()));
-    std::vector<PointId> reference;
-    brute.range_query(ps[q], eps, reference);
-    const auto expected = sorted(reference);
+    const auto expected = test::per_point_hits(ps, ps[q], eps);
+    // The kd-tree's exact path (collected leaves, one range-scan call each)
+    // against its per-strip budgeted scan: same order, same counters.
+    const auto kd_exact = test::run_query(kd, ps[q], eps);
+    const auto kd_reference = test::run_unreachable_budget(kd, ps[q], eps);
+    EXPECT_EQ(kd_exact.hits, kd_reference.hits)
+        << "dim=" << dim << " eps=" << eps << " q=" << q;
+    EXPECT_EQ(kd_exact.distance_evals, kd_reference.distance_evals)
+        << "dim=" << dim << " eps=" << eps << " q=" << q;
+    EXPECT_EQ(kd_exact.tree_nodes, kd_reference.tree_nodes)
+        << "dim=" << dim << " eps=" << eps << " q=" << q;
     for (const SpatialIndex* index : indexes) {
       std::vector<PointId> out;
       index->range_query(ps[q], eps, out);

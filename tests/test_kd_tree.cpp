@@ -5,12 +5,18 @@
 #include <algorithm>
 
 #include "geom/distance.hpp"
+#include "query_oracles.hpp"
 #include "spatial/brute_force.hpp"
 #include "util/counters.hpp"
 #include "util/rng.hpp"
 
 namespace sdb {
 namespace {
+
+using test::per_point_hits;
+using test::QueryRun;
+using test::run_query;
+using test::run_unreachable_budget;
 
 PointSet random_points(i64 n, int dim, double side, u64 seed) {
   Rng rng(seed);
@@ -204,33 +210,22 @@ TEST(KdTree, ParallelBuildMatchesSequential) {
 }
 
 TEST(KdTree, ReorderedMatchesLegacyExactlyIncludingCounters) {
-  // The leaf-contiguous blocked path must return the same neighbors in the
-  // same order as the legacy gather path, with the same distance_evals
-  // count — the counter prices simulated executor work, so "faster" must
-  // never mean "counted differently".
+  // The exact path (collected leaves, one range-scan call each) must find
+  // the per-point loop's hit set, and report them in the same order with
+  // the same distance_evals and tree_nodes as the same tree's per-strip
+  // budgeted scan — the counter prices simulated executor work, so
+  // "faster" must never mean "counted differently".
   const PointSet ps = random_points(5000, 4, 60.0, 67);
-  const KdTree legacy(ps, KdTreeOptions{.build_threads = 1, .reorder = false});
-  const KdTree blocked(ps, KdTreeOptions{.build_threads = 1, .reorder = true});
-  EXPECT_FALSE(legacy.reordered());
-  EXPECT_TRUE(blocked.reordered());
+  const KdTree tree(ps, KdTreeOptions{.build_threads = 1});
   Rng rng(71);
   for (int trial = 0; trial < 40; ++trial) {
     const PointId q = static_cast<PointId>(rng.uniform_index(ps.size()));
-    WorkCounters wl;
-    std::vector<PointId> a;
-    {
-      ScopedCounters scope(&wl);
-      legacy.range_query(ps[q], 8.0, a);
-    }
-    WorkCounters wb;
-    std::vector<PointId> b;
-    {
-      ScopedCounters scope(&wb);
-      blocked.range_query(ps[q], 8.0, b);
-    }
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(wl.distance_evals, wb.distance_evals);
-    EXPECT_EQ(wl.tree_nodes, wb.tree_nodes);
+    const QueryRun exact = run_query(tree, ps[q], 8.0, QueryBudget{});
+    const QueryRun reference = run_unreachable_budget(tree, ps[q], 8.0);
+    EXPECT_EQ(sorted(exact.hits), per_point_hits(ps, ps[q], 8.0));
+    EXPECT_EQ(exact.hits, reference.hits);
+    EXPECT_EQ(exact.distance_evals, reference.distance_evals);
+    EXPECT_EQ(exact.tree_nodes, reference.tree_nodes);
   }
 }
 
@@ -238,44 +233,37 @@ TEST(KdTree, QueryReachingMoreLeavesThanTheLeafBatchMatchesLegacy) {
   // An exact query collects the leaves it reaches and scans them in
   // batches of KdTree::kLeafBatch. Tiny leaves and a radius that reaches
   // most of them make a query fill the batch many times over, and a node
-  // budget makes the descent stop with a partial batch collected: hits,
-  // their order and the counters must still be the legacy (reorder=false)
-  // tree's per-row loop.
+  // budget makes the descent stop with a partial batch collected: the hit
+  // set must still be the per-point loop's (without the node budget), and
+  // hits, their order and the counters the per-strip budgeted scan's under
+  // the same node budget.
   const PointSet ps = random_points(3000, 3, 30.0, 83);
-  const KdTreeOptions small_leaves{.leaf_size = 4, .build_threads = 1};
-  KdTreeOptions legacy_options = small_leaves;
-  legacy_options.reorder = false;
-  const KdTree legacy(ps, legacy_options);
-  const KdTree blocked(ps, small_leaves);
-  const size_t leaves = (blocked.node_count() + 1) / 2;
+  const KdTree tree(ps, KdTreeOptions{.leaf_size = 4, .build_threads = 1});
+  const size_t leaves = (tree.node_count() + 1) / 2;
   ASSERT_GT(leaves, 8 * KdTree::kLeafBatch);
   QueryBudget node_capped;
   node_capped.max_nodes = 700;
   for (const double eps : {6.0, 20.0, 60.0}) {
     for (const QueryBudget& budget : {QueryBudget{}, node_capped}) {
       for (const PointId q : {PointId{0}, PointId{1234}, PointId{2999}}) {
-        WorkCounters wl;
-        std::vector<PointId> a;
-        {
-          ScopedCounters scope(&wl);
-          legacy.range_query_budgeted(ps[q], eps, budget, a);
+        const QueryRun exact = run_query(tree, ps[q], eps, budget);
+        const QueryRun reference =
+            run_unreachable_budget(tree, ps[q], eps, budget.max_nodes);
+        EXPECT_EQ(exact.hits, reference.hits)
+            << "eps=" << eps << " max_nodes=" << budget.max_nodes
+            << " q=" << q;
+        EXPECT_EQ(exact.distance_evals, reference.distance_evals);
+        EXPECT_EQ(exact.tree_nodes, reference.tree_nodes);
+        if (budget.max_nodes == 0) {
+          EXPECT_EQ(sorted(exact.hits), per_point_hits(ps, ps[q], eps))
+              << "eps=" << eps << " q=" << q;
         }
-        WorkCounters wb;
-        std::vector<PointId> b;
-        {
-          ScopedCounters scope(&wb);
-          blocked.range_query_budgeted(ps[q], eps, budget, b);
-        }
-        EXPECT_EQ(a, b) << "eps=" << eps << " max_nodes=" << budget.max_nodes
-                        << " q=" << q;
-        EXPECT_EQ(wl.distance_evals, wb.distance_evals);
-        EXPECT_EQ(wl.tree_nodes, wb.tree_nodes);
       }
     }
   }
   // The widest radius reaches every leaf, so it reports every point.
   std::vector<PointId> all;
-  blocked.range_query(ps[0], 60.0, all);
+  tree.range_query(ps[0], 60.0, all);
   EXPECT_EQ(all.size(), ps.size());
 }
 

@@ -386,13 +386,13 @@ TEST(KnnJobIdentity, BackendSaltSeparatesFingerprints) {
   // must keep fingerprints distinct here.
   EXPECT_NE(fp(0x1234abcdULL), fp(0x1234abceULL));
 
-  // Salt 0 is the documented no-op: byte-identical to the legacy 9-arg
-  // call, so pre-existing exact-backend checkpoints stay reachable.
-  const u64 legacy = dbscan::job_fingerprint(
+  // Salt 0 is the documented no-op: the same fingerprint as the call
+  // without a salt.
+  const u64 unsalted = dbscan::job_fingerprint(
       "spark", dataset, params, dbscan::PartitionerKind::kBlock, 4, 42,
       dbscan::SeedStrategy::kAllForeign, dbscan::MergeStrategy::kUnionFind,
       dbscan::Codec::kCompact);
-  EXPECT_EQ(fp(0), legacy);
+  EXPECT_EQ(fp(0), unsalted);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Unified kNN query contract across the spatial indexes (satellite of the
 // KNN-DBSCAN backend PR; the contract lives on SpatialIndex::knn_query).
 //
-// Every index — kd-tree (both layouts), brute force, grid, R-tree — must
-// return the SAME hit vector for the same query: exact kNN under the
+// Every index — kd-tree (default and tiny leaves), brute force, grid,
+// R-tree — must return the SAME hit vector for the same query, the per-point
+// oracle's (brute_oracle, query_oracles.hpp): exact kNN under the
 // lexicographic (d2, id) order, ties at the k-th distance broken by point
 // id. Duplicated points and exactly-equidistant partners make the tie-break
 // observable; any index that kept heap-insertion order would diverge here.
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "geom/distance.hpp"
+#include "query_oracles.hpp"
 #include "spatial/brute_force.hpp"
 #include "spatial/grid_index.hpp"
 #include "spatial/kd_tree.hpp"
@@ -29,19 +31,7 @@
 namespace sdb {
 namespace {
 
-/// Oracle: scalar full scan, sorted by (d2, id), truncated to k.
-std::vector<KnnHit> brute_oracle(const PointSet& ps, std::span<const double> q,
-                                 size_t k) {
-  std::vector<KnnHit> all;
-  for (PointId i = 0; i < static_cast<PointId>(ps.size()); ++i) {
-    all.push_back({squared_distance_uncounted(q, ps[i]), i});
-  }
-  std::sort(all.begin(), all.end(), [](const KnnHit& a, const KnnHit& b) {
-    return std::pair{a.d2, a.id} < std::pair{b.d2, b.id};
-  });
-  if (all.size() > k) all.resize(k);
-  return all;
-}
+using test::brute_oracle;
 
 /// Dataset where ties are the common case, not the corner: duplicated
 /// points (d2 ties at 0 and at every shared neighbor) and partners offset
@@ -71,20 +61,23 @@ PointSet tie_heavy_points(size_t n, size_t dim, u64 seed) {
 }
 
 struct IndexSet {
-  KdTree legacy;
-  KdTree blocked;
+  KdTree kd;
+  /// Leaves of 4 points: k exceeds a leaf's occupancy at once, so the heap
+  /// fills across many leaves by the scalar scan before the kernel filter
+  /// takes over.
+  KdTree kd_small_leaves;
   BruteForceIndex brute;
   GridIndex grid;
   RTree rtree;
   std::vector<const SpatialIndex*> all;
 
   explicit IndexSet(const PointSet& ps, double grid_cell)
-      : legacy(ps, KdTreeOptions{.build_threads = 1, .reorder = false}),
-        blocked(ps, KdTreeOptions{.build_threads = 1, .reorder = true}),
+      : kd(ps, KdTreeOptions{.build_threads = 1}),
+        kd_small_leaves(ps, KdTreeOptions{.leaf_size = 4, .build_threads = 1}),
         brute(ps),
         grid(ps, grid_cell),
         rtree(ps) {
-    all = {&legacy, &blocked, &brute, &grid, &rtree};
+    all = {&kd, &kd_small_leaves, &brute, &grid, &rtree};
   }
 };
 

@@ -66,6 +66,20 @@ TEST(SerializeDeath, TruncatedInputAborts) {
   w.write_u32(7);
   BinaryReader r(w.buffer());
   EXPECT_DEATH(r.read_u64(), "truncated");
+
+  // Length prefixes far past the bytes left — 2^62 elements, 2^64 - 1
+  // bytes — are truncated input too, caught before anything is allocated
+  // (and before pos + n can wrap).
+  BinaryWriter huge_vec;
+  huge_vec.write_u64(u64{1} << 62);
+  huge_vec.write_u64(0);
+  BinaryReader rv(huge_vec.buffer());
+  EXPECT_DEATH(rv.read_i64_vec(), "truncated");
+  BinaryWriter huge_str;
+  huge_str.write_u64(~u64{0});
+  huge_str.write_u64(0);
+  BinaryReader rs(huge_str.buffer());
+  EXPECT_DEATH(rs.read_string(), "truncated");
 }
 
 TEST(Serialize, FileRoundTrip) {
@@ -104,7 +118,9 @@ TEST(Serialize, EmptyFile) {
 
 // --- partial-cluster wire format (what the job checkpoint persists) --------
 // A checkpointed record is replayed byte-for-byte into the merge on resume,
-// so the round trip must be exact for every shape a partition can produce.
+// so the round trip must be exact for every shape a partition can produce
+// (the edge-case cluster shapes also run through both codecs in
+// test_codec's CodecRoundTrip).
 
 void expect_equal(const dbscan::PartialCluster& a,
                   const dbscan::PartialCluster& b) {
@@ -112,6 +128,20 @@ void expect_equal(const dbscan::PartialCluster& a,
   EXPECT_EQ(a.partition, b.partition);
   EXPECT_EQ(a.members, b.members);
   EXPECT_EQ(a.seeds, b.seeds);
+}
+
+/// Ships `pc` as the one cluster of its partition's result through
+/// to_bytes() and back.
+dbscan::PartialCluster round_trip(const dbscan::PartialCluster& pc) {
+  dbscan::LocalClusterResult result;
+  result.partition = pc.partition;
+  result.clusters = {pc};
+  dbscan::LocalClusterResult back =
+      dbscan::local_result_from_bytes(dbscan::to_bytes(result));
+  EXPECT_EQ(back.partition, pc.partition);
+  EXPECT_EQ(back.clusters.size(), 1u);
+  return back.clusters.empty() ? dbscan::PartialCluster{}
+                               : std::move(back.clusters.front());
 }
 
 TEST(PartialClusterSerialize, SeedsAtPartitionBoundariesRoundTrip) {
@@ -122,21 +152,14 @@ TEST(PartialClusterSerialize, SeedsAtPartitionBoundariesRoundTrip) {
   // SEEDs reference points OWNED BY OTHER PARTITIONS — including ids at the
   // boundary of the id space (first point, last point).
   pc.seeds = {0, 9, 13, 999'999'999};
-  BinaryWriter w;
-  serialize(pc, w);
-  BinaryReader r(w.buffer());
-  expect_equal(dbscan::deserialize_partial_cluster(r), pc);
-  EXPECT_TRUE(r.at_end());
+  expect_equal(round_trip(pc), pc);
 }
 
 TEST(PartialClusterSerialize, EmptyClusterRoundTrips) {
   dbscan::PartialCluster pc;
   pc.partition = 0;
   pc.uid = dbscan::PartialCluster::make_uid(0, 0);
-  BinaryWriter w;
-  serialize(pc, w);
-  BinaryReader r(w.buffer());
-  expect_equal(dbscan::deserialize_partial_cluster(r), pc);
+  expect_equal(round_trip(pc), pc);
 }
 
 TEST(PartialClusterSerialize, MaxUidRoundTrips) {
@@ -145,10 +168,7 @@ TEST(PartialClusterSerialize, MaxUidRoundTrips) {
   pc.partition = static_cast<PartitionId>(0x7fffffff);
   pc.uid = dbscan::PartialCluster::make_uid(pc.partition, 0xffffffffu);
   pc.members = {1};
-  BinaryWriter w;
-  serialize(pc, w);
-  BinaryReader r(w.buffer());
-  const dbscan::PartialCluster back = dbscan::deserialize_partial_cluster(r);
+  const dbscan::PartialCluster back = round_trip(pc);
   expect_equal(back, pc);
   EXPECT_EQ(back.uid >> 32, 0x7fffffffu);
   EXPECT_EQ(back.uid & 0xffffffffu, 0xffffffffu);

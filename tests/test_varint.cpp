@@ -54,6 +54,16 @@ TEST(Varint, TruncatedAborts) {
   buf.pop_back();
   size_t pos = 0;
   EXPECT_DEATH(get_varint(buf.data(), buf.size(), pos), "truncated");
+
+  // An id-list count of 2^62 with two bytes behind it: every id takes at
+  // least one byte, so the count is truncated input, caught before it sizes
+  // the list.
+  std::vector<char> list;
+  put_varint(list, u64{1} << 62);
+  put_varint(list, 0);
+  put_varint(list, 0);
+  size_t list_pos = 0;
+  EXPECT_DEATH(get_id_list(list.data(), list.size(), list_pos), "truncated");
 }
 
 TEST(Zigzag, SmallMagnitudesSmallCodes) {
