@@ -7,7 +7,7 @@
 //   ./sdbscan_cli data.txt --eps 0.5 --minpts 5 --partitions 8
 //   ./sdbscan_cli data.txt --estimate_eps            # 4-dist heuristic
 //   ./sdbscan_cli data.txt --engine seq|spark|mr
-//   ./sdbscan_cli data.txt --host-threads 1          # spark tasks on 1 core
+//   ./sdbscan_cli data.txt --host-threads 1          # parse + spark tasks on 1 core
 //   ./sdbscan_cli --demo                             # no file needed
 //   ./sdbscan_cli --preset e10k64 --backend knn      # d=64 KNN-DBSCAN demo
 //   ./sdbscan_cli data.txt --serve                   # then query via stdin
@@ -59,6 +59,7 @@
 #include "synth/presets.hpp"
 #include "util/flags.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace sdb;
 
@@ -74,6 +75,23 @@ double estimate_eps(const PointSet& points, size_t k) {
   }
   std::sort(kdist.begin(), kdist.end());
   return kdist[kdist.size() * 9 / 10];
+}
+
+/// The whole file at `path`, read once into one string (sized up front
+/// when the file has a size; a pipe's grows), or nullopt when it cannot be
+/// opened.
+std::optional<std::string> read_text_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) return std::nullopt;
+  std::string text;
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  if (!ec) text.reserve(size);
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    text.append(chunk, static_cast<size_t>(in.gcount()));
+  }
+  return text;
 }
 
 /// --serve loop: build a live registry from the clustered points, answer
@@ -455,8 +473,9 @@ int main(int argc, char** argv) {
   flags.add_i64("partitions", 8, "partitions/executors (spark/mr engines)");
   flags.add_string("engine", "spark", "seq | spark | mr");
   flags.add_i64("host-threads", 0,
-                "spark engine: host threads that run the executor tasks "
-                "(0 = every core, at most 16); labels do not depend on it");
+                "host threads that parse the points file and run the spark "
+                "engine's executor tasks (0 = every core, at most 16); "
+                "labels do not depend on it");
   flags.add_string("backend", "exact",
                    "neighborhood backend (seq/spark engines): exact | knn "
                    "(approximate kNN graph; the high-dimensional mode)");
@@ -496,6 +515,11 @@ int main(int argc, char** argv) {
   flags.add_i64("stream-writers", 2, "with --stream: producer threads");
   flags.add_f64("stream-seconds", 3.0, "with --stream: firehose duration");
   flags.parse(argc, argv);
+  if (flags.i64_flag("host-threads") < 0) {
+    std::fprintf(stderr, "--host-threads must be >= 0\n");
+    return 2;
+  }
+  const auto host_threads = static_cast<u32>(flags.i64_flag("host-threads"));
 
   // --- load points ---
   const Stopwatch load_wall;
@@ -520,14 +544,12 @@ int main(int argc, char** argv) {
       return 2;
     }
     const std::string& path = flags.positional().front();
-    std::ifstream in(path);
-    if (!in.good()) {
+    const std::optional<std::string> text = read_text_file(path);
+    if (!text) {
       std::fprintf(stderr, "cannot open %s\n", path.c_str());
       return 2;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    points = synth::from_text(buffer.str());
+    points = synth::from_text(*text, resolve_threads(host_threads));
     load_phase = "read+parse";
   }
   const double load_s = load_wall.seconds();
@@ -552,10 +574,6 @@ int main(int argc, char** argv) {
   }
   knn::KnnGraphConfig knn_cfg;
   knn_cfg.k = static_cast<u32>(flags.i64_flag("knn-k"));
-  if (flags.i64_flag("host-threads") < 0) {
-    std::fprintf(stderr, "--host-threads must be >= 0\n");
-    return 2;
-  }
 
   // --- cluster with the chosen engine ---
   dbscan::Clustering clustering;
@@ -571,7 +589,7 @@ int main(int argc, char** argv) {
   } else if (engine == "spark") {
     minispark::ClusterConfig cluster;
     cluster.executors = partitions;
-    cluster.host_threads = static_cast<u32>(flags.i64_flag("host-threads"));
+    cluster.host_threads = host_threads;
     minispark::SparkContext ctx(cluster);
     dbscan::SparkDbscanConfig cfg;
     cfg.params = params;

@@ -72,14 +72,16 @@ SparkDbscanReport SparkDbscan::run_from_dfs(const dfs::MiniDfs& dfs,
                                             const std::string& path) {
   // Lines 1-2 of Algorithm 2: textFile -> parse into Point RDDs, collected
   // into the driver's PointSet (the driver also needs the full set to build
-  // the kd-tree it broadcasts).
+  // the kd-tree it broadcasts). Both steps run on the host threads, as
+  // Spark runs one task per block: the blocks are read into one string, and
+  // the parse writes straight into the set's one row buffer.
   const Stopwatch read_wall;
   WorkCounters read_wc;
   PointSet points;
   {
     ScopedCounters scope(&read_wc);
-    const std::string text = dfs.read(path);
-    points = synth::from_text(text);
+    const std::string text = dfs.read(path, ctx_.host_threads());
+    points = synth::from_text(text, ctx_.host_threads());
     counters::points_processed(points.size());
   }
   return run_impl(points, ctx_.config().cost.compute_seconds(read_wc),

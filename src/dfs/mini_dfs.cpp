@@ -8,6 +8,7 @@
 #include "fault/injection.hpp"
 #include "util/counters.hpp"
 #include "util/serialize.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sdb::dfs {
 
@@ -68,7 +69,8 @@ void MiniDfs::check_replicas(const BlockInfo& block) const {
     const bool injected_dead = first && SDB_INJECT("dfs.read.replica");
     if (!dead_[replica] && !injected_dead) {
       if (!first) {
-        ++failovers_;  // the primary was dead; a later replica served
+        // The primary was dead; a later replica served.
+        failovers_.fetch_add(1);
         counters::dfs_failovers(1);
       }
       return;
@@ -84,32 +86,31 @@ std::string MiniDfs::block_path(u64 block_id) const {
       .string();
 }
 
-std::vector<char> MiniDfs::read_block_data(const BlockInfo& block) const {
+void MiniDfs::read_block_into(const BlockInfo& block, char* dst) const {
+  check_replicas(block);
   RetryStats stats;
-  auto data = retry_call(
+  const size_t size = retry_call(
       io_retry_, block.id,
-      [&]() -> std::vector<char> {
+      [&] {
         if (SDB_INJECT("dfs.read.fail")) {
           throw DfsTransientError("injected read failure, block " +
                                   std::to_string(block.id));
         }
-        if (SDB_INJECT("dfs.read.slow")) ++slow_reads_;
-        return read_file(block_path(block.id));
+        if (SDB_INJECT("dfs.read.slow")) slow_reads_.fetch_add(1);
+        return read_file_into(block_path(block.id), dst, block.size);
       },
       &stats);
-  io_retries_ += stats.retries;
-  io_backoff_s_ += stats.backoff_s;
+  io_retries_.fetch_add(stats.retries);
+  io_backoff_s_.fetch_add(stats.backoff_s);
   // fsync-order enforcement: a block whose bytes do not match its manifest
   // entry (torn write, external truncation) must never be read back as a
   // short-but-valid file. Retrying cannot heal physical corruption, so the
   // mismatch escapes immediately.
-  if (data.size() != block.size ||
-      fnv1a(data.data(), data.size()) != block.checksum) {
+  if (size != block.size || fnv1a(dst, size) != block.checksum) {
     throw DfsTransientError("torn/corrupt block " + std::to_string(block.id) +
-                            ": " + std::to_string(data.size()) + " bytes vs " +
+                            ": " + std::to_string(size) + " bytes vs " +
                             std::to_string(block.size) + " in manifest");
   }
-  return data;
 }
 
 void MiniDfs::write_block_data(const BlockInfo& block,
@@ -144,8 +145,8 @@ void MiniDfs::write_block_data(const BlockInfo& block,
       },
       &stats);
   fs::rename(tmp, final_path);
-  io_retries_ += stats.retries;
-  io_backoff_s_ += stats.backoff_s;
+  io_retries_.fetch_add(stats.retries);
+  io_backoff_s_.fetch_add(stats.backoff_s);
 }
 
 const FileInfo& MiniDfs::write(const std::string& path,
@@ -207,15 +208,16 @@ const FileInfo& MiniDfs::stat(const std::string& path) const {
   return it->second;
 }
 
-std::string MiniDfs::read(const std::string& path) const {
+std::string MiniDfs::read(const std::string& path, unsigned threads) const {
   const FileInfo& info = stat(path);
-  std::string out;
-  out.reserve(info.size);
-  for (const BlockInfo& block : info.blocks) {
-    check_replicas(block);
-    const std::vector<char> data = read_block_data(block);
-    out.append(data.data(), data.size());
+  std::vector<size_t> offset(info.blocks.size() + 1, 0);
+  for (size_t b = 0; b < info.blocks.size(); ++b) {
+    offset[b + 1] = offset[b] + info.blocks[b].size;
   }
+  std::string out(offset.back(), '\0');
+  parallel_for(info.blocks.size(), threads, [&](size_t b) {
+    read_block_into(info.blocks[b], out.data() + offset[b]);
+  });
   return out;
 }
 
@@ -223,9 +225,9 @@ std::string MiniDfs::read_block(const std::string& path,
                                 size_t block_index) const {
   const FileInfo& info = stat(path);
   SDB_CHECK(block_index < info.blocks.size(), "block index out of range");
-  check_replicas(info.blocks[block_index]);
-  const std::vector<char> data = read_block_data(info.blocks[block_index]);
-  return std::string(data.data(), data.size());
+  std::string out(info.blocks[block_index].size, '\0');
+  read_block_into(info.blocks[block_index], out.data());
+  return out;
 }
 
 std::string MiniDfs::read_text_split(const std::string& path,

@@ -36,6 +36,7 @@
 // never be read back as a short-but-valid file.
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -95,8 +96,13 @@ class MiniDfs {
   /// Metadata for a file. Aborts if missing.
   [[nodiscard]] const FileInfo& stat(const std::string& path) const;
 
-  /// Read the whole file back.
-  [[nodiscard]] std::string read(const std::string& path) const;
+  /// Read the whole file back. Each block is read once, straight into its
+  /// slice of one exact-size string, on up to `threads` threads; at one
+  /// thread the blocks are read inline in block order. A block read that
+  /// fails escapes only after every other block read has finished, the
+  /// lowest block's error first.
+  [[nodiscard]] std::string read(const std::string& path,
+                                 unsigned threads = 1) const;
 
   /// Read one raw block.
   [[nodiscard]] std::string read_block(const std::string& path,
@@ -119,18 +125,18 @@ class MiniDfs {
   void recover_datanode(u32 node);
   [[nodiscard]] bool datanode_alive(u32 node) const;
   /// Number of reads that had to skip a dead primary replica.
-  [[nodiscard]] u64 failovers() const { return failovers_; }
+  [[nodiscard]] u64 failovers() const { return failovers_.load(); }
 
   /// --- transient-fault recovery (fault-injection observability) ---
   /// Retry policy applied to every block read/write.
   void set_io_retry(RetryPolicy policy) { io_retry_ = policy; }
   [[nodiscard]] const RetryPolicy& io_retry() const { return io_retry_; }
   /// Block operations that were retried after a transient failure.
-  [[nodiscard]] u64 io_retries() const { return io_retries_; }
+  [[nodiscard]] u64 io_retries() const { return io_retries_.load(); }
   /// Total backoff scheduled across all retries (simulated seconds).
-  [[nodiscard]] double io_backoff_s() const { return io_backoff_s_; }
+  [[nodiscard]] double io_backoff_s() const { return io_backoff_s_.load(); }
   /// Reads delayed by an injected slow-read fault.
-  [[nodiscard]] u64 slow_reads() const { return slow_reads_; }
+  [[nodiscard]] u64 slow_reads() const { return slow_reads_.load(); }
   /// Writes that tore mid-block and were rewritten by a retry.
   [[nodiscard]] u64 torn_writes() const { return torn_writes_; }
 
@@ -166,9 +172,12 @@ class MiniDfs {
   /// Enforce replica availability for a block read (counts failovers,
   /// aborts when every replica's datanode is dead).
   void check_replicas(const BlockInfo& block) const;
-  /// Physically read one block under the retry policy (injection sites
-  /// dfs.read.fail / dfs.read.slow).
-  [[nodiscard]] std::vector<char> read_block_data(const BlockInfo& block) const;
+  /// The one checked block read behind read, read_block and
+  /// read_text_split: the replica check, the physical read under the retry
+  /// policy (injection sites dfs.read.fail / dfs.read.slow) straight into
+  /// dst[0, block.size), then the size and checksum check against the
+  /// catalog entry. Charges bytes_read once. Safe to call concurrently.
+  void read_block_into(const BlockInfo& block, char* dst) const;
   /// Physically write one block under the retry policy (injection site
   /// dfs.write.torn writes a real partial file before failing the attempt).
   void write_block_data(const BlockInfo& block, const std::vector<char>& data);
@@ -185,11 +194,13 @@ class MiniDfs {
   u64 orphans_collected_ = 0;
   std::map<std::string, FileInfo> catalog_;
   std::vector<bool> dead_;            ///< per-datanode failure flags
-  mutable u64 failovers_ = 0;
   RetryPolicy io_retry_;
-  mutable u64 io_retries_ = 0;
-  mutable double io_backoff_s_ = 0.0;
-  mutable u64 slow_reads_ = 0;
+  // Read-side tallies: atomic, because concurrent block reads of one
+  // `const` MiniDfs all update them.
+  mutable std::atomic<u64> failovers_{0};
+  mutable std::atomic<u64> io_retries_{0};
+  mutable std::atomic<double> io_backoff_s_{0.0};
+  mutable std::atomic<u64> slow_reads_{0};
   u64 torn_writes_ = 0;
 };
 

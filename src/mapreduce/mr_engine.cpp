@@ -37,6 +37,10 @@ std::vector<KV> read_kv_run(const std::string& path) {
   const std::vector<char> data = read_file(path);
   BinaryReader r(data);
   const u64 n = r.read_u64();
+  // Each pair carries two u64 length prefixes: a count the file's bytes
+  // cannot hold is corrupt, and must not size the reservation below.
+  SDB_CHECK(n <= r.remaining() / (2 * sizeof(u64)),
+            "corrupt spill file: pair count exceeds its bytes");
   std::vector<KV> run;
   run.reserve(n);
   for (u64 i = 0; i < n; ++i) {

@@ -195,15 +195,9 @@ class SparkContext {
     // Every task must finish before this frame unwinds: the tasks write into
     // `results`, `job` and `metrics_mutex` and call `fn`. So wait for all of
     // them, then rethrow the first task exception in partition order.
-    std::exception_ptr first_error;
-    for (auto& f : futures) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
+    if (const std::exception_ptr error = wait_all(futures)) {
+      std::rethrow_exception(error);
     }
-    if (first_error) std::rethrow_exception(first_error);
 
     job.wall_s = job_wall.seconds();
     std::vector<double> durations;

@@ -60,9 +60,12 @@ bool decode_batch(const std::vector<char>& frame, WalBatch* batch) {
   batch->start_seq = r.read_u64();
   batch->committed_epoch = r.read_u64();
   const u32 count = r.read_u32();
+  size_t off = r.position();
+  // Each record carries a u32 length prefix: a count the payload cannot
+  // hold is rejected before it sizes the reservation.
+  if (count > (len - off) / sizeof(u32)) return false;
   batch->records.clear();
   batch->records.reserve(count);
-  size_t off = r.position();
   for (u32 i = 0; i < count; ++i) {
     if (len - off < sizeof(u32)) return false;
     u32 rec_len = 0;

@@ -15,8 +15,12 @@ namespace sdb::synth {
 std::string to_text(const PointSet& points);
 
 /// Parse the text format. Aborts on malformed input or inconsistent
-/// dimensionality. Empty lines are skipped.
-PointSet from_text(const std::string& text);
+/// dimensionality. Blank lines are skipped. The text is split into a few
+/// byte ranges per thread, each owning the records whose first byte it holds
+/// (TextInputFormat's rule); the ranges are parsed on up to `threads`
+/// threads straight into one exact-size row buffer. The result does not
+/// depend on `threads`.
+PointSet from_text(const std::string& text, unsigned threads = 1);
 
 /// Binary round trip (dim + count + raw doubles).
 void save_binary(const PointSet& points, const std::string& path);

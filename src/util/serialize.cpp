@@ -43,4 +43,21 @@ std::vector<char> read_file(const std::string& path) {
   return data;
 }
 
+size_t read_file_into(const std::string& path, char* dst, size_t size) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  SDB_CHECK(f != nullptr, "cannot open for read: " + path);
+  std::setvbuf(f, nullptr, _IONBF, 0);  // one fread straight into dst
+  std::fseek(f, 0, SEEK_END);
+  const long actual = std::ftell(f);
+  SDB_CHECK(actual >= 0, "ftell failed: " + path);
+  if (static_cast<size_t>(actual) == size && size > 0) {
+    std::fseek(f, 0, SEEK_SET);
+    const size_t n = std::fread(dst, 1, size, f);
+    SDB_CHECK(n == size, "short read: " + path);
+    counters::bytes_read(size);
+  }
+  std::fclose(f);
+  return static_cast<size_t>(actual);
+}
+
 }  // namespace sdb

@@ -127,4 +127,9 @@ class BinaryReader {
 void write_file(const std::string& path, const std::vector<char>& data);
 std::vector<char> read_file(const std::string& path);
 
+/// Read the file at `path` into dst[0, size) when it holds exactly `size`
+/// bytes, and return its size either way: a file of any other size reads
+/// nothing, so the caller sees the mismatch. Aborts on IO failure.
+size_t read_file_into(const std::string& path, char* dst, size_t size);
+
 }  // namespace sdb

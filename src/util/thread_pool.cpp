@@ -47,6 +47,18 @@ void ThreadPool::wait_idle() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
+std::exception_ptr wait_all(std::vector<std::future<void>>& futures) {
+  std::exception_ptr first_error;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  return first_error;
+}
+
 void ThreadPool::worker_loop() {
   for (;;) {
     std::packaged_task<void()> task;

@@ -1,8 +1,11 @@
-// Fixed-size thread pool used by the minispark executor backend.
+// Fixed-size thread pool used by the minispark executor backend, and
+// parallel_for, the driver's one-task-per-index helper on top of it.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -10,6 +13,7 @@
 #include <vector>
 
 #include "util/common.hpp"
+#include "util/counters.hpp"
 
 namespace sdb {
 
@@ -55,5 +59,40 @@ class ThreadPool {
   u64 active_ = 0;
   bool stop_ = false;
 };
+
+/// Wait for every future, then return the exception of the first one (in
+/// vector order) that failed, or null. Tasks that use their submitter's
+/// frame must all finish before it unwinds, whichever of them threw.
+std::exception_ptr wait_all(std::vector<std::future<void>>& futures);
+
+/// Run fn(i) for every i in [0, n), one task per index, on at most
+/// `threads` threads. At one thread the calls run inline in index order, and
+/// an exception leaves from the call that threw it. Otherwise a fresh pool
+/// runs the tasks; every task finishes before the exception of the lowest
+/// failing index is rethrown (SparkContext::run_job's rule), and the work
+/// counters each task charged reach the caller's scope in index order.
+///
+/// Tasks should not allocate anything large: a pool thread that allocates
+/// gets a malloc arena of its own, and the arena keeps its pages.
+template <typename Fn>
+void parallel_for(size_t n, unsigned threads, Fn&& fn) {
+  if (threads <= 1 || n <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  std::vector<WorkCounters> charged(n);
+  ThreadPool pool(static_cast<unsigned>(std::min<size_t>(threads, n)));
+  std::vector<std::future<void>> done;
+  done.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    done.push_back(pool.submit([&fn, &charged, i] {
+      const ScopedCounters scope(&charged[i]);
+      fn(i);
+    }));
+  }
+  const std::exception_ptr error = wait_all(done);
+  for (const WorkCounters& wc : charged) counters::add(wc);
+  if (error) std::rethrow_exception(error);
+}
 
 }  // namespace sdb

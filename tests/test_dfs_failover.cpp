@@ -148,6 +148,35 @@ TEST_F(DfsFailoverTest, TornWriteIsRewrittenByRetry) {
   EXPECT_EQ(dfs.read("/f"), content);
 }
 
+TEST_F(DfsFailoverTest, ConcurrentReadRecoversInjectedFaults) {
+  MiniDfs dfs(root_, 8, 4, 3);
+  std::string content;
+  for (int i = 0; i < 400; ++i) {
+    content.push_back(static_cast<char>('a' + i % 26));
+  }
+  dfs.write("/f", content);  // 50 blocks, all datanodes healthy
+  // More attempts than the plan has read failures: no block can exhaust
+  // its retries, whichever blocks the failures land on.
+  RetryPolicy patient;
+  patient.max_attempts = 13;
+  dfs.set_io_retry(patient);
+  fault::ScopedFaultPlan chaos(
+      "seed=35;dfs.read.fail:p=0.3,budget=12;dfs.read.replica:p=0.3,budget=9");
+  WorkCounters wc;
+  {
+    ScopedCounters scope(&wc);
+    EXPECT_EQ(dfs.read("/f", 4), content);
+  }
+  // Every failed attempt was retried once, and every injected dead primary
+  // failed over once, whatever thread read the block.
+  EXPECT_GT(chaos.plan().fires("dfs.read.fail"), 0u);
+  EXPECT_EQ(dfs.io_retries(), chaos.plan().fires("dfs.read.fail"));
+  EXPECT_GT(chaos.plan().fires("dfs.read.replica"), 0u);
+  EXPECT_EQ(dfs.failovers(), chaos.plan().fires("dfs.read.replica"));
+  EXPECT_EQ(wc.dfs_failovers, dfs.failovers());
+  EXPECT_EQ(wc.bytes_read, content.size());
+}
+
 TEST_F(DfsFailoverTest, InjectedReplicaFaultUsesTheFailoverPath) {
   MiniDfs dfs(root_, 8, 4, 3);
   const std::string content(16, 'q');

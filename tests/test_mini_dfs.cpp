@@ -136,6 +136,63 @@ TEST_F(MiniDfsTest, ReadCountsBytes) {
   EXPECT_EQ(wc.bytes_read, 30u);
 }
 
+TEST_F(MiniDfsTest, ConcurrentReadMatchesOneThread) {
+  // Text with records of every length, so blocks split records anywhere.
+  std::string content;
+  for (int i = 0; content.size() < 6000; ++i) {
+    content += std::string(static_cast<size_t>(i % 23), 'a' + i % 26) + "\n";
+  }
+  for (const u64 block_size : {1u, 7u, 4096u}) {
+    MiniDfs dfs(root_ + "/bs" + std::to_string(block_size), block_size);
+    dfs.write("/f", content);
+    const std::string one = dfs.read("/f", 1);
+    ASSERT_EQ(one, content);
+    for (const unsigned threads : {1u, 2u, 4u, 16u}) {
+      WorkCounters wc;
+      std::string got;
+      {
+        ScopedCounters scope(&wc);
+        got = dfs.read("/f", threads);
+      }
+      EXPECT_EQ(got, one) << "block size " << block_size << ", " << threads
+                          << " threads";
+      EXPECT_EQ(wc.bytes_read, content.size());
+    }
+  }
+}
+
+TEST_F(MiniDfsTest, ConcurrentReadThrowsCorruptBlockAfterEveryRead) {
+  MiniDfs dfs(root_, 8, 4, 1);
+  const std::string content(8 * 40, 'c');
+  const FileInfo& info = dfs.write("/f", content);
+  // Same size, one flipped byte, in two blocks: only the checksum catches
+  // them.
+  for (const size_t b : {5u, 30u}) {
+    std::fstream f(fs::path(root_) / "blocks" /
+                       ("blk_" + std::to_string(info.blocks[b].id)),
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(1);
+    f.put('C');
+  }
+  WorkCounters wc;
+  std::string error;
+  {
+    ScopedCounters scope(&wc);
+    try {
+      (void)dfs.read("/f", 4);
+    } catch (const DfsTransientError& e) {
+      error = e.what();
+    }
+  }
+  // The lower corrupt block's error escapes, and only once every block
+  // read had finished: each one charged its bytes.
+  EXPECT_NE(error.find("corrupt block " + std::to_string(info.blocks[5].id) +
+                       ":"),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(wc.bytes_read, content.size());
+}
+
 // --- durable mode (atomic publish + manifest recovery) ---------------------
 
 TEST_F(MiniDfsTest, DurableCatalogSurvivesReopen) {

@@ -8,6 +8,8 @@
 #include <mutex>
 #include <sstream>
 
+#include "util/serialize.hpp"
+
 namespace sdb::mapreduce {
 namespace {
 
@@ -51,6 +53,29 @@ TEST_F(MREngineTest, WordCount) {
   EXPECT_EQ(out[1].value, "3");
   EXPECT_EQ(out[2].key, "c");
   EXPECT_EQ(out[2].value, "1");
+}
+
+TEST_F(MREngineTest, HugeSpillPairCountDiesOnTheCheck) {
+  // Map tasks run in order, so the second task's mapper finds the first
+  // task's spills on disk. It overwrites them with a bare pair count of
+  // 2^60: the reducer must reject the count against the file's bytes, not
+  // try to reserve room for it.
+  MRJob job(
+      config_, "hugecount",
+      [this](u32 m, const std::string&, const MRJob::Emit& emit) {
+        if (m == 1) {
+          for (const auto& e : fs::directory_iterator(config_.work_dir)) {
+            if (e.path().extension() != ".spill") continue;
+            BinaryWriter w;
+            w.write_u64(u64{1} << 60);
+            write_file(e.path().string(), w.buffer());
+          }
+        }
+        emit("k", "v");
+      },
+      [](const std::string& key, std::vector<std::string>&,
+         const MRJob::Emit& emit) { emit(key, "1"); });
+  EXPECT_DEATH((void)job.run({"a", "b"}), "corrupt spill");
 }
 
 TEST_F(MREngineTest, AllValuesForKeyGroupedOnce) {

@@ -18,6 +18,7 @@
 #include "replica/sharded_cluster.hpp"
 #include "replica/wal_ship.hpp"
 #include "serve/model_registry.hpp"
+#include "util/serialize.hpp"
 
 namespace sdb::replica {
 namespace {
@@ -109,6 +110,27 @@ TEST(WalShip, EveryFlippedByteIsRejected) {
   std::vector<char> truncated(frame.begin(), frame.end() - 1);
   WalBatch decoded;
   EXPECT_FALSE(decode_batch(truncated, &decoded));
+}
+
+TEST(WalShip, RecordCountBeyondTheFrameIsRejected) {
+  // A frame whose checksum is valid but whose record count exceeds what
+  // its bytes could hold, at 4 bytes of length prefix per record: decode
+  // rejects it instead of reserving room for 2^32 - 1 records.
+  BinaryWriter payload;
+  for (int field = 0; field < 4; ++field) payload.write_u64(1);  // header
+  payload.write_u32(0xffffffffu);
+  payload.write_u32(0);
+  u64 sum = 1469598103934665603ull;  // FNV-1a, the frame checksum
+  for (const char c : payload.buffer()) {
+    sum ^= static_cast<unsigned char>(c);
+    sum *= 1099511628211ull;
+  }
+  BinaryWriter frame;
+  frame.write_u32(static_cast<u32>(payload.size()));
+  frame.write_bytes(payload.buffer().data(), payload.size());
+  frame.write_u64(sum);
+  WalBatch decoded;
+  EXPECT_FALSE(decode_batch(frame.buffer(), &decoded));
 }
 
 TEST(Replication, FollowersConvergeToPrimaryContent) {

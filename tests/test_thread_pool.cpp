@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "util/counters.hpp"
 
 namespace sdb {
 namespace {
@@ -66,6 +71,45 @@ TEST(ThreadPool, DestructorJoinsCleanly) {
     pool.wait_idle();
   }  // destructor must join without deadlock
   EXPECT_EQ(count.load(), 50);
+}
+
+TEST(ParallelFor, OneThreadRunsInlineInIndexOrder) {
+  std::vector<size_t> order;
+  parallel_for(5, 1, [&order](size_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+  // An exception leaves from the call that threw it: no later index runs.
+  order.clear();
+  EXPECT_THROW(parallel_for(5, 1,
+                            [&order](size_t i) {
+                              order.push_back(i);
+                              if (i == 2) throw std::runtime_error("boom");
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2}));
+}
+
+TEST(ParallelFor, EveryTaskFinishesBeforeTheLowestIndexErrorEscapes) {
+  constexpr size_t kTasks = 64;
+  std::vector<int> ran(kTasks, 0);
+  WorkCounters wc;
+  std::string error;
+  {
+    ScopedCounters scope(&wc);
+    try {
+      parallel_for(kTasks, 4, [&ran](size_t i) {
+        counters::bytes_read(i);
+        ran[i] = 1;
+        if (i == 9 || i == 40) throw std::runtime_error(std::to_string(i));
+      });
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+    }
+  }
+  EXPECT_EQ(error, "9");
+  EXPECT_EQ(static_cast<size_t>(std::count(ran.begin(), ran.end(), 1)),
+            kTasks);
+  // Every task's counter charge reached the caller's scope, failed or not.
+  EXPECT_EQ(wc.bytes_read, kTasks * (kTasks - 1) / 2);
 }
 
 }  // namespace
