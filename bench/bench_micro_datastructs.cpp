@@ -5,7 +5,9 @@
 // with O(1) add/remove (the paper picks LinkedList over ArrayList/Vector).
 // These benches compare the C++ candidates on the kernel's exact access
 // pattern: interleaved insert/lookup for the table; push-back/pop-front at
-// BFS scale for the queue.
+// BFS scale for the queue. The executor sweep (core/partition_bfs.hpp) runs
+// the StateWord table and the VectorCursor queue; the others are the
+// alternatives it was measured against.
 #include <benchmark/benchmark.h>
 
 #include <deque>
@@ -80,6 +82,26 @@ void BM_VisitedSet_BoolArray(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_VisitedSet_BoolArray)->Arg(10000)->Arg(100000);
+
+void BM_VisitedSet_StateWord(benchmark::State& state) {
+  // What the executor sweep runs: one u32 per id, filled when the task
+  // starts; the top 2 bits hold the point's kind, the low 30 a cluster tag.
+  constexpr u32 kKind = 3u << 30;
+  constexpr u32 kVisited = 1u << 30;
+  const auto keys = workload_keys(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    std::vector<u32> words(kKeyRange, 0);
+    u64 hits = 0;
+    for (const i64 k : keys) {
+      u32& w = words[static_cast<size_t>(k)];
+      if ((w & kKind) != 0) ++hits;
+      else w |= kVisited;
+    }
+    benchmark::DoNotOptimize(hits);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_VisitedSet_StateWord)->Arg(10000)->Arg(100000);
 
 // --- frontier queue candidates (paper: LinkedList wins in Java) ---
 
@@ -166,6 +188,26 @@ void BM_Frontier_VectorStack(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_Frontier_VectorStack)->Arg(100000);
+
+void BM_Frontier_VectorCursor(benchmark::State& state) {
+  // What the executor sweep runs: FIFO order from a vector and a read
+  // cursor, cleared per cluster instead of popped.
+  frontier_bench(state, [](const std::vector<u32>& bursts) {
+    std::vector<i64> q;
+    size_t head = 0;
+    i64 sum = 0;
+    for (const u32 b : bursts) {
+      for (u32 i = 0; i < b; ++i) q.push_back(static_cast<i64>(i));
+      while (head < q.size()) {
+        sum += q[head++];
+        if (q.size() - head < 8) break;
+      }
+    }
+    while (head < q.size()) sum += q[head++];
+    return sum;
+  });
+}
+BENCHMARK(BM_Frontier_VectorCursor)->Arg(100000);
 
 }  // namespace
 }  // namespace sdb

@@ -603,15 +603,27 @@ int main(int argc, char** argv) {
     dbscan::SparkDbscan dbscan(ctx, cfg);
     const auto report = dbscan.run(points);
     if (!flags.boolean("quiet")) {
+      double task_max = 0.0;
+      double task_sum = 0.0;
+      for (const double t : report.wall_task_s) {
+        task_max = std::max(task_max, t);
+        task_sum += t;
+      }
+      const double task_mean =
+          report.wall_task_s.empty()
+              ? 0.0
+              : task_sum / static_cast<double>(report.wall_task_s.size());
       std::fprintf(stderr,
                    "sdbscan: spark, host threads %u: wall %.3f s = %s %.3f "
                    "+ index %.3f + executors %.3f + decode+merge %.3f "
-                   "+ other %.3f\n",
+                   "+ other %.3f; tasks max %.3f mean %.3f max/mean %.2f\n",
                    ctx.host_threads(), load_s + report.wall_s, load_phase,
                    load_s, report.wall_index_s, report.wall_executor_s,
                    report.wall_merge_s,
                    report.wall_s - report.wall_index_s -
-                       report.wall_executor_s - report.wall_merge_s);
+                       report.wall_executor_s - report.wall_merge_s,
+                   task_max, task_mean,
+                   task_mean > 0.0 ? task_max / task_mean : 0.0);
     }
     if (!cfg.checkpoint_dir.empty() && !flags.boolean("quiet")) {
       std::fprintf(stderr,

@@ -9,10 +9,13 @@
 //
 // The sweep itself is core/partition_bfs.hpp, shared with the KNN backend's
 // kernel (knn::local_knn_dbscan); local_dbscan supplies it the exact
-// neighborhood source, a range query over the broadcast index. Data
-// structures follow the paper's Section III.B choices: a hash table for the
-// visited/processed check (put/containsKey are the counted hash_ops) and a
-// queue for the frontier (add/remove are the counted queue_ops).
+// neighborhood source, a range query over the broadcast index. The paper's
+// Section III.B structures are priced, not run: the sweep keeps one state
+// word per point id where the paper keeps a Hashtable for the
+// visited/processed check, and a vector frontier where it keeps a
+// LinkedList queue, and charges each put/containsKey the Hashtable would
+// make as a hash_op and each add/remove as a queue_op. A running task holds
+// 4 bytes per point of the whole dataset.
 #pragma once
 
 #include "core/dbscan.hpp"

@@ -9,22 +9,27 @@
 //     spatial index; q is core iff |out| >= minpts;
 //   * kNN (knn::local_knn_dbscan): the broadcast eps-graph's global core
 //     mask; `out` is q's CSR row filtered by the expansion rule.
-// Everything else — the Hashtable, the Queue, frontier dedup, SEED
-// placement, the noise -> border cleanup and the counter tally — is the
-// same for both, so both backends produce the same LocalClusterResult wire
-// shape and charge the same hash/queue/seed work.
+// Everything else — the per-point state that stands in for the paper's
+// Hashtable, the Queue, frontier dedup, SEED placement, the noise -> border
+// cleanup and the counter tally — is the same for both, so both backends
+// produce the same LocalClusterResult wire shape and charge the same
+// hash/queue/seed work.
+//
+// The state is one 32-bit word per global point id, filled from the
+// partition map when the task starts, so each neighbor costs one
+// random access. The simulated clock still prices the paper's structures:
+// every state read or write the Hashtable would make is a counted hash_op,
+// every frontier push and pop a queue_op.
 //
 // Included only by the two kernels' .cpp files: each instantiates the sweep
 // with its source inlined into the hot loop.
 #pragma once
 
 #include <algorithm>
-#include <deque>
 #include <vector>
 
 #include "core/local_dbscan.hpp"
 #include "util/counters.hpp"
-#include "util/flat_hash.hpp"
 
 namespace sdb::dbscan {
 
@@ -42,20 +47,29 @@ LocalClusterResult partition_bfs(const Partitioning& partitioning,
   LocalClusterResult result;
   result.partition = partition;
 
-  // The paper's Hashtable (Algorithm 2 lines 5, 11, 13): one entry per
-  // visited local point, holding the uid of the partial cluster that claimed
-  // it, or kUnclaimed while none has (claimed implies visited, so one table
-  // serves both). Only local points enter it, so sized for the partition it
-  // never rehashes. Each host thread running a task holds one.
-  constexpr ClusterId kUnclaimed = -1;
-  FlatIdMap<ClusterId> table(my_points.size() + 16);
-  auto claimed = [&table](PointId r) {
-    const ClusterId* uid = table.find(r);
-    return uid != nullptr && *uid != kUnclaimed;
+  // The state word: the top 2 bits are the point's kind, the low 30 its
+  // payload. A claimed point's payload is the local index of the partial
+  // cluster that claimed it (Algorithm 2 lines 20-22). Any other point's is
+  // 1 + the index of the last cluster that enqueued it, or 0 if none has,
+  // so "payload == this cluster's tag" is the frontier dedup test. A local
+  // point's kind only moves forward: unvisited, visited, claimed.
+  constexpr u32 kUnvisited = 0u << 30;  // local, not yet visited (line 5)
+  constexpr u32 kVisited = 1u << 30;    // local, visited, not yet claimed
+  constexpr u32 kClaimed = 2u << 30;    // local, in a partial cluster
+  constexpr u32 kForeign = 3u << 30;    // owned by another partition
+  constexpr u32 kKind = 3u << 30;
+  constexpr u32 kPayload = ~kKind;
+  // 4 bytes per global point: each host thread running a task holds one.
+  std::vector<u32> state(owner.size(), kForeign);
+  auto at = [&state](PointId r) -> u32& {
+    return state[static_cast<size_t>(r)];
   };
+  for (const PointId p : my_points) at(p) = kUnvisited;
 
   std::vector<PointId> neighbors;
-  std::deque<PointId> frontier;  // the paper's Queue (LinkedList)
+  // The paper's Queue (LinkedList): pops advance a read cursor; each
+  // cluster starts it empty, and dedup bounds it by the points it reaches.
+  std::vector<PointId> frontier;
   u64 frontier_peak = 0;
 
   // Per-call counter batch: the expansion sweep increments hash/queue/seed
@@ -74,8 +88,8 @@ LocalClusterResult partition_bfs(const Partitioning& partitioning,
 
   for (const PointId p : my_points) {
     tally.hash_ops += 1;
-    if (table.find(p) != nullptr) continue;  // line 5: already processed
-    table.put(p, kUnclaimed);
+    if ((at(p) & kKind) != kUnvisited) continue;  // line 5: processed
+    at(p) |= kVisited;
     tally.hash_ops += 1;
     tally.points_processed += 1;
 
@@ -86,22 +100,23 @@ LocalClusterResult partition_bfs(const Partitioning& partitioning,
     }
 
     // New partial cluster seeded at local core point p.
+    SDB_CHECK(result.clusters.size() < kPayload,
+              "a partition needs fewer than 2^30 - 1 partial clusters");
+    const auto index = static_cast<u32>(result.clusters.size());
+    const u32 tag = index + 1;
     result.core_points.push_back(p);
     PartialCluster pc;
     pc.partition = partition;
-    pc.uid = PartialCluster::make_uid(partition,
-                                      static_cast<u32>(result.clusters.size()));
+    pc.uid = PartialCluster::make_uid(partition, index);
     pc.members.push_back(p);
-    table.put(p, static_cast<ClusterId>(pc.uid));
+    at(p) = kClaimed | index;
     tally.hash_ops += 1;
 
-    // Algorithm 3 state: reset the hoisted place flags, plus a dedup set so
-    // kAllForeign records each foreign point once.
+    // Algorithm 3 state: reset the hoisted place flags.
     for (const PartitionId d : seed_dirty) {
       seed_placed[static_cast<size_t>(d)] = 0;
     }
     seed_dirty.clear();
-    FlatIdSet seeds_seen;
 
     // Frontier dedup (bugfix): the naive expansion pushes every neighbor of
     // every core point, so a dense cluster enqueues each point O(minpts)
@@ -111,28 +126,29 @@ LocalClusterResult partition_bfs(const Partitioning& partitioning,
     // membership would fire) and anything already queued for this cluster.
     // Pops see each id's FIRST occurrence in the original order, so
     // members/seeds/noise come out byte-identical to the naive loop.
-    FlatIdSet enqueued(neighbors.size() * 2);
     frontier.clear();
+    size_t head = 0;
     auto enqueue = [&](PointId r) {
+      u32& s = at(r);
       tally.hash_ops += 1;
-      if (owner[static_cast<size_t>(r)] == partition && claimed(r)) return;
+      if ((s & kKind) == kClaimed) return;
       tally.hash_ops += 1;
-      if (!enqueued.insert(r)) return;
+      if ((s & kPayload) == tag) return;
+      s = (s & kKind) | tag;
       frontier.push_back(r);
       tally.queue_ops += 1;
     };
     for (const PointId r : neighbors) enqueue(r);
-    frontier_peak = std::max<u64>(frontier_peak, frontier.size());
+    frontier_peak = std::max<u64>(frontier_peak, frontier.size() - head);
 
-    while (!frontier.empty()) {
-      const PointId q = frontier.front();
-      frontier.pop_front();
+    while (head < frontier.size()) {
+      const PointId q = frontier[head++];
       tally.queue_ops += 1;
 
-      const PartitionId q_owner = owner[static_cast<size_t>(q)];
-      if (q_owner != partition) {
+      if ((at(q) & kKind) == kForeign) {
         // Foreign point -> SEED placement (Algorithm 3 lines 6-26).
         tally.seed_ops += 1;
+        const PartitionId q_owner = owner[static_cast<size_t>(q)];
         switch (seed_strategy) {
           case SeedStrategy::kOnePerPartition:
             if (!seed_placed[static_cast<size_t>(q_owner)]) {
@@ -142,16 +158,18 @@ LocalClusterResult partition_bfs(const Partitioning& partitioning,
             }
             break;
           case SeedStrategy::kAllForeign:
+            // Push-time dedup pops each foreign point once per cluster, so
+            // every pop is a new seed; the tally keeps the dedup lookup.
             tally.hash_ops += 1;
-            if (seeds_seen.insert(q)) pc.seeds.push_back(q);
+            pc.seeds.push_back(q);
             break;
         }
         continue;  // never expand foreign points: no peer communication
       }
 
       tally.hash_ops += 1;
-      if (table.find(q) == nullptr) {  // line 13: q unvisited
-        table.put(q, kUnclaimed);
+      if ((at(q) & kKind) == kUnvisited) {  // line 13: q unvisited
+        at(q) |= kVisited;
         tally.hash_ops += 1;
         tally.points_processed += 1;
         neighbors.clear();
@@ -160,14 +178,15 @@ LocalClusterResult partition_bfs(const Partitioning& partitioning,
           // (deduplicated — see `enqueue` above).
           result.core_points.push_back(q);
           for (const PointId r : neighbors) enqueue(r);
-          frontier_peak = std::max<u64>(frontier_peak, frontier.size());
+          frontier_peak =
+              std::max<u64>(frontier_peak, frontier.size() - head);
         }
       }
 
       // line 20-22: claim q for this cluster if unclaimed.
       tally.hash_ops += 1;
-      if (!claimed(q)) {
-        table.put(q, static_cast<ClusterId>(pc.uid));
+      if ((at(q) & kKind) != kClaimed) {
+        at(q) = kClaimed | index;
         tally.hash_ops += 1;
         pc.members.push_back(q);
       }
@@ -184,7 +203,7 @@ LocalClusterResult partition_bfs(const Partitioning& partitioning,
   true_noise.reserve(result.noise.size());
   for (const PointId p : result.noise) {
     tally.hash_ops += 1;
-    if (!claimed(p)) true_noise.push_back(p);
+    if ((at(p) & kKind) != kClaimed) true_noise.push_back(p);
   }
   result.noise = std::move(true_noise);
   tally.frontier_peak = frontier_peak;

@@ -254,6 +254,9 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
     report.sim_executor_s = job.sim_executor_makespan_s;
     report.sim_executor_total_s = job.sim_executor_total_s;
     report.wall_executor_s = executor_wall.seconds();
+    for (const minispark::TaskMetrics& task : job.tasks) {
+      report.wall_task_s.push_back(task.wall_s);
+    }
   }
   report.sim_broadcast_s =
       ctx_.config().cost.broadcast_seconds(broadcast_bytes, ctx_.config().executors);

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/codec.hpp"
 #include "core/dbscan.hpp"
@@ -108,6 +109,9 @@ struct SparkDbscanReport {
   double wall_executor_s = 0.0;  ///< the executor job: local DBSCAN + encode
   double wall_merge_s = 0.0;     ///< decode + merge in the driver
   double wall_s = 0.0;           ///< whole pipeline, read + parse included
+  /// Each executed task's wall time, in task order: one entry per partition
+  /// this run computed (none for partitions resumed from a checkpoint).
+  std::vector<double> wall_task_s;
 
   u64 partial_clusters = 0;      ///< m (the Figure 6 right-axis series)
   u64 broadcast_bytes = 0;

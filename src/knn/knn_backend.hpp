@@ -109,7 +109,7 @@ struct LocalKnnDbscanConfig {
 /// Executor kernel of the KNN backend: local_dbscan's partition sweep
 /// (core/partition_bfs.hpp) with the broadcast eps-graph as its
 /// neighborhood source in place of the broadcast spatial index. Same
-/// single Hashtable, Queue and SEED placement, same LocalClusterResult wire
+/// per-point state, Queue and SEED placement, same LocalClusterResult wire
 /// shape, so codec / checkpoint / merge machinery is reused unchanged.
 /// Coreness comes from the graph's global mask (never recomputed locally),
 /// which keeps every executor's facts mutually consistent for the merge; a

@@ -54,33 +54,5 @@ TEST(FlatIdSet, MatchesStdUnorderedSet) {
   }
 }
 
-TEST(FlatIdMap, PutAndFind) {
-  FlatIdMap<int> m;
-  EXPECT_TRUE(m.put(3, 30));
-  EXPECT_FALSE(m.put(3, 31));  // overwrite
-  ASSERT_NE(m.find(3), nullptr);
-  EXPECT_EQ(*m.find(3), 31);
-  EXPECT_EQ(m.find(4), nullptr);
-  EXPECT_EQ(m.size(), 1u);
-}
-
-TEST(FlatIdMap, GrowthKeepsValues) {
-  FlatIdMap<i64> m(4);
-  for (i64 i = 0; i < 5000; ++i) m.put(i, i * i);
-  for (i64 i = 0; i < 5000; ++i) {
-    ASSERT_NE(m.find(i), nullptr);
-    EXPECT_EQ(*m.find(i), i * i);
-  }
-}
-
-TEST(FlatIdMap, LargeSparseKeys) {
-  FlatIdMap<int> m;
-  const i64 big = (1ll << 62);
-  m.put(big, 1);
-  m.put(big - 12345, 2);
-  EXPECT_EQ(*m.find(big), 1);
-  EXPECT_EQ(*m.find(big - 12345), 2);
-}
-
 }  // namespace
 }  // namespace sdb

@@ -96,6 +96,66 @@ TEST(LocalDbscan, AllForeignSeedsAreDeduplicated) {
   }
 }
 
+TEST(LocalDbscan, PointsSharedByTwoClustersOfOnePartition) {
+  // Two vertical columns of core points 1.8 apart (eps 1, minpts 4), so no
+  // core point reaches the other column. Three non-core points sit halfway
+  // between them, each within eps of one point of either column: b = (0.9, 0)
+  // is local to partition 0, f1 = (0.9, 2) and f2 = (0.9, 4) belong to
+  // partition 1. b has the lowest id, so the sweep first marks it noise.
+  PointSet ps(2);
+  auto add = [&ps](double x, double y) {
+    const double p[2] = {x, y};
+    ps.add(p);
+  };
+  add(0.9, 0.0);  // b, id 0
+  for (int i = 0; i <= 8; ++i) add(0.0, 0.5 * i);  // column A, ids 1-9
+  for (int i = 0; i <= 8; ++i) add(1.8, 0.5 * i);  // column B, ids 10-18
+  add(0.9, 2.0);  // f1, id 19
+  add(0.9, 4.0);  // f2, id 20
+  Partitioning part;
+  part.num_partitions = 2;
+  part.owner.assign(ps.size(), 0);
+  part.owner[19] = part.owner[20] = 1;
+  part.parts.resize(2);
+  for (PointId i = 0; i < 19; ++i) part.parts[0].push_back(i);
+  part.parts[1] = {19, 20};
+  const KdTree tree(ps);
+  LocalDbscanConfig cfg;
+  cfg.params = {1.0, 4};
+
+  auto sorted = [](std::vector<PointId> ids) {
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  std::vector<PointId> column_a;
+  std::vector<PointId> column_b;
+  for (PointId i = 1; i <= 9; ++i) column_a.push_back(i);
+  for (PointId i = 10; i <= 18; ++i) column_b.push_back(i);
+  std::vector<PointId> a_and_b = column_a;
+  a_and_b.push_back(0);
+
+  for (const SeedStrategy strategy :
+       {SeedStrategy::kAllForeign, SeedStrategy::kOnePerPartition}) {
+    SCOPED_TRACE(seed_strategy_name(strategy));
+    cfg.seed_strategy = strategy;
+    const auto r = local_dbscan(ps, tree, part, 0, cfg);
+    ASSERT_EQ(r.clusters.size(), 2u);
+    // b joins the first cluster only, and the cleanup drops it from noise.
+    EXPECT_EQ(sorted(r.clusters[0].members), sorted(a_and_b));
+    EXPECT_EQ(sorted(r.clusters[1].members), column_b);
+    EXPECT_TRUE(r.noise.empty());
+    EXPECT_EQ(r.core_points.size(), 18u);
+    for (const PartialCluster& pc : r.clusters) {
+      if (strategy == SeedStrategy::kAllForeign) {
+        EXPECT_EQ(sorted(pc.seeds), (std::vector<PointId>{19, 20}));
+      } else {
+        ASSERT_EQ(pc.seeds.size(), 1u);
+        EXPECT_EQ(part.owner[static_cast<size_t>(pc.seeds[0])], 1);
+      }
+    }
+  }
+}
+
 TEST(LocalDbscan, CorePointsAreGloballyExact) {
   // Core-ness must match sequential DBSCAN exactly: neighborhoods come from
   // the broadcast index over ALL points, not just the partition.
@@ -348,6 +408,7 @@ TEST(LocalDbscan, GoldenResultsAndCountersPerBackend) {
       PartitionerKind partitioner;
       SeedStrategy strategy;
       Golden want;
+      QueryBudget budget = {};
     };
     const Case cases[] = {
         {PartitionerKind::kBlock, SeedStrategy::kAllForeign,
@@ -362,12 +423,34 @@ TEST(LocalDbscan, GoldenResultsAndCountersPerBackend) {
         {PartitionerKind::kRandom, SeedStrategy::kOnePerPartition,
          {9930683129439682314ull, 1706400, 68990, 718281, 49140, 4300, 20639,
           267}},
+        {PartitionerKind::kKdSplit, SeedStrategy::kAllForeign,
+         {15512154076714684969ull, 1706400, 68990, 589888, 11914, 4300, 1890,
+          272}},
+        {PartitionerKind::kKdSplit, SeedStrategy::kOnePerPartition,
+         {2133173307550461048ull, 1706400, 68990, 587998, 11914, 4300, 1890,
+          272}},
+        {PartitionerKind::kGrid, SeedStrategy::kAllForeign,
+         {4537282393945122227ull, 1706400, 68990, 579142, 10916, 4300, 1399,
+          310}},
+        {PartitionerKind::kGrid, SeedStrategy::kOnePerPartition,
+         {15566479648013115457ull, 1706400, 68990, 577743, 10916, 4300, 1399,
+          310}},
+        // A budget that truncates most neighbourhoods: core tests and the
+        // enqueued rows both come from the truncated hits.
+        {PartitionerKind::kKdSplit, SeedStrategy::kAllForeign,
+         {14658881486954721383ull, 201997, 27783, 59981, 8158, 4300, 2054, 30},
+         QueryBudget{.max_neighbors = 8}},
+        {PartitionerKind::kRandom, SeedStrategy::kOnePerPartition,
+         {292189693828583887ull, 201997, 27783, 75269, 47500, 4300, 22658, 20},
+         QueryBudget{.max_neighbors = 8}},
     };
     for (const Case& c : cases) {
       SCOPED_TRACE(std::string("exact ") + partitioner_name(c.partitioner) +
-                   " " + seed_strategy_name(c.strategy));
+                   " " + seed_strategy_name(c.strategy) +
+                   " max_neighbors " + std::to_string(c.budget.max_neighbors));
       const Partitioning part = make_partitioning(c.partitioner, ps, 6);
       cfg.seed_strategy = c.strategy;
+      cfg.budget = c.budget;
       WorkCounters wc;
       u64 digest = 1469598103934665603ull;
       {
@@ -391,20 +474,33 @@ TEST(LocalDbscan, GoldenResultsAndCountersPerBackend) {
     const knn::KnnEpsGraph eps = knn::KnnEpsGraph::build(
         knn::build_knn_graph(ps, graph_cfg),
         DbscanParams{synth::embedding_suggested_eps(gen), 5});
-    const Partitioning part =
-        make_partitioning(PartitionerKind::kRandom, ps, 5);
     struct Case {
       SeedStrategy strategy;
       Golden want;
+      PartitionerKind partitioner = PartitionerKind::kRandom;
     };
     const Case cases[] = {
         {SeedStrategy::kAllForeign,
          {11357603239245262658ull, 0, 0, 39638, 15436, 1500, 6673, 41}},
         {SeedStrategy::kOnePerPartition,
          {1164634976710059942ull, 0, 0, 32965, 15436, 1500, 6673, 41}},
+        {SeedStrategy::kAllForeign,
+         {15021591359552846223ull, 0, 0, 28469, 3172, 1500, 148, 81},
+         PartitionerKind::kKdSplit},
+        {SeedStrategy::kOnePerPartition,
+         {9693668361010606979ull, 0, 0, 28321, 3172, 1500, 148, 81},
+         PartitionerKind::kKdSplit},
+        {SeedStrategy::kAllForeign,
+         {9279240495041744519ull, 0, 0, 30581, 4912, 1500, 1050, 86},
+         PartitionerKind::kGrid},
+        {SeedStrategy::kOnePerPartition,
+         {12018692599184422706ull, 0, 0, 29531, 4912, 1500, 1050, 86},
+         PartitionerKind::kGrid},
     };
     for (const Case& c : cases) {
-      SCOPED_TRACE(std::string("knn ") + seed_strategy_name(c.strategy));
+      SCOPED_TRACE(std::string("knn ") + partitioner_name(c.partitioner) +
+                   " " + seed_strategy_name(c.strategy));
+      const Partitioning part = make_partitioning(c.partitioner, ps, 5);
       WorkCounters wc;
       u64 digest = 1469598103934665603ull;
       {

@@ -298,6 +298,12 @@ TEST(SparkDbscan, WallPhasesFitInsideWallTime) {
   EXPECT_LE(report.wall_read_s + report.wall_index_s + report.wall_executor_s +
                 report.wall_merge_s,
             report.wall_s);
+  // One task per partition, each inside the executor phase.
+  ASSERT_EQ(report.wall_task_s.size(), 4u);
+  for (const double task_s : report.wall_task_s) {
+    EXPECT_GT(task_s, 0.0);
+    EXPECT_LE(task_s, report.wall_executor_s);
+  }
   fs::remove_all(dir);
 }
 
