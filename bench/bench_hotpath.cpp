@@ -6,10 +6,12 @@
 //   query  — exact range-query throughput through the executor's
 //            range_query_budgeted entry point, with the dispatched SIMD
 //            kernel and with dispatch pinned to the scalar fallback;
-//   e2e    — the full spark_dbscan pipeline wall time.
+//   e2e    — the full spark_dbscan pipeline wall time, at one host thread
+//            and, for r1m, exact and pruned at the default host threads.
 // Every run SDB_CHECKs the query section's neighbour totals and
-// distance_evals: the exact path must match the same tree's budgeted path
-// under a budget that never fires, and the forced-scalar rerun.
+// distance_evals: the exact query, which scans its reached leaves in
+// batches, must match the same descent scanning each leaf as it is reached
+// (a neighbour budget that never fills), and the forced-scalar rerun.
 // Results print as tables and are also written as machine-readable JSON
 // (schema documented in README "Hot-path bench") so every future PR can
 // diff its perf trajectory against the committed BENCH_hotpath.json.
@@ -47,6 +49,7 @@ struct QueryNumbers {
 
 struct E2eNumbers {
   bool pruned = false;
+  u32 host_threads = 0;  ///< threads that ran the executor tasks
   u32 cores = 0;
   double wall_s = 0.0;
   double sim_total_s = 0.0;
@@ -66,8 +69,7 @@ struct DatasetReport {
   BuildNumbers build;
   QueryNumbers query;
   std::vector<ScalingPoint> scaling;
-  E2eNumbers e2e;
-  bool has_e2e = false;
+  std::vector<E2eNumbers> e2e;
 };
 
 double best_build_ms(const PointSet& points, const KdTreeOptions& options,
@@ -141,9 +143,9 @@ QueryNumbers measure_queries(const PointSet& points, const KdTree& tree,
   out.distance_evals = exact.distance_evals;
   out.neighbors = exact.neighbors;
 
-  // Scan-path self-check: a neighbor budget no query can reach sends every
-  // leaf through the per-strip budgeted scan during the descent instead of
-  // the collected-leaf range scan; both must find and charge the same rows.
+  // Scan-schedule self-check: a neighbor budget no query can fill makes the
+  // descent scan each leaf as it is reached instead of in batches of
+  // collected leaves; both must find and charge the same rows.
   QueryBudget unreachable;
   unreachable.max_neighbors = points.size() + 1;
   const Totals budgeted = run(unreachable, 1);
@@ -237,8 +239,11 @@ double threaded_query_qps(const PointSet& points, const KdTree& tree,
   return best_qps;
 }
 
+/// One SparkDbscan job. host_threads 0 is the library default (every
+/// core); the single-host-thread rows match the other benches'
+/// deterministic cluster config.
 E2eNumbers measure_e2e(const PointSet& points, const synth::DatasetSpec& spec,
-                       u64 seed, bool pruned) {
+                       u64 seed, bool pruned, u32 host_threads) {
   E2eNumbers out;
   out.pruned = pruned;
   out.cores = 8;
@@ -250,7 +255,10 @@ E2eNumbers measure_e2e(const PointSet& points, const synth::DatasetSpec& spec,
     cfg.budget.max_neighbors = 64;  // the paper's r1m pruning configuration
     cfg.min_partial_cluster_size = 4;
   }
-  minispark::SparkContext ctx(bench::cluster_config(out.cores, seed));
+  minispark::ClusterConfig cluster = bench::cluster_config(out.cores, seed);
+  cluster.host_threads = host_threads;
+  minispark::SparkContext ctx(cluster);
+  out.host_threads = ctx.host_threads();
   dbscan::SparkDbscan dbscan(ctx, cfg);
   const auto report = dbscan.run(points);
   out.wall_s = report.wall_s;
@@ -302,15 +310,17 @@ void write_json(const std::string& path, const std::string& mode,
                    "\"query_qps\": %.1f}",
                    s == 0 ? "" : ", ", sp.threads, sp.build_ms, sp.query_qps);
     }
-    std::fprintf(f, "]");
-    if (r.has_e2e) {
+    std::fprintf(f, "],\n     \"e2e\": [");
+    for (size_t e = 0; e < r.e2e.size(); ++e) {
+      const E2eNumbers& row = r.e2e[e];
       std::fprintf(f,
-                   ",\n     \"e2e\": {\"pruned\": %s, \"cores\": %u, "
+                   "%s{\"pruned\": %s, \"host_threads\": %u, \"cores\": %u, "
                    "\"wall_s\": %.3f, \"sim_total_s\": %.3f}",
-                   r.e2e.pruned ? "true" : "false", r.e2e.cores,
-                   r.e2e.wall_s, r.e2e.sim_total_s);
+                   e == 0 ? "" : ",\n             ",
+                   row.pruned ? "true" : "false", row.host_threads, row.cores,
+                   row.wall_s, row.sim_total_s);
     }
-    std::fprintf(f, "}%s\n", i + 1 < reports.size() ? "," : "");
+    std::fprintf(f, "]}%s\n", i + 1 < reports.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -343,18 +353,25 @@ int main(int argc, char** argv) {
   // 100k and 1M uniform points at the paper's d=10 (Table I r100k / r1m),
   // plus the clustered c100k, whose ~100-neighbor queries are bound by the
   // leaf scan rather than the descent; smoke shrinks the set so the
-  // perf-label ctest stays in the seconds range.
+  // perf-label ctest stays in the seconds range. Every dataset runs one
+  // e2e job at one host thread (r1m in the paper's pruned configuration);
+  // r1m also runs exact and pruned at the default host threads, the pair
+  // that shows what the pruning budget buys on a whole job.
+  struct E2eRun {
+    bool pruned;
+    u32 host_threads;  // 0 = the library default (every core)
+  };
   struct Run {
     const char* preset;
     double scale;
-    bool e2e;
-    bool e2e_pruned;
+    std::vector<E2eRun> e2e;
   };
   const std::vector<Run> runs =
-      smoke ? std::vector<Run>{{"r10k", 1.0, true, false}}
-            : std::vector<Run>{{"r100k", 1.0, true, false},
-                               {"c100k", 1.0, true, false},
-                               {"r1m", 1.0, true, true}};
+      smoke ? std::vector<Run>{{"r10k", 1.0, {{false, 1}}}}
+            : std::vector<Run>{
+                  {"r100k", 1.0, {{false, 1}}},
+                  {"c100k", 1.0, {{false, 1}}},
+                  {"r1m", 1.0, {{true, 1}, {false, 0}, {true, 0}}}};
 
   std::vector<DatasetReport> reports;
   for (const Run& run : runs) {
@@ -407,9 +424,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (run.e2e) {
-      r.e2e = measure_e2e(points, spec, seed, run.e2e_pruned);
-      r.has_e2e = true;
+    for (const E2eRun& e2e : run.e2e) {
+      r.e2e.push_back(
+          measure_e2e(points, spec, seed, e2e.pruned, e2e.host_threads));
     }
     reports.push_back(r);
 
@@ -424,9 +441,12 @@ int main(int argc, char** argv) {
          TablePrinter::cell(r.query.scalar_qps, 0),
          TablePrinter::cell(r.query.qps, 0),
          TablePrinter::cell(r.query.qps / r.query.scalar_qps, 2)});
-    if (r.has_e2e) {
-      table.add_row({"e2e wall (s)", "", TablePrinter::cell(r.e2e.wall_s, 2),
-                     ""});
+    for (const E2eNumbers& e2e : r.e2e) {
+      table.add_row({std::string("e2e wall, ") +
+                         (e2e.pruned ? "pruned" : "exact") +
+                         ", host_threads=" +
+                         std::to_string(e2e.host_threads) + " (s)",
+                     "", TablePrinter::cell(e2e.wall_s, 2), ""});
     }
     bench::emit(table,
                 "hot path: " + r.name + " (" + std::to_string(r.n) +

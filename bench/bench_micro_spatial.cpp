@@ -1,10 +1,9 @@
 // Micro benchmarks for the spatial indexes (Section V.B's complexity claim):
-// kd-tree vs uniform grid vs naive O(n) scan, build and eps-range query, at
-// the paper's d=10 and at low dimension where the grid is competitive.
+// kd-tree vs R-tree vs naive O(n) scan, build and eps-range query, at the
+// paper's d=10 and at low dimension.
 #include <benchmark/benchmark.h>
 
 #include "spatial/brute_force.hpp"
-#include "spatial/grid_index.hpp"
 #include "spatial/kd_tree.hpp"
 #include "spatial/r_tree.hpp"
 #include "synth/generators.hpp"
@@ -42,16 +41,6 @@ void BM_RTreeBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RTreeBuild)->Arg(1000)->Arg(10000);
-
-void BM_GridBuild(benchmark::State& state) {
-  const PointSet ps = dataset(state.range(0), 10);
-  for (auto _ : state) {
-    GridIndex grid(ps, 25.0);
-    benchmark::DoNotOptimize(grid.cell_count());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_GridBuild)->Arg(1000)->Arg(10000);
 
 template <typename Index>
 void range_query_loop(benchmark::State& state, const PointSet& ps,
@@ -94,13 +83,6 @@ void BM_KdTreeQuery2d(benchmark::State& state) {
   range_query_loop(state, ps, tree, 25.0);
 }
 BENCHMARK(BM_KdTreeQuery2d)->Arg(10000);
-
-void BM_GridQuery2d(benchmark::State& state) {
-  const PointSet ps = dataset(state.range(0), 2);
-  const GridIndex grid(ps, 25.0);
-  range_query_loop(state, ps, grid, 25.0);
-}
-BENCHMARK(BM_GridQuery2d)->Arg(10000);
 
 void BM_KdTreePrunedQuery(benchmark::State& state) {
   // The paper's "pruning branches" mode for the 1m runs.

@@ -7,11 +7,11 @@
 // dispatched AVX2/AVX-512/NEON strip kernels and range scans over a
 // strip-transposed (SoA) layout, bit-identical to the scalar loops here
 // (unfused multiply+add, ascending-d accumulation) so eps-membership
-// decisions never depend on the host ISA.
+// decisions never depend on the host ISA. strip_scan below drives the range
+// scan for every kd-tree and brute-force range query, exact or budgeted.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <span>
 
@@ -84,90 +84,49 @@ inline void strip_store_row(double* base, size_t pos,
   for (size_t d = 0; d < p.size(); ++d) lane[d * kDistanceStrip] = p[d];
 }
 
-/// Position-buffer capacity of strip_scan_exact: 16 blocks (2 KiB of stack),
-/// so a kd-tree leaf of up to 16 * kDistanceStrip - 31 points is one
-/// range-scan call wherever it starts.
+/// Position-buffer capacity of strip_scan: 16 blocks (2 KiB of stack), so a
+/// kd-tree leaf of up to 16 * kDistanceStrip - 31 points is one range-scan
+/// call wherever it starts.
 inline constexpr size_t kRangeScanChunk = 16 * kDistanceStrip;
 
-/// Exact eps scan of packed strip positions [begin, end) through the range
-/// scan `scan` (simd::detail::kernels().range): calls emit(pos) for each
-/// position whose squared distance from q is <= eps2, in ascending order —
-/// the scalar loop's hits in the scalar loop's order. One kernel call per
-/// range; a range longer than the position buffer is scanned in chunks
-/// that end on block boundaries, so no block is loaded twice. Uncounted:
-/// the caller charges end - begin distance evaluations, one per row, as the
-/// scalar loop does.
+/// The eps scan of packed strip positions [begin, end) through the range
+/// scan `scan` (simd::detail::kernels().range), under a budget of `left`
+/// more hits. Calls emit(pos) for each position whose squared distance from
+/// q is <= eps2, in ascending order — a per-row loop's hits in its order —
+/// until `left` hits were emitted, and subtracts the emitted count from
+/// `left`. Returns the rows to charge as distance_evals, one per row the
+/// per-row loop would visit: end - begin when the budget does not fill;
+/// when it fills, the rows up to and including the filling position, so
+/// the rows the kernel evaluated past it are never charged (like partial-
+/// distance abandonment, an implementation detail of the evaluation).
+///
+/// One kernel call per range; a range longer than the position buffer is
+/// scanned in chunks that end on block boundaries, so no block is loaded
+/// twice, and no chunk is scanned after the one where the budget fills.
+/// The budget is checked once per call, not once per hit. Exact scans pass
+/// left = ~u64{0}, which no scan fills. Requires left > 0.
 template <typename EmitFn>
-inline void strip_scan_exact(simd::RangeScanFn scan, std::span<const double> q,
-                             double eps2, const double* strips, size_t begin,
-                             size_t end, EmitFn&& emit) {
+inline size_t strip_scan(simd::RangeScanFn scan, std::span<const double> q,
+                         double eps2, const double* strips, size_t begin,
+                         size_t end, u64& left, EmitFn&& emit) {
   std::uint32_t pos[kRangeScanChunk];  // [0, hits) written by each call
-  while (begin < end) {
+  for (size_t at = begin; at < end;) {
     const size_t stop =
-        std::min(end, begin - begin % kDistanceStrip + kRangeScanChunk);
+        std::min(end, at - at % kDistanceStrip + kRangeScanChunk);
     const std::uint32_t hits =
-        scan(q.data(), q.size(), eps2, strips, begin, stop, pos);
+        scan(q.data(), q.size(), eps2, strips, at, stop, pos);
+    if (hits >= left) {
+      // The budget fills at this call's left-th hit.
+      const size_t filled = pos[left - 1];
+      for (u64 k = 0; k < left; ++k) emit(pos[k]);
+      left = 0;
+      return filled - begin + 1;
+    }
     for (std::uint32_t k = 0; k < hits; ++k) emit(pos[k]);
-    begin = stop;
+    left -= hits;
+    at = stop;
   }
-}
-
-/// Neighbor-budgeted scan of packed strip positions [begin, end) through the
-/// dispatched SIMD kernel, with PER-ROW stop-and-count semantics: a per-row
-/// loop walks rows in packed order, charges one distance_eval per row it
-/// visits, and returns the moment `found` reaches `max_neighbors` —
-/// charging the stopping row but nothing after it. This helper reproduces
-/// that observable behavior exactly from the kernel's per-segment masks
-/// (eps decisions are bit-identical by the kernel contract, so the stopping
-/// row is the same row): a segment where the budget cannot fire is charged
-/// whole; in the segment where it fires, rows after the stopping match are
-/// neither pushed nor charged, even though the kernel already evaluated
-/// them — physical over-evaluation inside one strip is an implementation
-/// detail of the evaluation, like partial-distance abandonment, and never
-/// shows up in counters or output. `push(pos)` receives each matching
-/// packed position in ascending order; `found`/`evals` are updated in
-/// place. Returns true when the budget fired (caller stops its scan).
-/// Requires max_neighbors > 0; `found` may be nonzero from earlier ranges.
-template <typename PushFn>
-inline bool strip_scan_budgeted(simd::StripKernelFn kernel,
-                                std::span<const double> q, double eps2,
-                                const double* strips, size_t begin, size_t end,
-                                u64 max_neighbors, u64& found, u64& evals,
-                                PushFn&& push) {
-  const size_t dim = q.size();
-  for (size_t i = begin; i < end;) {
-    const size_t lane = i % kDistanceStrip;
-    const size_t m = std::min(kDistanceStrip - lane, end - i);
-    std::uint32_t mask =
-        kernel(q.data(), dim, eps2, strip_lane(strips, i, dim), m);
-    const u64 hits = static_cast<u64>(std::popcount(mask));
-    if (found + hits < max_neighbors) {
-      // Budget cannot fire inside this segment: the per-row loop would have
-      // visited (and charged) every row of it.
-      evals += m;
-      found += hits;
-      while (mask != 0) {
-        push(i + static_cast<size_t>(std::countr_zero(mask)));
-        mask &= mask - 1;
-      }
-      i += m;
-      continue;
-    }
-    // The budget fires at the (max_neighbors - found)-th match of this
-    // segment; the per-row loop stops right after that row.
-    while (mask != 0) {
-      const size_t j = static_cast<size_t>(std::countr_zero(mask));
-      push(i + j);
-      mask &= mask - 1;
-      if (++found >= max_neighbors) {
-        evals += static_cast<u64>(j) + 1;  // rows i .. i+j inclusive
-        return true;
-      }
-    }
-    evals += m;  // unreachable when hits >= needed, kept for safety
-    i += m;
-  }
-  return false;
+  return end - begin;
 }
 
 }  // namespace sdb

@@ -14,7 +14,7 @@
 // unit-stride loads and no per-point pointer chasing. Blocks are addressed
 // by global position: position i lives in block i / kDistanceStrip at lane
 // i % kDistanceStrip, and a scan may enter a block at any lane offset (a
-// kd-tree leaf or grid cell can start mid-block).
+// kd-tree leaf can start mid-block).
 //
 // Determinism contract: every variant (scalar fallback, AVX2, AVX-512, NEON)
 // returns bit-identical eps-decision masks. Each lane accumulates
@@ -44,15 +44,14 @@
 // - the strip kernel (StripKernelFn) decides one segment of one block and
 //   returns a mask. Callers that need per-block control use it: kNN filters
 //   leaf candidates through the mask with eps^2 = its current worst heap
-//   distance and computes exact distances only for survivors, and
-//   neighbor-budgeted scans reconstruct the scalar loop's exact stop row
-//   and distance_evals charge from the mask (strip_scan_budgeted,
-//   distance.hpp);
+//   distance and computes exact distances only for survivors, as does the
+//   exact kNN graph build;
 // - the range scan (RangeScanFn) decides a whole position range in one
-//   call and writes the positions of its hits. Every exact eps scan uses
-//   it: one call per kd-tree leaf, grid cell, or brute-force chunk
-//   (strip_scan_exact, distance.hpp). A c100k query reaches ~21 leaves
-//   that span ~85 block segments; one call per leaf drops the per-segment
+//   call and writes the positions of its hits. Every eps range query uses
+//   it, exact or neighbor-budgeted: one call per kd-tree leaf or
+//   brute-force chunk (strip_scan, distance.hpp), which keeps the hits up
+//   to the one that fills a budget. A c100k query reaches ~21 leaves that
+//   span ~85 block segments; one call per leaf drops the per-segment
 //   calls, mask walks and ragged-edge paths that dominated the scan.
 //
 // Dispatch: the kernels are one set of function pointers per variant,
@@ -112,7 +111,7 @@ using StripKernelFn = std::uint32_t (*)(const double* q, size_t dim,
 /// strip_padded_len); lanes of the first and last block that lie outside
 /// the range start from +inf, so they never hold up abandonment, and are
 /// masked out of the result. One call replaces the per-block mask walk of
-/// a kd-tree leaf or grid cell. Same input assumptions as StripKernelFn.
+/// a kd-tree leaf. Same input assumptions as StripKernelFn.
 using RangeScanFn = std::uint32_t (*)(const double* q, size_t dim,
                                       double eps2, const double* strips,
                                       size_t begin, size_t end,

@@ -19,41 +19,19 @@ BruteForceIndex::BruteForceIndex(const PointSet& points) : points_(points) {
   }
 }
 
-void BruteForceIndex::range_query(std::span<const double> q, double eps,
-                                  std::vector<PointId>& out) const {
-  range_query_budgeted(q, eps, QueryBudget{}, out);
-}
-
 void BruteForceIndex::range_query_budgeted(std::span<const double> q,
                                            double eps,
                                            const QueryBudget& budget,
                                            std::vector<PointId>& out) const {
-  const double eps2 = eps * eps;
-  const size_t n = points_.size();
-  if (budget.max_neighbors == 0) {
-    // Ids are packed-position order here, so the exact scan is one long
-    // range-scan run over whole strip blocks (the final block is the only
-    // partial one), chunked by the position buffer.
-    strip_scan_exact(simd::detail::kernels().range, q, eps2, strips_.data(),
-                     0, n, [&](size_t pos) {
-                       out.push_back(static_cast<PointId>(pos));
-                     });
-    counters::distance_evals(n);
-    return;
-  }
-  // Neighbor-budgeted scan through the same strip kernel and snapshot the
-  // exact path reads (no live-PointSet gather): the mask walk reconstructs
-  // the scalar loop's exact stop row and distance_evals charge
-  // (strip_scan_budgeted), byte-identical output and counters.
-  u64 found = 0;
-  u64 evals = 0;
-  const simd::StripKernelFn kernel = simd::detail::strip_kernel();
-  strip_scan_budgeted(kernel, q, eps2, strips_.data(), 0, n,
-                      budget.max_neighbors, found, evals,
-                      [&](size_t pos) {
-                        out.push_back(static_cast<PointId>(pos));
-                      });
-  counters::distance_evals(evals);
+  // Ids are packed-position order here, so the scan is one long range-scan
+  // run over whole strip blocks (the final block is the only partial one),
+  // chunked by the position buffer; a neighbor budget stops it at the row
+  // that fills it. max_nodes has no nodes to bound.
+  u64 left = budget.max_neighbors != 0 ? budget.max_neighbors : ~u64{0};
+  counters::distance_evals(strip_scan(
+      simd::detail::kernels().range, q, eps * eps, strips_.data(), 0,
+      points_.size(), left,
+      [&](size_t pos) { out.push_back(static_cast<PointId>(pos)); }));
 }
 
 void BruteForceIndex::knn_query(std::span<const double> q, size_t k,

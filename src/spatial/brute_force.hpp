@@ -1,10 +1,10 @@
 // Naive O(n) per query index — the paper's "O(n^2) linear search" baseline.
 //
-// Exact scans stream the same strip-transposed (SoA) layout and runtime-
-// dispatched SIMD kernel as the kd-tree leaf scan (see distance_simd.hpp):
-// the constructor keeps a strip-transposed copy of the coordinates, built
-// once, so every query is one long run of vertical-reduction blocks with no
-// id indirection at all.
+// Range queries, exact or budgeted, stream the same strip-transposed (SoA)
+// layout and runtime-dispatched range scan as the kd-tree leaf scan (one
+// strip_scan call, see distance.hpp): the constructor keeps a
+// strip-transposed copy of the coordinates, built once, so every query is
+// one long run of vertical-reduction blocks with no id indirection at all.
 #pragma once
 
 #include <vector>
@@ -19,11 +19,8 @@ class BruteForceIndex final : public SpatialIndex {
   /// into its strip-transposed buffer at construction; the caller must keep
   /// the PointSet alive and unmutated for the index's lifetime (a mutation
   /// after build would not be observed — the same immutability assumption
-  /// as KdTree's and GridIndex's packed layouts).
+  /// as KdTree's packed layout).
   explicit BruteForceIndex(const PointSet& points);
-
-  void range_query(std::span<const double> q, double eps,
-                   std::vector<PointId>& out) const override;
 
   void range_query_budgeted(std::span<const double> q, double eps,
                             const QueryBudget& budget,

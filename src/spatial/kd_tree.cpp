@@ -302,48 +302,39 @@ double KdTree::box_distance2(const Node& node, std::span<const double> q,
   return s;
 }
 
-void KdTree::range_query(std::span<const double> q, double eps,
-                         std::vector<PointId>& out) const {
-  range_query_budgeted(q, eps, QueryBudget{}, out);
-}
-
 void KdTree::range_query_budgeted(std::span<const double> q, double eps,
                                   const QueryBudget& budget,
                                   std::vector<PointId>& out) const {
   if (root_ < 0) return;
-  QueryState st{eps, eps * eps, &budget, &out};
-  const simd::detail::KernelSet& kernels = simd::detail::kernels();
-  st.strip = kernels.strip;
-  st.range = kernels.range;
-  run_query(q, st);
-  // One thread-local flush per query instead of one per node/evaluation;
-  // totals are exactly what the per-op increments would have produced.
-  counters::tree_nodes(st.nodes_visited);
-  counters::distance_evals(st.distance_evals);
-}
-
-void KdTree::run_query(std::span<const double> q, QueryState& st) const {
   // Explicit-stack depth-first descent, near child popped first — the same
   // node sequence the recursive formulation visits, minus the call frames.
   // Median splits halve the range every level, so the depth (== max live
   // far-children on the stack) is bounded by ~log2(n) + 1; 64 covers any
   // 32-bit point count with a wide margin.
   const size_t dim = static_cast<size_t>(points_.dim());
+  const double eps2 = eps * eps;
   const double* strips = leaf_coords_.get();
+  // Fetched once per query: the atomic dispatch load stays off the leaves.
+  const simd::RangeScanFn range = simd::detail::kernels().range;
   i32 stack[kQueryStackCap];  // depth_ + 1 <= cap, checked at build
   int top = 0;
   stack[top++] = root_;
 
-  // Exact strip scans (no neighbor budget) are collected first: the descent
-  // only records each reached leaf, in visit order, and the leaves are then
-  // scanned one range-scan call each (strip_scan_exact). A full buffer is
-  // scanned before the descent goes on, so the hit order is the visit
-  // order (ascending ids_ position within a leaf), and nothing is
-  // allocated. The distance_evals tally charges one evaluation per
-  // candidate row — the kernel's internal partial-distance abandonment is
-  // an implementation detail of the evaluation, like box_distance2's
-  // monotone early exit, and never shows up in the counters.
-  const bool collect = st.budget->max_neighbors == 0;
+  // The descent records each reached leaf, in visit order, and scans a
+  // batch of them with one strip_scan call per leaf, so the hit order is
+  // the visit order (ascending ids_ position within a leaf) and nothing is
+  // allocated. Without a neighbor budget a batch is kLeafBatch leaves; with
+  // one it is a single leaf, scanned as it is reached, so the descent stops
+  // at the leaf that fills the budget. The distance_evals tally charges one
+  // evaluation per row strip_scan charges — the kernel's internal
+  // partial-distance abandonment is an implementation detail of the
+  // evaluation, like box_distance2's monotone early exit, and never shows up
+  // in the counters. Work counters are tallied here and flushed once per
+  // query: exactly the totals per-op increments would produce.
+  u64 left = budget.max_neighbors != 0 ? budget.max_neighbors : ~u64{0};
+  const size_t batch = budget.max_neighbors != 0 ? 1 : kLeafBatch;
+  u64 nodes_visited = 0;
+  u64 distance_evals = 0;
   struct LeafRange {
     u32 begin;
     u32 end;
@@ -352,21 +343,20 @@ void KdTree::run_query(std::span<const double> q, QueryState& st) const {
   size_t reached = 0;
   auto scan_leaves = [&] {
     for (size_t k = 0; k < reached; ++k) {
-      st.distance_evals += leaves[k].end - leaves[k].begin;
-      strip_scan_exact(st.range, q, st.eps2, strips, leaves[k].begin,
-                       leaves[k].end,
-                       [&](size_t pos) { st.out->push_back(ids_[pos]); });
+      distance_evals +=
+          strip_scan(range, q, eps2, strips, leaves[k].begin, leaves[k].end,
+                     left, [&](size_t pos) { out.push_back(ids_[pos]); });
     }
     reached = 0;
   };
 
   while (top > 0) {
     const Node& node = nodes_[static_cast<size_t>(stack[--top])];
-    ++st.nodes_visited;
-    if (st.budget->max_nodes != 0 && st.nodes_visited > st.budget->max_nodes) {
+    ++nodes_visited;
+    if (budget.max_nodes != 0 && nodes_visited > budget.max_nodes) {
       break;  // the paper's branch-pruning cutoff
     }
-    if (box_distance2(node, q, st.eps2) > st.eps2) continue;
+    if (box_distance2(node, q, eps2) > eps2) continue;
 
     if (!node.is_leaf()) {
       // The sibling pair is adjacent (alloc_children): start both children's
@@ -386,25 +376,15 @@ void KdTree::run_query(std::span<const double> q, QueryState& st) const {
       continue;
     }
 
-    if (collect) {
-      leaves[reached++] = LeafRange{node.begin, node.end};
-      if (reached == kLeafBatch) scan_leaves();
-      continue;
-    }
-    // Neighbor-budgeted leaf scan, still through the strip kernel: the mask
-    // walk stops at the exact row that fills the budget and charges the
-    // rows up to it (see strip_scan_budgeted), so wide vector-era leaves
-    // don't degrade the paper's pruned 1M-point mode to per-row scalar
-    // evaluation.
-    if (strip_scan_budgeted(st.strip, q, st.eps2, strips, node.begin,
-                            node.end, st.budget->max_neighbors, st.found,
-                            st.distance_evals, [&](size_t pos) {
-                              st.out->push_back(ids_[pos]);
-                            })) {
-      return;
+    leaves[reached++] = LeafRange{node.begin, node.end};
+    if (reached == batch) {
+      scan_leaves();
+      if (left == 0) break;  // this leaf filled the neighbor budget
     }
   }
   scan_leaves();
+  counters::tree_nodes(nodes_visited);
+  counters::distance_evals(distance_evals);
 }
 
 void KdTree::knn_query(std::span<const double> q, size_t k,

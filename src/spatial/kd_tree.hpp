@@ -15,19 +15,19 @@
 // finalized during the build, so the packed layout costs the leaf stores
 // only, not a second full pass. ids_ doubles as the remap table back to
 // original PointIds.
-// Query: classic ball-overlap descent with AABB pruning. A query without a
-// neighbor budget first descends, collecting the reached leaves in visit
-// order into a fixed stack buffer, then scans each leaf with one call of
-// the runtime-dispatched SIMD range scan (distance_simd.hpp), which writes
-// the leaf's hit positions for the ids_ remap; a full buffer is scanned
-// before the descent goes on. A neighbor-budgeted query scans each leaf as
-// it is reached, block by block through the strip kernel, so it stops at
-// the exact row that fills the budget. Both report hits in visit order,
-// ascending position within a leaf, and charge one distance_eval per row
-// they scan. The optional QueryBudget implements the paper's "kd-tree with
-// pruning branches" approximation used for the 1M-point experiments (it
-// bounds the neighbor count / node visits, trading exactness for time —
-// see the approximation contract on QueryBudget in spatial_index.hpp).
+// Query: classic ball-overlap descent with AABB pruning, one descent for
+// every query. The reached leaves are recorded in visit order into a fixed
+// stack buffer and each is scanned with one strip_scan call (distance.hpp)
+// of the runtime-dispatched SIMD range scan (distance_simd.hpp), which
+// writes the leaf's hit positions for the ids_ remap. Without a neighbor
+// budget a full buffer is scanned before the descent goes on; with one,
+// each leaf is scanned as it is reached, and the scan stops at the exact
+// row that fills the budget. Hits come in visit order, ascending position
+// within a leaf, and each scanned row up to the stop is charged one
+// distance_eval. The optional QueryBudget implements the paper's "kd-tree
+// with pruning branches" approximation used for the 1M-point experiments
+// (it bounds the neighbor count / node visits, trading exactness for time
+// — see the approximation contract on QueryBudget in spatial_index.hpp).
 // Work counters are tallied locally during the descent and flushed once
 // per query (counters::add) — exact totals, one thread-local access per
 // query.
@@ -35,7 +35,6 @@
 
 #include <memory>
 
-#include "geom/distance_simd.hpp"
 #include "spatial/spatial_index.hpp"
 
 namespace sdb {
@@ -70,9 +69,6 @@ class KdTree final : public SpatialIndex {
 
   KdTree(const PointSet& points, const KdTreeOptions& options);
 
-  void range_query(std::span<const double> q, double eps,
-                   std::vector<PointId>& out) const override;
-
   void range_query_budgeted(std::span<const double> q, double eps,
                             const QueryBudget& budget,
                             std::vector<PointId>& out) const override;
@@ -100,9 +96,12 @@ class KdTree final : public SpatialIndex {
   [[nodiscard]] size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] int depth() const { return depth_; }
 
-  /// Capacity of the reached-leaf buffer of a query without a neighbor
-  /// budget (512 bytes of stack). A c100k query reaches ~21 leaves; a query
-  /// that reaches more scans the full buffer and carries on descending.
+  /// Capacity of the reached-leaf buffer (512 bytes of stack): the leaves a
+  /// query without a neighbor budget collects before it scans them. A
+  /// c100k query reaches ~21 leaves; a query that reaches more scans the
+  /// full buffer and carries on descending. A neighbor-budgeted query scans
+  /// each leaf as it is reached (a batch of one), so it stops descending at
+  /// the leaf that fills the budget.
   static constexpr size_t kLeafBatch = 64;
 
  private:
@@ -130,7 +129,7 @@ class KdTree final : public SpatialIndex {
   /// serves degenerate-spread and very-wide-dimension leaves.)
   void export_leaf_strips(u32 begin, u32 end);
 
-  /// Capacity of run_query's fixed descent stack. Max occupancy is
+  /// Capacity of range_query_budgeted's fixed descent stack. Max occupancy is
   /// depth_ + 1 (each descent pops one node and pushes its two children),
   /// and with exact-median splits depth_ <= ~log2(n) + 1 <= 33 for 32-bit
   /// point counts — but that bound is a property of the SPLIT POLICY, so
@@ -138,27 +137,6 @@ class KdTree final : public SpatialIndex {
   /// build rather than trusting the invariant silently (an unbalanced
   /// split policy would otherwise corrupt the stack).
   static constexpr int kQueryStackCap = 64;
-
-  struct QueryState {
-    double eps;
-    double eps2;
-    const QueryBudget* budget;
-    std::vector<PointId>* out;
-    /// Kernels fetched once per query (atomic dispatch load hoisted out of
-    /// the leaf loop): the strip kernel for neighbor-budgeted leaf scans,
-    /// the range scan for exact ones.
-    simd::StripKernelFn strip = nullptr;
-    simd::RangeScanFn range = nullptr;
-    u64 nodes_visited = 0;
-    u64 distance_evals = 0;
-    u64 found = 0;
-  };
-  /// Iterative depth-first descent from the root (explicit stack, near
-  /// child popped first). Visit order, counter totals, and output order are
-  /// exactly those of the textbook recursive formulation. Exact strip scans
-  /// collect the reached leaves during the descent and scan them afterwards,
-  /// one range-scan call per leaf, in visit order.
-  void run_query(std::span<const double> q, QueryState& st) const;
 
   /// Row i of the build permutation: the coordinates of point ids_[i]. The
   /// strip buffer has no contiguous rows, so knn_query's exact distances

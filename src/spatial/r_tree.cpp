@@ -288,11 +288,6 @@ void RTree::recompute_rect(i32 node_id) {
   }
 }
 
-void RTree::range_query(std::span<const double> q, double eps,
-                        std::vector<PointId>& out) const {
-  range_query_budgeted(q, eps, QueryBudget{}, out);
-}
-
 void RTree::range_query_budgeted(std::span<const double> q, double eps,
                                  const QueryBudget& budget,
                                  std::vector<PointId>& out) const {
@@ -321,7 +316,7 @@ void RTree::query_node(i32 node_id, std::span<const double> q, double eps2,
   if (node.leaf) {
     // One eval per leaf entry examined, tallied locally and flushed once
     // per query by the caller — the same charging rule and granularity as
-    // the kd-tree and grid paths (this used to go through the counted
+    // the kd-tree path (this used to go through the counted
     // squared_distance wrapper per row and counters::tree_nodes per node).
     for (const i32 id : node.children) {
       ++evals;

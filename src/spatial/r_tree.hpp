@@ -24,8 +24,6 @@ class RTree final : public SpatialIndex {
   /// `max_entries` is the node fan-out M; min fill is M * 0.4 (R*'s m).
   explicit RTree(const PointSet& points, int max_entries = 16);
 
-  void range_query(std::span<const double> q, double eps,
-                   std::vector<PointId>& out) const override;
   void range_query_budgeted(std::span<const double> q, double eps,
                             const QueryBudget& budget,
                             std::vector<PointId>& out) const override;
@@ -33,7 +31,7 @@ class RTree final : public SpatialIndex {
   /// Unified kNN (see SpatialIndex::knn_query): depth-first descent with
   /// children visited in ascending (rect distance, child index) order and
   /// subtrees pruned when their rectangle's distance strictly exceeds the
-  /// current k-th (d2, id) heap top. Same charging rule as kd/grid: one
+  /// current k-th (d2, id) heap top. Same charging rule as the kd-tree: one
   /// distance_eval per leaf entry examined, one tree_node per node visited,
   /// flushed once per query.
   void knn_query(std::span<const double> q, size_t k,

@@ -3,8 +3,9 @@
 // DBSCAN (Algorithm 1/2 in the paper) only needs one spatial primitive:
 // "all points within eps of q". The paper uses a kd-tree broadcast to every
 // executor; this interface lets the clustering code run against the kd-tree,
-// a uniform grid, or the naive O(n^2) scan so the paper's complexity claims
-// (Section V.B) can be measured rather than asserted.
+// the R-tree of the paper's reference [2], or the naive O(n^2) scan so the
+// paper's complexity claims (Section V.B) can be measured rather than
+// asserted.
 #pragma once
 
 #include <memory>
@@ -24,13 +25,18 @@ namespace sdb {
 ///
 ///  * DETERMINISM. Every index has a fixed candidate traversal order — the
 ///    kd-tree descends the child containing the query first and scans leaf
-///    buckets in build-permutation order; the grid walks neighbor cells in
-///    odometer order and cells in id order; brute force scans ids
-///    ascending. A budgeted query returns exactly the first matches of that
-///    traversal until a budget fires, so repeated invocations with the same
-///    index, query, and budget return the *identical* sequence. The
-///    kd-tree's order depends only on the data (median splits are
-///    deterministic), not on how many threads built the tree.
+///    buckets in build-permutation order; the R-tree descends children in
+///    entry order; brute force scans ids ascending. A budgeted query returns
+///    exactly the first matches of that traversal until a budget fires, so
+///    repeated invocations with the same index, query, and budget return
+///    the *identical* sequence. The kd-tree's order depends only on the
+///    data (median splits are deterministic), not on how many threads built
+///    the tree.
+///  * CHARGES. A query charges one distance_eval per candidate row its
+///    traversal visits: under a neighbor budget, the rows up to and
+///    including the one that fills it, and no row after it — whatever the
+///    SIMD scan evaluated past that row. tree_nodes counts the nodes
+///    visited, including the one where a node budget fires.
 ///  * SUBSET. Budgeted results are always a subset of the exact result set
 ///    (enforced by test_index_properties BudgetLaws).
 ///  * NO SYMMETRY. Exact eps-neighborhoods are symmetric (A within eps of B
@@ -46,8 +52,8 @@ namespace sdb {
 struct QueryBudget {
   /// Stop reporting once this many neighbors were found (0 = exact).
   u64 max_neighbors = 0;
-  /// Stop descending once this many tree nodes / grid cells were visited
-  /// (0 = exact).
+  /// Stop descending once this many tree nodes were visited (0 = exact).
+  /// Brute force has no nodes and ignores it.
   u64 max_nodes = 0;
 
   [[nodiscard]] bool exact() const {
@@ -69,11 +75,14 @@ class SpatialIndex {
 
   /// Append the ids of all points within `eps` of `q` to `out` (out is NOT
   /// cleared). Includes the query point itself if it is in the dataset.
-  virtual void range_query(std::span<const double> q, double eps,
-                           std::vector<PointId>& out) const = 0;
+  /// The unbudgeted form of range_query_budgeted, the one virtual entry.
+  void range_query(std::span<const double> q, double eps,
+                   std::vector<PointId>& out) const {
+    range_query_budgeted(q, eps, QueryBudget{}, out);
+  }
 
-  /// Budgeted range query; an exact index may ignore the budget only when
-  /// budget.exact() is true.
+  /// Range query under `budget` (see the approximation contract on
+  /// QueryBudget); with budget.exact() it returns every point within eps.
   virtual void range_query_budgeted(std::span<const double> q, double eps,
                                     const QueryBudget& budget,
                                     std::vector<PointId>& out) const = 0;
@@ -87,25 +96,24 @@ class SpatialIndex {
   /// pairs under lexicographic order. That makes the exact result unique —
   /// independent of index structure, leaf size, build thread count, and
   /// SIMD variant — so every index returns byte-identical hit lists for the
-  /// same dataset (regression-tested across all four in test_knn_queries).
+  /// same dataset (regression-tested across all three in test_knn_queries).
   ///
-  /// COUNTER CONTRACT (unified across kd-tree / grid / R-tree / brute
-  /// force; the R-tree previously had no kNN path at all and the kd-tree
-  /// charged per node rather than per query):
+  /// COUNTER CONTRACT (unified across kd-tree / R-tree / brute force; the
+  /// R-tree previously had no kNN path at all and the kd-tree charged per
+  /// node rather than per query):
   ///   * distance_evals: exactly ONE per candidate row the traversal
   ///     examines, charged whether or not the row enters the heap, and
   ///     regardless of SIMD partial-distance abandonment or kernel cutoff
   ///     filtering (both are implementation details of the evaluation, as
   ///     in range queries). A traversal forced to examine every row (k >=
-  ///     n, or a single-leaf/single-cell layout) charges exactly n on every
-  ///     index.
-  ///   * tree_nodes: one per tree node / grid cell the traversal visits
-  ///     (zero for brute force, which has no nodes).
+  ///     n, or a single-leaf layout) charges exactly n on every index.
+  ///   * tree_nodes: one per tree node the traversal visits (zero for brute
+  ///     force, which has no nodes).
   ///   * All tallies are accumulated locally and flushed once per query
   ///     (counters::add), like range_query.
   ///
   /// BUDGET SEMANTICS for kNN (previously undocumented):
-  ///   * budget.max_nodes bounds the nodes/cells visited, exactly as in
+  ///   * budget.max_nodes bounds the nodes visited, exactly as in
   ///     range queries: the traversal stops descending once the cap is
   ///     reached, and the result is the EXACT kNN (with the same tie-break)
   ///     of the rows actually examined — deterministic, because traversal

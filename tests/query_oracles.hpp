@@ -2,10 +2,10 @@
 //
 // The hit-set oracles are per-point loops over the PointSet: no index, no
 // strip layout, no kernel dispatch. The order-and-counter reference runs
-// the same index through its neighbor-budgeted path under a budget no query
-// can reach, which on the kd-tree scans each leaf during the descent, block
-// by block through strip_scan_budgeted and the per-strip kernel, instead of
-// through the collected-leaf range scan of the exact path.
+// the same index under a neighbor budget no query can fill. On the kd-tree
+// that is the same descent on its other schedule: each leaf is scanned as
+// it is reached (a batch of one), where the exact query collects up to
+// KdTree::kLeafBatch leaves before it scans them.
 #pragma once
 
 #include <algorithm>
@@ -63,9 +63,9 @@ inline QueryRun run_query(const SpatialIndex& index, std::span<const double> q,
   return run;
 }
 
-/// The query under a neighbor budget of size() + 1, which never fires, and
-/// the node budget `max_nodes`: the reference for the exact path's hit
-/// order, distance_evals and tree_nodes.
+/// The query under a neighbor budget of size() + 1, which never fills, and
+/// the node budget `max_nodes`: the leaf-at-a-time schedule, the reference
+/// for the batched schedule's hit order, distance_evals and tree_nodes.
 inline QueryRun run_unreachable_budget(const SpatialIndex& index,
                                        std::span<const double> q, double eps,
                                        u64 max_nodes = 0) {

@@ -16,6 +16,7 @@
 // index-level comparisons are exercised on both sides on SIMD hosts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -26,7 +27,6 @@
 #include "geom/distance.hpp"
 #include "query_oracles.hpp"
 #include "spatial/brute_force.hpp"
-#include "spatial/grid_index.hpp"
 #include "spatial/kd_tree.hpp"
 #include "synth/generators.hpp"
 #include "util/counters.hpp"
@@ -274,9 +274,12 @@ INSTANTIATE_TEST_SUITE_P(Dims, RangeScanBitExact,
                          ::testing::Values<size_t>(1, 2, 3, 10, 64));
 
 TEST(RangeScan, LongRangesAreChunkedWithoutChangingHits) {
-  // strip_scan_exact splits a range longer than its position buffer at
-  // block boundaries: the hits of a long range, from every start lane,
-  // must be the full-sum oracle's, in ascending order, on every variant.
+  // strip_scan splits a range longer than its position buffer at block
+  // boundaries: the hits of a long range, from every start lane, must be
+  // the full-sum oracle's, in ascending order, on every variant. Under a
+  // limit that fills in the first, a middle or the last chunk it emits the
+  // oracle's first `left` hits and charges the rows up to the filling one;
+  // under a limit it does not fill, every hit and every row.
   const size_t dim = 3;
   const size_t n = 3 * kRangeScanChunk + 11;
   Rng rng(777);
@@ -292,19 +295,49 @@ TEST(RangeScan, LongRangesAreChunkedWithoutChangingHits) {
   }
   const auto q = ps[0];
   const double eps2 = 16.0;
-  for (const simd::detail::KernelSet& set : simd::detail::supported_kernels()) {
-    for (size_t begin = 0; begin < kDistanceStrip; ++begin) {
-      std::vector<size_t> got;
-      strip_scan_exact(set.range, q, eps2, strips.data(), begin, n,
-                       [&](size_t pos) { got.push_back(pos); });
-      std::vector<size_t> want;
-      for (size_t i = begin; i < n; ++i) {
-        if (squared_distance_uncounted(q, ps[static_cast<PointId>(i)]) <=
-            eps2) {
-          want.push_back(i);
-        }
+  for (size_t begin = 0; begin < kDistanceStrip; ++begin) {
+    std::vector<size_t> all;
+    for (size_t i = begin; i < n; ++i) {
+      if (squared_distance_uncounted(q, ps[static_cast<PointId>(i)]) <=
+          eps2) {
+        all.push_back(i);
       }
-      EXPECT_EQ(got, want) << name_of(set) << " begin=" << begin;
+    }
+    // Chunk c of the scan from `begin` covers positions from its first
+    // block's start + c * kRangeScanChunk, up to kRangeScanChunk of them.
+    const auto chunk_of = [&](size_t pos) {
+      return (pos - (begin - begin % kDistanceStrip)) / kRangeScanChunk;
+    };
+    // Limits that fill at the first hit, at the first hit of the third
+    // chunk, and at the very last hit.
+    const auto third = std::find_if(
+        all.begin(), all.end(), [&](size_t pos) { return chunk_of(pos) == 2; });
+    ASSERT_NE(third, all.end()) << "begin=" << begin;
+    ASSERT_EQ(chunk_of(all.front()), 0u) << "begin=" << begin;
+    ASSERT_EQ(chunk_of(n - 1), 3u) << "begin=" << begin;
+    ASSERT_EQ(chunk_of(all.back()), 3u) << "begin=" << begin;
+    const u64 first_of_third = static_cast<u64>(third - all.begin()) + 1;
+    const u64 total = all.size();
+    for (const simd::detail::KernelSet& set :
+         simd::detail::supported_kernels()) {
+      for (const u64 limit :
+           {u64{1}, first_of_third, total, total + 1, ~u64{0}}) {
+        const bool fills = limit <= total;
+        const std::vector<size_t> want(
+            all.begin(),
+            all.begin() + static_cast<std::ptrdiff_t>(std::min(limit, total)));
+        std::vector<size_t> got;
+        u64 left = limit;
+        const size_t rows =
+            strip_scan(set.range, q, eps2, strips.data(), begin, n, left,
+                       [&](size_t pos) { got.push_back(pos); });
+        EXPECT_EQ(got, want) << name_of(set) << " begin=" << begin
+                             << " limit=" << limit;
+        EXPECT_EQ(left, fills ? 0 : limit - total)
+            << name_of(set) << " begin=" << begin << " limit=" << limit;
+        EXPECT_EQ(rows, fills ? want.back() - begin + 1 : n - begin)
+            << name_of(set) << " begin=" << begin << " limit=" << limit;
+      }
     }
   }
 }
@@ -313,8 +346,10 @@ TEST(RangeScan, OverflowedEpsReturnsEveryIdOnce) {
   // eps = 1e155 squares to +inf. Every point is then within eps, and each
   // exact and budgeted scan must report each id exactly once — never a
   // padding lane, a lane past the range, or an id read past the end of the
-  // index's id table. The kd-tree's exact path must also report them in the
-  // order, and with the counters, of its per-strip budgeted scan.
+  // index's id table. The kd-tree's exact query (batched leaves) must also
+  // report them in the order, and with the counters, of the same descent
+  // scanning each leaf as it is reached (a neighbor budget that never
+  // fills).
   Rng rng(1155);
   PointSet ps(3);
   std::vector<double> p(3);
@@ -430,8 +465,9 @@ TEST_P(StripBoundarySizes, ReorderedTreeMatchesLegacyAndBruteExactly) {
   // With leaf_size >= n the whole dataset is one leaf, so the query IS one
   // kernel call with a partial final strip — the tail-handling regression
   // this suite pins down. The hit set must be the per-point loop's, and the
-  // hit order, distance_evals and tree_nodes those of the same tree's
-  // per-strip budgeted scan.
+  // hit order, distance_evals and tree_nodes those of the same descent
+  // scanning each leaf as it is reached (a neighbor budget that never
+  // fills) instead of in a batch.
   const size_t n = GetParam();
   const double eps = 30.0;
   Rng rng(7 + static_cast<u64>(n));
@@ -472,18 +508,21 @@ INSTANTIATE_TEST_SUITE_P(AroundStripWidth, StripBoundarySizes,
                                                    2 * kDistanceStrip + 1));
 
 // ---------------------------------------------------------------------------
-// Budgeted queries through the strip kernel (strip_scan_budgeted): hits,
-// order, distance_evals, and the early-stop row must be exactly a per-row
-// loop's — for the function itself on every kernel variant, and across
-// indexes, variants, and strip-boundary sizes for the queries built on it.
+// Budgeted scans through the range scan (strip_scan): hits, order,
+// distance_evals, and the early-stop row must be exactly a per-row loop's —
+// for the function itself on every kernel variant, and across indexes,
+// variants, and strip-boundary sizes for the queries built on it.
 // ---------------------------------------------------------------------------
 
 TEST(BudgetedStripScan, MatchesPerRowLoopOnEveryVariant) {
   // The reference walks the packed rows of [begin, end) in order, charges
   // one evaluation per row it visits, and stops right after the row whose
-  // hit makes `found` reach the budget. strip_scan_budgeted must push the
-  // same positions and leave the same `found`, `evals` and return value,
-  // from every start lane of two blocks, on every supported variant.
+  // hit uses up the remaining budget `left`. strip_scan must emit the same
+  // positions, leave the same `left`, return the same row charge and stop
+  // exactly when the reference stops (left == 0), from every start lane of
+  // two blocks, on every supported variant's range scan. The limits are
+  // every remaining budget a (max_neighbors, hits found before) pair of
+  // {1, 3, 31, 32, 33, 64} x {0, 5} leaves, and ~0, the exact scan's.
   const double eps = 25.0;
   for (const size_t dim : {size_t{1}, size_t{3}, size_t{10}, size_t{64}}) {
     Rng rng(9090 + static_cast<u64>(dim));
@@ -504,42 +543,38 @@ TEST(BudgetedStripScan, MatchesPerRowLoopOnEveryVariant) {
       for (const double eps2 : eps2s) {
         for (size_t begin = 0; begin < 2 * kDistanceStrip; ++begin) {
           for (const size_t end : {begin + 1, begin + 40, n}) {
-            for (const u64 max_neighbors : {u64{1}, u64{3}, u64{31}, u64{32},
-                                            u64{33}, u64{64}}) {
-              for (const u64 found_before : {u64{0}, u64{5}}) {
-                std::vector<size_t> want;
-                u64 want_found = found_before;
-                u64 want_evals = 7;  // the scan adds to earlier ranges' charges
-                bool want_stop = false;
-                for (size_t i = begin; i < end && !want_stop; ++i) {
-                  ++want_evals;
-                  if (squared_distance_uncounted(q, rows[i]) <= eps2) {
-                    want.push_back(i);
-                    want_stop = ++want_found >= max_neighbors;
-                  }
+            for (const u64 limit :
+                 {u64{1}, u64{3}, u64{26}, u64{27}, u64{28}, u64{31}, u64{32},
+                  u64{33}, u64{59}, u64{64}, ~u64{0}}) {
+              std::vector<size_t> want;
+              u64 want_left = limit;
+              size_t want_rows = 0;
+              bool want_stop = false;
+              for (size_t i = begin; i < end && !want_stop; ++i) {
+                ++want_rows;
+                if (squared_distance_uncounted(q, rows[i]) <= eps2) {
+                  want.push_back(i);
+                  want_stop = --want_left == 0;
                 }
-
-                std::vector<size_t> got;
-                u64 found = found_before;
-                u64 evals = 7;
-                const bool stop = strip_scan_budgeted(
-                    set.strip, q, eps2, strips.data(), begin, end,
-                    max_neighbors, found, evals,
-                    [&](size_t pos) { got.push_back(pos); });
-                const auto where = [&] {
-                  return std::string(name_of(set)) +
-                         " dim=" + std::to_string(dim) +
-                         " begin=" + std::to_string(begin) +
-                         " end=" + std::to_string(end) +
-                         " eps2=" + std::to_string(eps2) +
-                         " max_neighbors=" + std::to_string(max_neighbors) +
-                         " found_before=" + std::to_string(found_before);
-                };
-                EXPECT_EQ(got, want) << where();
-                EXPECT_EQ(found, want_found) << where();
-                EXPECT_EQ(evals, want_evals) << where();
-                EXPECT_EQ(stop, want_stop) << where();
               }
+
+              std::vector<size_t> got;
+              u64 left = limit;
+              const size_t rows_charged =
+                  strip_scan(set.range, q, eps2, strips.data(), begin, end,
+                             left, [&](size_t pos) { got.push_back(pos); });
+              const auto where = [&] {
+                return std::string(name_of(set)) +
+                       " dim=" + std::to_string(dim) +
+                       " begin=" + std::to_string(begin) +
+                       " end=" + std::to_string(end) +
+                       " eps2=" + std::to_string(eps2) +
+                       " limit=" + std::to_string(limit);
+              };
+              EXPECT_EQ(got, want) << where();
+              EXPECT_EQ(left, want_left) << where();
+              EXPECT_EQ(rows_charged, want_rows) << where();
+              EXPECT_EQ(left == 0, want_stop) << where();
             }
           }
         }
@@ -549,10 +584,13 @@ TEST(BudgetedStripScan, MatchesPerRowLoopOnEveryVariant) {
 }
 
 TEST(BudgetedStripScan, BitIdenticalAcrossVariantsAndLayouts) {
-  // Dataset sizes straddling the strip width so the budget can fire inside
+  // Dataset sizes straddling the strip width so the budget can fill inside
   // a full block, exactly at a block edge, and in a ragged tail; budgets
-  // straddling the typical hit counts so both the "whole segment consumed"
-  // and the "stop at bit j, charge j+1 rows" reconstruction paths run.
+  // straddling the typical hit counts so both the "whole range consumed"
+  // and the "stop at the filling hit, charge the rows up to it" paths run.
+  // Brute force and a one-leaf kd-tree (leaf_size >= n, so its leaf order
+  // is the id order) must both equal the per-row loop over ids, dispatched
+  // and under force_scalar.
   for (const size_t n : {size_t{1}, kDistanceStrip - 1, kDistanceStrip,
                          kDistanceStrip + 1, 3 * kDistanceStrip + 5,
                          size_t{400}}) {
@@ -564,8 +602,9 @@ TEST(BudgetedStripScan, BitIdenticalAcrossVariantsAndLayouts) {
       ps.add(p);
     }
     const KdTree tree(ps, KdTreeOptions{.build_threads = 1});
+    const KdTree one_leaf(ps, KdTreeOptions{.leaf_size = static_cast<int>(n),
+                                            .build_threads = 1});
     const BruteForceIndex brute(ps);
-    const GridIndex grid(ps, 20.0);
 
     for (const u64 max_neighbors : {u64{1}, u64{3}, u64{31}, u64{32}, u64{33},
                                     u64{64}}) {
@@ -582,14 +621,36 @@ TEST(BudgetedStripScan, BitIdenticalAcrossVariantsAndLayouts) {
           }
           return std::make_pair(hits, wc.distance_evals);
         };
+        // The per-row loop over ids: hits until the budget fills, one
+        // evaluation per row up to the filling one.
+        std::pair<std::vector<PointId>, u64> per_row;
+        for (PointId i = 0; i < static_cast<PointId>(n) &&
+                            per_row.first.size() < max_neighbors;
+             ++i) {
+          ++per_row.second;
+          if (squared_distance_uncounted(q, ps[i]) <= 20.0 * 20.0) {
+            per_row.first.push_back(i);
+          }
+        }
+        for (const SpatialIndex* index :
+             {static_cast<const SpatialIndex*>(&one_leaf),
+              static_cast<const SpatialIndex*>(&brute)}) {
+          EXPECT_EQ(run(*index), per_row)
+              << index->name() << " n=" << n << " q=" << qi
+              << " max_neighbors=" << max_neighbors;
+          simd::force_scalar(true);
+          EXPECT_EQ(run(*index), per_row)
+              << index->name() << " scalar n=" << n << " q=" << qi
+              << " max_neighbors=" << max_neighbors;
+          simd::force_scalar(false);
+        }
         // Kernel-vs-scalar parity on every index type, and truncation
         // order: a budgeted query reports the first max_neighbors hits of
         // the same index's exact query, in its order (same traversal; the
         // stop row itself is pinned by MatchesPerRowLoopOnEveryVariant).
         for (const SpatialIndex* index :
              {static_cast<const SpatialIndex*>(&tree),
-              static_cast<const SpatialIndex*>(&brute),
-              static_cast<const SpatialIndex*>(&grid)}) {
+              static_cast<const SpatialIndex*>(&brute)}) {
           const auto dispatched = run(*index);
           simd::force_scalar(true);
           const auto scalar = run(*index);

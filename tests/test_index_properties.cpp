@@ -1,14 +1,18 @@
 // Cross-index property sweep: every SpatialIndex implementation must agree
-// with every other on exact queries, and budgeted queries must return
-// subsets of the exact result.
+// with every other on exact queries, budgeted queries must return subsets
+// of the exact result, and each index's hits and work counters under a set
+// of budgets are pinned by golden digests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "geom/distance.hpp"
 #include "query_oracles.hpp"
 #include "spatial/brute_force.hpp"
-#include "spatial/grid_index.hpp"
 #include "spatial/kd_tree.hpp"
 #include "spatial/r_tree.hpp"
 #include "synth/generators.hpp"
@@ -41,9 +45,8 @@ TEST_P(AllIndexesAgree, ExactQueriesIdentical) {
   const PointSet ps = clustered_points(900, dim, 71 + static_cast<u64>(dim));
   const KdTree kd(ps);
   const RTree rt(ps);
-  const GridIndex grid(ps, eps);
   const BruteForceIndex brute(ps);
-  const std::vector<const SpatialIndex*> indexes = {&kd, &rt, &grid, &brute};
+  const std::vector<const SpatialIndex*> indexes = {&kd, &rt, &brute};
 
   Rng rng(9);
   for (int trial = 0; trial < 25; ++trial) {
@@ -102,15 +105,15 @@ TEST_P(IndexParityAdversarial, AllIndexesAndLayoutsAgree) {
       adversarial_points(700, dim, eps, 113 + static_cast<u64>(dim));
   const KdTree kd(ps, KdTreeOptions{.build_threads = 4});
   const RTree rt(ps);
-  const GridIndex grid(ps, eps);
   const BruteForceIndex brute(ps);
-  const std::vector<const SpatialIndex*> indexes = {&kd, &rt, &grid, &brute};
+  const std::vector<const SpatialIndex*> indexes = {&kd, &rt, &brute};
   Rng rng(17);
   for (int trial = 0; trial < 30; ++trial) {
     const PointId q = static_cast<PointId>(rng.uniform_index(ps.size()));
     const auto expected = test::per_point_hits(ps, ps[q], eps);
-    // The kd-tree's exact path (collected leaves, one range-scan call each)
-    // against its per-strip budgeted scan: same order, same counters.
+    // The kd-tree's descent scanning batches of collected leaves (exact)
+    // against the same descent scanning each leaf as it is reached (a
+    // neighbor budget that never fills): same order, same counters.
     const auto kd_exact = test::run_query(kd, ps[q], eps);
     const auto kd_reference = test::run_unreachable_budget(kd, ps[q], eps);
     EXPECT_EQ(kd_exact.hits, kd_reference.hits)
@@ -170,6 +173,211 @@ TEST(BudgetLaws, BudgetedIsSubsetOfExactForAllIndexes) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden hits and counters per index and budget. Each row pins, for one
+// index on one dataset under one budget, an FNV-1a digest of every query's
+// hit ids in reported order (a separator after each query), and the summed
+// distance_evals and tree_nodes. A change to the leaf scan or the descent
+// that moves a hit, reorders hits or changes a charge shows up here.
+// ---------------------------------------------------------------------------
+
+struct GoldenRow {
+  const char* dataset;
+  const char* index;
+  u64 max_neighbors;
+  u64 max_nodes;
+  u64 digest;
+  u64 distance_evals;
+  u64 tree_nodes;
+};
+
+constexpr GoldenRow kRangeGoldens[] = {
+    {"uniform", "kd4", 0, 0, 0x6173f7fc5d9deb1bull, 8851, 23503},
+    {"uniform", "kd4", 64, 0, 0x9ccad3778bd9714dull, 7743, 18610},
+    {"uniform", "kd4", 16, 0, 0xab498f1b29db19d7ull, 1682, 3045},
+    {"uniform", "kd4", 4, 0, 0x446e6db61ec2614cull, 229, 775},
+    {"uniform", "kd4", 1, 0, 0x1bdaab68624d2b0aull, 54, 714},
+    {"uniform", "kd4", 3, 0, 0x3db4866bb79f923full, 167, 747},
+    {"uniform", "kd4", 31, 0, 0x81638c5a815353bbull, 4116, 8337},
+    {"uniform", "kd4", 32, 0, 0xf7dd1a6db4a25becull, 4248, 8788},
+    {"uniform", "kd4", 33, 0, 0xece16f5ca136a5f2ull, 4368, 9095},
+    {"uniform", "kd4", 0, 50, 0x457732f00842aca6ull, 1758, 2601},
+    {"uniform", "kd4", 0, 700, 0x94b00629c673b554ull, 8588, 21691},
+    {"uniform", "kd4", 64, 200, 0xb932fead96c6ab1bull, 5051, 10115},
+    {"uniform", "kd4", 8, 30, 0x64bb8a546b8c03adull, 597, 1070},
+    {"uniform", "kd192", 0, 0, 0x80cd2e3559923967ull, 102830, 2707},
+    {"uniform", "kd192", 64, 0, 0x9447ae7d12f0519dull, 75682, 2021},
+    {"uniform", "kd192", 16, 0, 0x5a091bed3d85b207ull, 11462, 563},
+    {"uniform", "kd192", 4, 0, 0x96e7b7df54c6baacull, 2049, 408},
+    {"uniform", "kd192", 1, 0, 0xebf722e65624d6ddull, 667, 408},
+    {"uniform", "kd192", 3, 0, 0xae309cb3cb258573ull, 1548, 408},
+    {"uniform", "kd192", 31, 0, 0x4026a1e443c6c6c7ull, 33386, 1006},
+    {"uniform", "kd192", 32, 0, 0x309a805a6f9169e8ull, 35118, 1034},
+    {"uniform", "kd192", 33, 0, 0x3c2874c569e82b07ull, 36337, 1066},
+    {"uniform", "kd192", 0, 50, 0x9b636dd3d7d587f5ull, 81571, 2101},
+    {"uniform", "kd192", 0, 700, 0x80cd2e3559923967ull, 102830, 2707},
+    {"uniform", "kd192", 64, 200, 0x9447ae7d12f0519dull, 75682, 2021},
+    {"uniform", "kd192", 8, 30, 0xe5199564cb5a9d1cull, 4189, 422},
+    {"uniform", "brute", 0, 0, 0xe7fb0dbf568b935bull, 1020000, 0},
+    {"uniform", "brute", 64, 0, 0x49da4e5a5ea87030ull, 973628, 0},
+    {"uniform", "brute", 16, 0, 0xaf7b8016bac4030cull, 384380, 0},
+    {"uniform", "brute", 4, 0, 0x0fd08b7127b7adfaull, 97566, 0},
+    {"uniform", "brute", 1, 0, 0xea73ac20a4843184ull, 16921, 0},
+    {"uniform", "brute", 3, 0, 0xb45cf2035a6e251cull, 75306, 0},
+    {"uniform", "brute", 31, 0, 0x1082f1a0d62cad7aull, 683793, 0},
+    {"uniform", "brute", 32, 0, 0xdb3f29df1c572aa2ull, 698964, 0},
+    {"uniform", "brute", 33, 0, 0x79f95311a9e01efbull, 710199, 0},
+    {"uniform", "brute", 0, 50, 0xe7fb0dbf568b935bull, 1020000, 0},
+    {"uniform", "brute", 0, 700, 0xe7fb0dbf568b935bull, 1020000, 0},
+    {"uniform", "brute", 64, 200, 0x49da4e5a5ea87030ull, 973628, 0},
+    {"uniform", "brute", 8, 30, 0x4270a8fe8e367a82ull, 193737, 0},
+    {"clustered", "kd4", 0, 0, 0x5271a875794d87d4ull, 98745, 133361},
+    {"clustered", "kd4", 64, 0, 0x63dd4b6a9edac53eull, 14058, 24106},
+    {"clustered", "kd4", 16, 0, 0xcce5b82928b4ef1full, 2464, 4582},
+    {"clustered", "kd4", 4, 0, 0xd3094f82f2e00c6cull, 347, 1124},
+    {"clustered", "kd4", 1, 0, 0xba618d04945bb859ull, 74, 714},
+    {"clustered", "kd4", 3, 0, 0xecaa6f9972228a81ull, 252, 1042},
+    {"clustered", "kd4", 31, 0, 0xf58b965434c50004ull, 5940, 10364},
+    {"clustered", "kd4", 32, 0, 0x4ccbc8a8bee92026ull, 6210, 10696},
+    {"clustered", "kd4", 33, 0, 0x1c1cab6146b3e5bbull, 6510, 11197},
+    {"clustered", "kd4", 0, 50, 0x15c25ba9d4f22c5full, 2049, 2567},
+    {"clustered", "kd4", 0, 700, 0x4679c4c9ad2727abull, 26820, 31843},
+    {"clustered", "kd4", 64, 200, 0xfdc24d8688e52697ull, 6864, 7909},
+    {"clustered", "kd4", 8, 30, 0xf92854981bc93b92ull, 656, 1242},
+    {"clustered", "kd192", 0, 0, 0xc630d4c2e4f493c8ull, 222672, 3391},
+    {"clustered", "kd192", 64, 0, 0x25f26ff448c6c174ull, 50160, 1122},
+    {"clustered", "kd192", 16, 0, 0xc8aca6472b3c74dbull, 11916, 615},
+    {"clustered", "kd192", 4, 0, 0x652af5f19e8fd572ull, 3672, 504},
+    {"clustered", "kd192", 1, 0, 0x9ff6de36b019e976ull, 693, 408},
+    {"clustered", "kd192", 3, 0, 0x7be074dd60a82a0cull, 3443, 504},
+    {"clustered", "kd192", 31, 0, 0x495c407bce8fdb49ull, 23618, 750},
+    {"clustered", "kd192", 32, 0, 0x439d15d7dfb51f9dull, 24093, 755},
+    {"clustered", "kd192", 33, 0, 0x380f262aa6f8c08dull, 24794, 762},
+    {"clustered", "kd192", 0, 50, 0xc8ca7b7c6167343dull, 166564, 2439},
+    {"clustered", "kd192", 0, 700, 0xc630d4c2e4f493c8ull, 222672, 3391},
+    {"clustered", "kd192", 64, 200, 0x25f26ff448c6c174ull, 50160, 1122},
+    {"clustered", "kd192", 8, 30, 0xd3235ccaefc40178ull, 5667, 514},
+    {"clustered", "brute", 0, 0, 0x70f1a4cb3d45b4bcull, 1020000, 0},
+    {"clustered", "brute", 64, 0, 0x1b6c67e30944059dull, 501105, 0},
+    {"clustered", "brute", 16, 0, 0x7cf9a0c88abf2e80ull, 302879, 0},
+    {"clustered", "brute", 4, 0, 0xc81c1da3450afc78ull, 233076, 0},
+    {"clustered", "brute", 1, 0, 0xff38b2f5fa047100ull, 103696, 0},
+    {"clustered", "brute", 3, 0, 0xe515957906e385d6ull, 228180, 0},
+    {"clustered", "brute", 31, 0, 0x8b7b58c4b540a7b5ull, 376733, 0},
+    {"clustered", "brute", 32, 0, 0x458df9369351e442ull, 381414, 0},
+    {"clustered", "brute", 33, 0, 0x49c34adba9b36aedull, 387605, 0},
+    {"clustered", "brute", 0, 50, 0x70f1a4cb3d45b4bcull, 1020000, 0},
+    {"clustered", "brute", 0, 700, 0x70f1a4cb3d45b4bcull, 1020000, 0},
+    {"clustered", "brute", 64, 200, 0x1b6c67e30944059dull, 501105, 0},
+    {"clustered", "brute", 8, 30, 0xf35bbd25d4e2d138ull, 255842, 0},
+};
+
+constexpr u64 kFnvOffset = 14695981039346656037ull;
+
+u64 fnv1a(u64 h, u64 v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xff;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+PointSet uniform_points(i64 n, int dim, double side, u64 seed) {
+  Rng rng(seed);
+  PointSet ps(dim);
+  std::vector<double> p(static_cast<size_t>(dim));
+  for (i64 i = 0; i < n; ++i) {
+    for (auto& x : p) x = rng.uniform(0.0, side);
+    ps.add(p);
+  }
+  return ps;
+}
+
+TEST(RangeQueryGoldens, PerIndexAndBudget) {
+  const PointSet uniform = uniform_points(20000, 5, 30.0, 61);
+  const PointSet clustered = clustered_points(20000, 10, 67);
+  struct Dataset {
+    const char* name;
+    const PointSet& ps;
+    double eps;
+  };
+  const Dataset datasets[] = {{"uniform", uniform, 7.0},
+                              {"clustered", clustered, 6.0}};
+  // (max_neighbors, max_nodes); 0 = unlimited.
+  const std::pair<u64, u64> budgets[] = {
+      {0, 0},  {64, 0}, {16, 0}, {4, 0},  {1, 0},    {3, 0},    {31, 0},
+      {32, 0}, {33, 0}, {0, 50}, {0, 700}, {64, 200}, {8, 30}};
+
+  std::vector<GoldenRow> got;
+  for (const Dataset& data : datasets) {
+    const KdTree kd4(data.ps,
+                     KdTreeOptions{.leaf_size = 4, .build_threads = 1});
+    const KdTree kd192(data.ps,
+                       KdTreeOptions{.leaf_size = 192, .build_threads = 1});
+    const BruteForceIndex brute(data.ps);
+    const std::pair<const char*, const SpatialIndex*> indexes[] = {
+        {"kd4", &kd4}, {"kd192", &kd192}, {"brute", &brute}};
+    for (const auto& [name, index] : indexes) {
+      for (const auto& [max_neighbors, max_nodes] : budgets) {
+        const QueryBudget budget{.max_neighbors = max_neighbors,
+                                 .max_nodes = max_nodes};
+        GoldenRow row{data.name, name, max_neighbors, max_nodes, kFnvOffset,
+                      0,         0};
+        for (PointId q = 13; q < 20000; q += 397) {  // 51 fixed queries
+          const test::QueryRun run =
+              test::run_query(*index, data.ps[q], data.eps, budget);
+          for (const PointId id : run.hits) {
+            row.digest = fnv1a(row.digest, static_cast<u64>(id));
+          }
+          row.digest = fnv1a(row.digest, ~u64{0});
+          row.distance_evals += run.distance_evals;
+          row.tree_nodes += run.tree_nodes;
+        }
+        got.push_back(row);
+      }
+    }
+  }
+
+  EXPECT_EQ(got.size(), std::size(kRangeGoldens));
+  for (size_t i = 0; i < std::min(got.size(), std::size(kRangeGoldens));
+       ++i) {
+    const GoldenRow& want = kRangeGoldens[i];
+    const GoldenRow& row = got[i];
+    const std::string where = std::string(row.dataset) + " " + row.index +
+                              " max_neighbors=" +
+                              std::to_string(row.max_neighbors) +
+                              " max_nodes=" + std::to_string(row.max_nodes);
+    EXPECT_STREQ(row.dataset, want.dataset) << where;
+    EXPECT_STREQ(row.index, want.index) << where;
+    EXPECT_EQ(row.max_neighbors, want.max_neighbors) << where;
+    EXPECT_EQ(row.max_nodes, want.max_nodes) << where;
+    EXPECT_EQ(row.digest, want.digest) << where;
+    EXPECT_EQ(row.distance_evals, want.distance_evals) << where;
+    EXPECT_EQ(row.tree_nodes, want.tree_nodes) << where;
+  }
+  if (HasFailure()) {
+    // The measured table in source form, for a deliberate restatement.
+    for (const GoldenRow& row : got) {
+      std::printf(
+          "    {\"%s\", \"%s\", %llu, %llu, 0x%016llxull, %llu, %llu},\n",
+          row.dataset, row.index,
+          static_cast<unsigned long long>(row.max_neighbors),
+          static_cast<unsigned long long>(row.max_nodes),
+          static_cast<unsigned long long>(row.digest),
+          static_cast<unsigned long long>(row.distance_evals),
+          static_cast<unsigned long long>(row.tree_nodes));
+    }
+  }
+}
+
+TEST(BruteForce, SelfIncluded) {
+  const PointSet ps = uniform_points(50, 3, 10.0, 13);
+  BruteForceIndex brute(ps);
+  std::vector<PointId> out;
+  brute.range_query(ps[7], 0.0001, out);
+  EXPECT_NE(std::find(out.begin(), out.end(), 7), out.end());
 }
 
 TEST(KnnLaws, KGreaterThanNReturnsAll) {

@@ -210,11 +210,12 @@ TEST(KdTree, ParallelBuildMatchesSequential) {
 }
 
 TEST(KdTree, ReorderedMatchesLegacyExactlyIncludingCounters) {
-  // The exact path (collected leaves, one range-scan call each) must find
-  // the per-point loop's hit set, and report them in the same order with
-  // the same distance_evals and tree_nodes as the same tree's per-strip
-  // budgeted scan — the counter prices simulated executor work, so
-  // "faster" must never mean "counted differently".
+  // The exact query (leaves collected in batches of kLeafBatch, one
+  // range-scan call each) must find the per-point loop's hit set, and
+  // report them in the same order with the same distance_evals and
+  // tree_nodes as the same descent scanning each leaf as it is reached (a
+  // neighbor budget that never fills) — the counter prices simulated
+  // executor work, so "faster" must never mean "counted differently".
   const PointSet ps = random_points(5000, 4, 60.0, 67);
   const KdTree tree(ps, KdTreeOptions{.build_threads = 1});
   Rng rng(71);
@@ -235,8 +236,9 @@ TEST(KdTree, QueryReachingMoreLeavesThanTheLeafBatchMatchesLegacy) {
   // most of them make a query fill the batch many times over, and a node
   // budget makes the descent stop with a partial batch collected: the hit
   // set must still be the per-point loop's (without the node budget), and
-  // hits, their order and the counters the per-strip budgeted scan's under
-  // the same node budget.
+  // hits, their order and the counters those of the leaf-at-a-time
+  // schedule (a neighbor budget that never fills) under the same node
+  // budget.
   const PointSet ps = random_points(3000, 3, 30.0, 83);
   const KdTree tree(ps, KdTreeOptions{.leaf_size = 4, .build_threads = 1});
   const size_t leaves = (tree.node_count() + 1) / 2;

@@ -1,8 +1,8 @@
 // Unified kNN query contract across the spatial indexes (satellite of the
 // KNN-DBSCAN backend PR; the contract lives on SpatialIndex::knn_query).
 //
-// Every index — kd-tree (default and tiny leaves), brute force, grid,
-// R-tree — must return the SAME hit vector for the same query, the per-point
+// Every index — kd-tree (default and tiny leaves), brute force, R-tree —
+// must return the SAME hit vector for the same query, the per-point
 // oracle's (brute_oracle, query_oracles.hpp): exact kNN under the
 // lexicographic (d2, id) order, ties at the k-th distance broken by point
 // id. Duplicated points and exactly-equidistant partners make the tie-break
@@ -11,7 +11,7 @@
 // The counter contract is regression-tested the same way the range-query
 // suite pins distance_evals: a traversal forced to examine every row (k >=
 // n) charges exactly n distance_evals on EVERY index, and budget
-// semantics are uniform — max_nodes caps node/cell visits deterministically,
+// semantics are uniform — max_nodes caps node visits deterministically,
 // max_neighbors is ignored for kNN.
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "geom/distance.hpp"
 #include "query_oracles.hpp"
 #include "spatial/brute_force.hpp"
-#include "spatial/grid_index.hpp"
 #include "spatial/kd_tree.hpp"
 #include "spatial/r_tree.hpp"
 #include "synth/generators.hpp"
@@ -67,23 +66,21 @@ struct IndexSet {
   /// takes over.
   KdTree kd_small_leaves;
   BruteForceIndex brute;
-  GridIndex grid;
   RTree rtree;
   std::vector<const SpatialIndex*> all;
 
-  explicit IndexSet(const PointSet& ps, double grid_cell)
+  explicit IndexSet(const PointSet& ps)
       : kd(ps, KdTreeOptions{.build_threads = 1}),
         kd_small_leaves(ps, KdTreeOptions{.leaf_size = 4, .build_threads = 1}),
         brute(ps),
-        grid(ps, grid_cell),
         rtree(ps) {
-    all = {&kd, &kd_small_leaves, &brute, &grid, &rtree};
+    all = {&kd, &kd_small_leaves, &brute, &rtree};
   }
 };
 
 TEST(KnnQueryParity, AllIndexesMatchTheOracleIncludingTies) {
   const PointSet ps = tie_heavy_points(500, 4, 11);
-  IndexSet idx(ps, 8.0);
+  IndexSet idx(ps);
   const QueryBudget exact;
 
   for (const size_t k : {size_t{1}, size_t{2}, size_t{7}, size_t{33},
@@ -110,7 +107,7 @@ TEST(KnnQueryParity, HighDimMatchesOracle) {
   cfg.dim = 64;
   cfg.clusters = 4;
   const PointSet ps = synth::embedding_clusters(cfg, rng);
-  IndexSet idx(ps, synth::embedding_suggested_eps(cfg));
+  IndexSet idx(ps);
   const QueryBudget exact;
 
   for (const size_t k : {size_t{1}, size_t{16}, size_t{50}}) {
@@ -131,7 +128,7 @@ TEST(KnnQueryCounters, ExhaustiveTraversalChargesExactlyNEverywhere) {
   // double-charging across kernel blocks, no skipping via the cutoff
   // filter.
   const PointSet ps = tie_heavy_points(300, 3, 5);
-  IndexSet idx(ps, 10.0);
+  IndexSet idx(ps);
   const QueryBudget exact;
 
   for (PointId q = 0; q < 25; ++q) {
@@ -153,7 +150,7 @@ TEST(KnnQueryCounters, ChargesMatchScalarReference) {
   // the SIMD cutoff filter or partial-distance abandonment short-circuited
   // the arithmetic. Dispatched and forced-scalar runs must charge the same.
   const PointSet ps = tie_heavy_points(400, 6, 77);
-  IndexSet idx(ps, 9.0);
+  IndexSet idx(ps);
   const QueryBudget exact;
 
   for (const size_t k : {size_t{4}, size_t{32}}) {
@@ -183,7 +180,7 @@ TEST(KnnQueryBudget, MaxNeighborsIsIgnored) {
   // k itself is the result-size bound; budget.max_neighbors must have no
   // effect on kNN results or charges (documented in spatial_index.hpp).
   const PointSet ps = tie_heavy_points(300, 4, 13);
-  IndexSet idx(ps, 8.0);
+  IndexSet idx(ps);
 
   for (const u64 max_neighbors : {u64{0}, u64{1}, u64{5}, u64{1000}}) {
     QueryBudget budget;
@@ -211,7 +208,7 @@ TEST(KnnQueryBudget, MaxNeighborsIsIgnored) {
 
 TEST(KnnQueryBudget, MaxNodesIsDeterministicAndBruteStaysExact) {
   const PointSet ps = tie_heavy_points(400, 4, 17);
-  IndexSet idx(ps, 8.0);
+  IndexSet idx(ps);
 
   for (const u64 max_nodes : {u64{1}, u64{4}, u64{16}, u64{1 << 20}}) {
     QueryBudget budget;
@@ -247,7 +244,7 @@ TEST(KnnQueryEdgeCases, EmptyKZeroAndShortDatasets) {
   PointSet ps(3);
   ps.add(std::vector<double>{1.0, 2.0, 3.0});
   ps.add(std::vector<double>{1.0, 2.0, 3.0});  // duplicate: tie at d2=0
-  IndexSet idx(ps, 5.0);
+  IndexSet idx(ps);
   const QueryBudget exact;
 
   for (const SpatialIndex* index : idx.all) {
