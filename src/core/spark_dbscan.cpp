@@ -126,6 +126,12 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
       backend_salt =
           detail::fnv1a_value(backend_salt, config_.budget.max_nodes);
       backend_salt = detail::fnv1a_value(backend_salt, config_.index);
+      // A node cap counts the kd-tree's wide nodes, so the hits it keeps
+      // depend on their fan-out: a checkpoint written when the cap counted
+      // binary nodes must not resume.
+      if (config_.budget.max_nodes != 0) {
+        backend_salt = detail::fnv1a_value(backend_salt, KdTree::kFanout);
+      }
     }
     report.job_fingerprint = job_fingerprint(
         "spark", dataset_digest(points), config_.params, config_.partitioner,

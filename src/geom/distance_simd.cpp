@@ -24,6 +24,19 @@ std::uint32_t strip_scalar(const double* q, size_t dim, double eps2,
   return mask;
 }
 
+void box_scalar(const double* q, size_t dim, const double* boxes, double* d2) {
+  double s[kBoxFanout] = {};
+  for (size_t d = 0; d < dim; ++d) {
+    const double* lo = boxes + d * 2 * kBoxFanout;
+    const double* hi = lo + kBoxFanout;
+    for (size_t j = 0; j < kBoxFanout; ++j) {
+      const double e = std::max(std::max(lo[j] - q[d], q[d] - hi[j]), 0.0);
+      s[j] += e * e;
+    }
+  }
+  std::copy(s, s + kBoxFanout, d2);
+}
+
 #if SDB_HAVE_AVX2
 // Defined in distance_simd_avx2.cpp (compiled with -mavx2 only).
 std::uint32_t strip_avx2(const double* q, size_t dim, double eps2,
@@ -31,6 +44,7 @@ std::uint32_t strip_avx2(const double* q, size_t dim, double eps2,
 std::uint32_t range_avx2(const double* q, size_t dim, double eps2,
                          const double* strips, size_t begin, size_t end,
                          std::uint32_t* out);
+void box_avx2(const double* q, size_t dim, const double* boxes, double* d2);
 #endif
 #if SDB_HAVE_AVX512
 // Defined in distance_simd_avx512.cpp (compiled with -mavx512f only).
@@ -39,27 +53,31 @@ std::uint32_t strip_avx512(const double* q, size_t dim, double eps2,
 std::uint32_t range_avx512(const double* q, size_t dim, double eps2,
                            const double* strips, size_t begin, size_t end,
                            std::uint32_t* out);
+void box_avx512(const double* q, size_t dim, const double* boxes, double* d2);
 #endif
 #if SDB_HAVE_NEON
 // Defined in distance_simd_neon.cpp.
 std::uint32_t strip_neon(const double* q, size_t dim, double eps2,
                          const double* lanes, size_t count);
+void box_neon(const double* q, size_t dim, const double* boxes, double* d2);
 #endif
 
 namespace {
 
 constexpr KernelSet kScalarSet{KernelVariant::kScalar, &strip_scalar,
-                               &range_by_segments<&strip_scalar>};
+                               &range_by_segments<&strip_scalar>,
+                               &box_scalar};
 #if SDB_HAVE_AVX2
-constexpr KernelSet kAvx2Set{KernelVariant::kAvx2, &strip_avx2, &range_avx2};
+constexpr KernelSet kAvx2Set{KernelVariant::kAvx2, &strip_avx2, &range_avx2,
+                             &box_avx2};
 #endif
 #if SDB_HAVE_AVX512
 constexpr KernelSet kAvx512Set{KernelVariant::kAvx512, &strip_avx512,
-                               &range_avx512};
+                               &range_avx512, &box_avx512};
 #endif
 #if SDB_HAVE_NEON
 constexpr KernelSet kNeonSet{KernelVariant::kNeon, &strip_neon,
-                             &range_by_segments<&strip_neon>};
+                             &range_by_segments<&strip_neon>, &box_neon};
 #endif
 
 std::atomic<bool> g_forced_scalar{false};

@@ -40,7 +40,7 @@
 // returning the distances would force every lane to full depth, which
 // sparse and high-dimensional scans mostly avoid.
 //
-// Two entry points per variant:
+// Three entry points per variant:
 // - the strip kernel (StripKernelFn) decides one segment of one block and
 //   returns a mask. Callers that need per-block control use it: kNN filters
 //   leaf candidates through the mask with eps^2 = its current worst heap
@@ -52,7 +52,17 @@
 //   brute-force chunk (strip_scan, distance.hpp), which keeps the hits up
 //   to the one that fills a budget. A c100k query reaches ~21 leaves that
 //   span ~85 block segments; one call per leaf drops the per-segment
-//   calls, mask walks and ragged-edge paths that dominated the scan.
+//   calls, mask walks and ragged-edge paths that dominated the scan;
+// - the box kernel (BoxDistFn) writes the squared distances from q to the
+//   kBoxFanout child boxes of one kd-tree wide node, so a node's children
+//   are tested with one call and no data-dependent branch. It takes no
+//   cutoff and never abandons: the kd-tree compares each distance with
+//   eps^2 for a range query and with the heap top for kNN, and a full sum
+//   decides both comparisons as the old early-exit box loop did (the sum
+//   is monotone in d). Box excess uses the same ascending-d, unfused
+//   arithmetic, max(max(lo - q, q - hi), 0) squared, on every variant, so
+//   the distances are bit-identical and every prune decision is the
+//   scalar one.
 //
 // Dispatch: the kernels are one set of function pointers per variant,
 // resolved together on first use — CPU feature detection (AVX-512F then
@@ -80,6 +90,9 @@ namespace sdb {
 /// blocks of at most this many points (small enough for a stack result
 /// buffer, large enough that the vector loops amortize dispatch).
 inline constexpr size_t kDistanceStrip = 32;
+
+/// Child boxes per box-kernel call: the fan-out of a kd-tree wide node.
+inline constexpr size_t kBoxFanout = 8;
 
 namespace simd {
 
@@ -117,15 +130,30 @@ using RangeScanFn = std::uint32_t (*)(const double* q, size_t dim,
                                       size_t begin, size_t end,
                                       std::uint32_t* out);
 
+/// fn(q, dim, boxes, d2): for each slot j < kBoxFanout,
+///   d2[j] = sum_d e^2,  e = max(max(lo[d][j] - q[d], q[d] - hi[d][j]), 0),
+/// summed in ascending d with unfused multiply and add. `boxes` holds one
+/// wide node's child boxes dimension-major: for each d, lo[d][0..8) then
+/// hi[d][0..8), i.e. lo[d][j] = boxes[2 * kBoxFanout * d + j] and
+/// hi[d][j] = boxes[2 * kBoxFanout * d + kBoxFanout + j]. A point inside a
+/// box or on its faces is at 0. An empty slot (lo = +inf, hi = -inf) comes
+/// out +inf, which still passes a <= test against an eps2 of +inf, so
+/// callers mask empty slots out themselves. Same input assumptions as
+/// StripKernelFn; a squared excess that overflows is +inf.
+using BoxDistFn = void (*)(const double* q, size_t dim, const double* boxes,
+                           double* d2);
+
 namespace detail {
 
 /// One variant's entry points. The dispatcher selects a whole set, so the
-/// strip kernel and the range scan always come from the same variant — the
-/// SDB_SIMD=scalar environment variable and force_scalar() pin both.
+/// strip kernel, the range scan and the box kernel always come from the
+/// same variant — the SDB_SIMD=scalar environment variable and
+/// force_scalar() pin all three.
 struct KernelSet {
   KernelVariant variant;
   StripKernelFn strip;
   RangeScanFn range;
+  BoxDistFn box;
 };
 
 /// The dispatched set; null until first resolution. Relaxed atomics: all
@@ -137,6 +165,7 @@ extern std::atomic<const KernelSet*> g_kernels;
 /// vector variants are tested bit-equal against.
 std::uint32_t strip_scalar(const double* q, size_t dim, double eps2,
                            const double* lanes, size_t count);
+void box_scalar(const double* q, size_t dim, const double* boxes, double* d2);
 
 /// CPU detection + SDB_SIMD env + force_scalar() -> best set. Stores the
 /// choice in g_kernels and returns it.

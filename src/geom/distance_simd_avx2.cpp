@@ -12,7 +12,8 @@
 // eps test exactly; abandonment changes how much memory the kernel reads —
 // decisive when the strip working set exceeds cache — never the answer.
 // The range scan runs the whole-block code on every block of its range and
-// walks each block's mask into positions.
+// walks each block's mask into positions. The box kernel tests a wide
+// node's 8 child boxes in two 4-lane accumulators.
 //
 // Only selected when __builtin_cpu_supports("avx2") at dispatch time, so
 // building this TU on any x86-64 toolchain is safe even for older hosts.
@@ -195,6 +196,29 @@ std::uint32_t range_avx2(const double* q, size_t dim, double eps2,
     }
   }
   return static_cast<std::uint32_t>(o - out);
+}
+
+void box_avx2(const double* q, size_t dim, const double* boxes, double* d2) {
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d s0 = zero;
+  __m256d s1 = zero;
+  for (size_t d = 0; d < dim; ++d) {
+    const __m256d vq = _mm256_broadcast_sd(q + d);
+    const double* lo = boxes + d * 2 * kBoxFanout;
+    const double* hi = lo + kBoxFanout;
+    const __m256d e0 = _mm256_max_pd(
+        _mm256_max_pd(_mm256_sub_pd(_mm256_loadu_pd(lo), vq),
+                      _mm256_sub_pd(vq, _mm256_loadu_pd(hi))),
+        zero);
+    const __m256d e1 = _mm256_max_pd(
+        _mm256_max_pd(_mm256_sub_pd(_mm256_loadu_pd(lo + 4), vq),
+                      _mm256_sub_pd(vq, _mm256_loadu_pd(hi + 4))),
+        zero);
+    s0 = _mm256_add_pd(s0, _mm256_mul_pd(e0, e0));
+    s1 = _mm256_add_pd(s1, _mm256_mul_pd(e1, e1));
+  }
+  _mm256_storeu_pd(d2, s0);
+  _mm256_storeu_pd(d2 + 4, s1);
 }
 
 }  // namespace sdb::simd::detail

@@ -8,7 +8,8 @@
 // bits directly, and masked loads make the ragged tail group fault-free
 // without a separate maskload constant. The range scan runs the whole-block
 // code on every block of its range and writes the hit positions with
-// compress stores, no mask walk.
+// compress stores, no mask walk. The box kernel tests a wide node's 8 child
+// boxes in one 8-lane accumulator.
 //
 // Only selected when __builtin_cpu_supports("avx512f") at dispatch time,
 // so building this TU on any x86-64 toolchain is safe for older hosts.
@@ -165,6 +166,22 @@ std::uint32_t range_avx512(const double* q, size_t dim, double eps2,
     o += std::popcount(static_cast<unsigned>(hi_mask));
   }
   return static_cast<std::uint32_t>(o - out);
+}
+
+void box_avx512(const double* q, size_t dim, const double* boxes,
+                double* d2) {
+  const __m512d zero = _mm512_setzero_pd();
+  __m512d s = zero;
+  for (size_t d = 0; d < dim; ++d) {
+    const __m512d vq = _mm512_set1_pd(q[d]);
+    const double* lo = boxes + d * 2 * kBoxFanout;
+    const __m512d e = _mm512_max_pd(
+        _mm512_max_pd(_mm512_sub_pd(_mm512_loadu_pd(lo), vq),
+                      _mm512_sub_pd(vq, _mm512_loadu_pd(lo + kBoxFanout))),
+        zero);
+    s = _mm512_add_pd(s, _mm512_mul_pd(e, e));
+  }
+  _mm512_storeu_pd(d2, s);
 }
 
 }  // namespace sdb::simd::detail

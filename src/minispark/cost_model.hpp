@@ -23,7 +23,11 @@ namespace sdb::minispark {
 struct CostModel {
   // --- compute (nanoseconds per counted unit operation) ---
   double ns_distance_eval = 14.0;   ///< one 10-d squared distance
-  double ns_tree_node = 9.0;        ///< kd-tree node visit (box test)
+  /// One tree node visit. The kd-tree charges one per wide node (one
+  /// 8-box kernel call), not per binary box test, so its tree_nodes fell
+  /// ~9x with that layout (c100k 6.49M -> 0.73M) while the price stayed:
+  /// at 9 ns the binary visits were ~2% of c100k's simulated task compute.
+  double ns_tree_node = 9.0;
   double ns_hash_op = 22.0;         ///< Hashtable put/containsKey (paper IIIB)
   double ns_queue_op = 7.0;         ///< LinkedList add/remove (paper IIIB)
   double ns_point_processed = 30.0; ///< per-point bookkeeping in the scan

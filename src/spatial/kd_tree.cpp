@@ -1,9 +1,12 @@
 #include "spatial/kd_tree.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <queue>
 
@@ -14,12 +17,49 @@ namespace sdb {
 
 namespace {
 
+static_assert(KdTree::kFanout == kBoxFanout,
+              "one box-kernel call tests one wide node's slots");
+
 /// Dimension cap for the fused leaf scatter+box pass's stack accumulators;
 /// wider points take the strip export plus the plain per-row box loop.
 constexpr int kMaxFusedDim = 64;
 /// Below this many points a build is sequential regardless of the thread
 /// option: thread-spawn plus task overhead would dominate.
 constexpr u32 kParallelBuildThreshold = 1u << 14;
+
+/// A node of the median-split build, which the constructor collapses into
+/// wide nodes and frees.
+struct BuildNode {
+  // Leaf: [begin, end) into ids_. Internal: split dim/value + children.
+  u32 begin = 0;
+  u32 end = 0;
+  i32 left = -1;
+  i32 right = -1;
+  i32 split_dim = -1;
+  double split_value = 0.0;
+  [[nodiscard]] bool is_leaf() const { return left < 0; }
+};
+
+/// kNearFirst[bits] lists a wide node's 8 slots, 3 bits each (first slot
+/// lowest), in the binary descent's near-first order. Bit p of `bits` says
+/// q lies past split plane p (heap order), i.e. the binary descent would
+/// take that plane's right child first.
+constexpr std::array<u32, 128> kNearFirst = [] {
+  std::array<u32, 128> table{};
+  for (u32 bits = 0; bits < 128; ++bits) {
+    for (u32 k = 0; k < 8; ++k) {
+      // Bit 2 - d of k: the k-th visit takes the far child at depth d.
+      u32 path = 0;
+      for (u32 d = 0; d < 3; ++d) {
+        const u32 past = (bits >> ((1u << d) - 1 + path)) & 1;
+        const u32 far = (k >> (2 - d)) & 1;
+        path = 2 * path + (past ^ far);
+      }
+      table[bits] |= path << (3 * k);
+    }
+  }
+  return table;
+}();
 
 }  // namespace
 
@@ -31,10 +71,12 @@ constexpr u32 kParallelBuildThreshold = 1u << 14;
 /// ThreadPool::wait_idle(). Sequential builds (pool == nullptr) skip the
 /// machinery entirely and use the plain counters — no atomic RMW per node.
 struct KdTree::BuildCtx {
+  std::vector<BuildNode> nodes;
+  std::vector<double> boxes;  // per node: interleaved [lo, hi] per dim
+  std::vector<std::uint8_t> height;  // longest path to a leaf, per node
+  int wide_depth = 0;
   std::atomic<u32> node_cursor{0};
-  std::atomic<int> max_depth{0};
   u32 seq_cursor = 0;   // plain cursor, pool == nullptr only
-  int seq_depth = 0;    // plain depth high-water, pool == nullptr only
   u32 max_nodes = 0;
   u32 seq_cutoff = 0;  // subtree ranges <= this build inline (no fork)
   ThreadPool* pool = nullptr;
@@ -49,11 +91,9 @@ struct KdTree::BuildCtx {
     return idx;
   }
 
-  /// Claim two ADJACENT slots for a sibling pair (left = base, right =
-  /// base + 1). Adjacency is guaranteed even under parallel builds — one
-  /// fetch_add(2) instead of two racing fetch_add(1)s — so the query loop
-  /// can prefetch both children's node records and (contiguous) box rows
-  /// with a fixed number of cache-line touches.
+  /// Claim the slots of a sibling pair (left = base, right = base + 1)
+  /// with one fetch_add(2). Both lie past the parent's slot, so a reverse
+  /// pass over the slots meets every child before its parent.
   u32 alloc_children() {
     if (pool == nullptr) {
       SDB_CHECK(seq_cursor + 1 < max_nodes, "kd-tree node bound exceeded");
@@ -66,25 +106,9 @@ struct KdTree::BuildCtx {
     return base;
   }
 
-  void note_depth(int depth) {
-    if (pool == nullptr) {
-      if (depth > seq_depth) seq_depth = depth;
-      return;
-    }
-    int seen = max_depth.load(std::memory_order_relaxed);
-    while (depth > seen &&
-           !max_depth.compare_exchange_weak(seen, depth,
-                                            std::memory_order_relaxed)) {
-    }
-  }
-
   [[nodiscard]] u32 nodes_allocated() const {
     return pool == nullptr ? seq_cursor
                            : node_cursor.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] int depth_seen() const {
-    return pool == nullptr ? seq_depth
-                           : max_depth.load(std::memory_order_relaxed);
   }
 };
 
@@ -104,8 +128,8 @@ KdTree::KdTree(const PointSet& points, const KdTreeOptions& options)
       4 * n / (static_cast<size_t>(leaf_size_) + 1) + 8;
   BuildCtx ctx;
   ctx.max_nodes = static_cast<u32>(max_nodes);
-  nodes_.resize(max_nodes);
-  boxes_.resize(max_nodes * 2 * dim);
+  ctx.nodes.resize(max_nodes);
+  ctx.boxes.resize(max_nodes * 2 * dim);
 
   // Strip-transposed leaf-order buffer, filled in place as leaves
   // finalize. Allocate without zero-filling the whole buffer (the leaf
@@ -129,21 +153,32 @@ KdTree::KdTree(const PointSet& points, const KdTreeOptions& options)
                                    static_cast<u32>(n / (threads * 8)));
   }
 
-  root_ = static_cast<i32>(ctx.alloc_node());
-  build_range(root_, 0, static_cast<u32>(n), 0, ctx);
+  const u32 root = ctx.alloc_node();
+  build_range(static_cast<i32>(root), 0, static_cast<u32>(n), ctx);
   if (ctx.pool != nullptr) ctx.pool->wait_idle();
 
-  depth_ = ctx.depth_seen();
-  // Median splits bound the depth at ~log2(n) + 1; enforce that the query
-  // stack capacity covers it so a future split-policy change cannot turn
-  // into silent stack corruption (see kQueryStackCap).
-  SDB_CHECK(depth_ + 1 <= kQueryStackCap,
-            "kd-tree depth exceeds query stack capacity");
+  // Heights, children before parents (alloc_children), then the collapse:
+  // structural, so the wide layout does not depend on the build threads.
   const u32 node_count = ctx.nodes_allocated();
-  nodes_.resize(node_count);
+  ctx.height.assign(node_count, 0);
+  for (u32 i = node_count; i-- > 0;) {
+    const BuildNode& node = ctx.nodes[i];
+    if (node.is_leaf()) continue;
+    ctx.height[i] = static_cast<std::uint8_t>(
+        1 + std::max(ctx.height[static_cast<size_t>(node.left)],
+                     ctx.height[static_cast<size_t>(node.right)]));
+  }
+  depth_ = ctx.height[root];
+  collapse(ctx, root, 1);
   nodes_.shrink_to_fit();
-  boxes_.resize(static_cast<size_t>(node_count) * 2 * dim);
   boxes_.shrink_to_fit();
+  leaves_.shrink_to_fit();
+  // Median splits keep the wide depth near log2(n) / 3 + 1; enforce that
+  // the query stack capacity covers it so a future split-policy change
+  // cannot turn into silent stack corruption (see kQueryStackCap).
+  SDB_CHECK(static_cast<int>(kFanout - 1) * ctx.wide_depth + 1 <=
+                kQueryStackCap,
+            "kd-tree depth exceeds query stack capacity");
 }
 
 /// Scatter rows [begin, end) of the id permutation into the strip buffer.
@@ -159,18 +194,16 @@ void KdTree::export_leaf_strips(u32 begin, u32 end) {
   }
 }
 
-void KdTree::build_range(i32 idx, u32 begin, u32 end, int depth,
-                         BuildCtx& ctx) {
+void KdTree::build_range(i32 idx, u32 begin, u32 end, BuildCtx& ctx) {
   const int dim = points_.dim();
-  ctx.note_depth(depth);
 
-  Node node;
+  BuildNode node;
   node.begin = begin;
   node.end = end;
-  node.box = static_cast<u32>(idx) * 2 * static_cast<u32>(dim);
 
   // Tight bounding box over [begin, end), interleaved [lo, hi] per dim.
-  double* b = boxes_.data() + node.box;
+  double* b = ctx.boxes.data() +
+              static_cast<size_t>(idx) * 2 * static_cast<size_t>(dim);
   for (int d = 0; d < dim; ++d) {
     b[2 * d] = std::numeric_limits<double>::infinity();
     b[2 * d + 1] = -std::numeric_limits<double>::infinity();
@@ -218,7 +251,7 @@ void KdTree::build_range(i32 idx, u32 begin, u32 end, int depth,
         }
       }
     }
-    nodes_[static_cast<size_t>(idx)] = node;
+    ctx.nodes[static_cast<size_t>(idx)] = node;
     return;
   }
 
@@ -245,7 +278,7 @@ void KdTree::build_range(i32 idx, u32 begin, u32 end, int depth,
   // termination.
   if (best_spread <= 0.0) {
     export_leaf_strips(begin, end);
-    nodes_[static_cast<size_t>(idx)] = node;
+    ctx.nodes[static_cast<size_t>(idx)] = node;
     return;
   }
 
@@ -259,66 +292,106 @@ void KdTree::build_range(i32 idx, u32 begin, u32 end, int depth,
 
   // Children slots are claimed by the parent so the node can be finalized
   // before the subtree tasks run — no post-hoc patching, no joins inside
-  // tasks (the simple pool would deadlock on nested waits). The pair is
-  // adjacent (alloc_children) so queries can prefetch both siblings.
+  // tasks (the simple pool would deadlock on nested waits).
   const u32 base = ctx.alloc_children();
   const i32 left = static_cast<i32>(base);
   const i32 right = static_cast<i32>(base + 1);
   node.left = left;
   node.right = right;
-  nodes_[static_cast<size_t>(idx)] = node;
+  ctx.nodes[static_cast<size_t>(idx)] = node;
 
   // Task-recursive fork with a sequential cutoff: ship the left subtree to
   // the pool when it is big enough, keep the right on this thread (the
   // forked task forks its own children in turn). Build bodies never throw —
   // all storage is preallocated — so the discarded futures lose nothing.
   if (ctx.pool != nullptr && mid - begin > ctx.seq_cutoff) {
-    ctx.pool->submit([this, left, begin, mid, depth, &ctx] {
-      build_range(left, begin, mid, depth + 1, ctx);
+    ctx.pool->submit([this, left, begin, mid, &ctx] {
+      build_range(left, begin, mid, ctx);
     });
   } else {
-    build_range(left, begin, mid, depth + 1, ctx);
+    build_range(left, begin, mid, ctx);
   }
-  build_range(right, mid, end, depth + 1, ctx);
+  build_range(right, mid, end, ctx);
 }
 
-double KdTree::box_distance2(const Node& node, std::span<const double> q,
-                             double cutoff) const {
-  // Branchless clamp: the outside-the-box excess per dimension is
-  // max(lo-q, q-hi, 0). Accumulation stays a single ascending-d chain so
-  // the result is identical for every build/query configuration; the
-  // early exit only ever skips dimensions once "result > cutoff" is already
-  // decided (the sum is monotone), and with the interleaved [lo, hi] box
-  // rows it keeps most pruned nodes inside their first cache line.
-  const int dim = points_.dim();
-  const double* b = boxes_.data() + node.box;
-  double s = 0.0;
-  for (int d = 0; d < dim; ++d) {
-    const double diff =
-        std::max(std::max(b[2 * d] - q[d], q[d] - b[2 * d + 1]), 0.0);
-    s += diff * diff;
-    if (s > cutoff) break;
+u32 KdTree::collapse(BuildCtx& ctx, u32 top, int level) {
+  const size_t dim = static_cast<size_t>(points_.dim());
+  const u32 w = static_cast<u32>(nodes_.size());
+  nodes_.push_back(WideNode{});
+  ctx.wide_depth = std::max(ctx.wide_depth, level);
+  // Every slot starts empty: lo = +inf, hi = -inf.
+  const size_t base = boxes_.size();
+  for (size_t d = 0; d < dim; ++d) {
+    boxes_.insert(boxes_.end(), kFanout,
+                  std::numeric_limits<double>::infinity());
+    boxes_.insert(boxes_.end(), kFanout,
+                  -std::numeric_limits<double>::infinity());
   }
-  return s;
+  // Walk the binary levels below `top`: a leaf, a node whose height is a
+  // multiple of kLevels, or a node kLevels down fills a slot; any other
+  // node is collapsed into this one as a split plane. nodes_ grows in the
+  // recursion, so the node is re-indexed after every call.
+  auto place = [&](auto&& self, u32 bin, u32 depth, u32 path) -> void {
+    const BuildNode& node = ctx.nodes[bin];
+    const bool slot = node.is_leaf() ||
+                      (depth > 0 && (ctx.height[bin] % kLevels == 0 ||
+                                     depth == kLevels));
+    if (!slot) {
+      const u32 plane = (1u << depth) - 1 + path;
+      nodes_[w].plane_dim[plane] = static_cast<u32>(node.split_dim);
+      nodes_[w].plane_value[plane] = node.split_value;
+      self(self, static_cast<u32>(node.left), depth + 1, 2 * path);
+      self(self, static_cast<u32>(node.right), depth + 1, 2 * path + 1);
+      return;
+    }
+    u32 code = 0;
+    if (node.is_leaf()) {
+      code = kLeafSlot | static_cast<u32>(leaves_.size());
+      leaves_.push_back(LeafRange{node.begin, node.end});
+    } else {
+      code = collapse(ctx, bin, level + 1);
+    }
+    const u32 s = path << (kLevels - depth);
+    nodes_[w].slot[s] = code;
+    nodes_[w].live |= 1u << s;
+    const double* b = ctx.boxes.data() + static_cast<size_t>(bin) * 2 * dim;
+    for (size_t d = 0; d < dim; ++d) {
+      boxes_[base + d * 2 * kFanout + s] = b[2 * d];
+      boxes_[base + d * 2 * kFanout + kFanout + s] = b[2 * d + 1];
+    }
+  };
+  place(place, top, 0, 0);
+  return w;
+}
+
+u32 KdTree::plane_bits(const WideNode& node, std::span<const double> q) {
+  // !(q <= value): the binary descent's left-first test, negated.
+  u32 bits = 0;
+  for (u32 p = 0; p < kFanout - 1; ++p) {
+    bits |= static_cast<u32>(!(q[node.plane_dim[p]] <= node.plane_value[p]))
+            << p;
+  }
+  return bits;
 }
 
 void KdTree::range_query_budgeted(std::span<const double> q, double eps,
                                   const QueryBudget& budget,
                                   std::vector<PointId>& out) const {
-  if (root_ < 0) return;
-  // Explicit-stack depth-first descent, near child popped first — the same
-  // node sequence the recursive formulation visits, minus the call frames.
-  // Median splits halve the range every level, so the depth (== max live
-  // far-children on the stack) is bounded by ~log2(n) + 1; 64 covers any
-  // 32-bit point count with a wide margin.
+  if (nodes_.empty()) return;
+  // Explicit-stack depth-first descent over wide nodes. The stack holds
+  // child wide nodes and leaves still to visit, next first on top; a wide
+  // node visits its surviving slots in near-first order, so leaves are
+  // reached in the binary descent's order.
   const size_t dim = static_cast<size_t>(points_.dim());
   const double eps2 = eps * eps;
   const double* strips = leaf_coords_.get();
-  // Fetched once per query: the atomic dispatch load stays off the leaves.
-  const simd::RangeScanFn range = simd::detail::kernels().range;
-  i32 stack[kQueryStackCap];  // depth_ + 1 <= cap, checked at build
+  // Fetched once per query: the atomic dispatch load stays off the nodes.
+  const simd::detail::KernelSet& kernels = simd::detail::kernels();
+  const simd::RangeScanFn range = kernels.range;
+  const simd::BoxDistFn box = kernels.box;
+  u32 stack[kQueryStackCap];  // 7 x wide depth + 1 <= cap, checked at build
   int top = 0;
-  stack[top++] = root_;
+  stack[top++] = 0;  // the root
 
   // The descent records each reached leaf, in visit order, and scans a
   // batch of them with one strip_scan call per leaf, so the hit order is
@@ -328,17 +401,13 @@ void KdTree::range_query_budgeted(std::span<const double> q, double eps,
   // at the leaf that fills the budget. The distance_evals tally charges one
   // evaluation per row strip_scan charges — the kernel's internal
   // partial-distance abandonment is an implementation detail of the
-  // evaluation, like box_distance2's monotone early exit, and never shows up
-  // in the counters. Work counters are tallied here and flushed once per
-  // query: exactly the totals per-op increments would produce.
+  // evaluation and never shows up in the counters. Work counters are
+  // tallied here and flushed once per query: exactly the totals per-op
+  // increments would produce.
   u64 left = budget.max_neighbors != 0 ? budget.max_neighbors : ~u64{0};
   const size_t batch = budget.max_neighbors != 0 ? 1 : kLeafBatch;
   u64 nodes_visited = 0;
   u64 distance_evals = 0;
-  struct LeafRange {
-    u32 begin;
-    u32 end;
-  };
   LeafRange leaves[kLeafBatch];  // [0, reached) written before read
   size_t reached = 0;
   auto scan_leaves = [&] {
@@ -349,37 +418,49 @@ void KdTree::range_query_budgeted(std::span<const double> q, double eps,
     }
     reached = 0;
   };
+  // Record a reached leaf; true once the scan it triggers fills the budget.
+  auto reach = [&](u32 code) {
+    leaves[reached++] = leaves_[code & ~kLeafSlot];
+    if (reached < batch) return false;
+    scan_leaves();
+    return left == 0;
+  };
 
-  while (top > 0) {
-    const Node& node = nodes_[static_cast<size_t>(stack[--top])];
-    ++nodes_visited;
-    if (budget.max_nodes != 0 && nodes_visited > budget.max_nodes) {
-      break;  // the paper's branch-pruning cutoff
-    }
-    if (box_distance2(node, q, eps2) > eps2) continue;
-
-    if (!node.is_leaf()) {
-      // The sibling pair is adjacent (alloc_children): start both children's
-      // node records and box rows toward the cache while this iteration
-      // finishes — the near child is popped immediately after.
-      __builtin_prefetch(nodes_.data() + node.left);
-      __builtin_prefetch(nodes_.data() + node.right);
-      __builtin_prefetch(boxes_.data() +
-                         static_cast<size_t>(node.left) * 2 * dim);
-      __builtin_prefetch(boxes_.data() +
-                         static_cast<size_t>(node.right) * 2 * dim);
-      // Descend the side containing q first: with a neighbor budget this
-      // reports the densest nearby region before the cutoff fires.
-      const bool left_first = q[node.split_dim] <= node.split_value;
-      stack[top++] = left_first ? node.right : node.left;  // far: visited later
-      stack[top++] = left_first ? node.left : node.right;  // near: popped next
+  bool filled = false;
+  while (top > 0 && !filled) {
+    const u32 code = stack[--top];
+    if ((code & kLeafSlot) != 0) {
+      filled = reach(code);
       continue;
     }
-
-    leaves[reached++] = LeafRange{node.begin, node.end};
-    if (reached == batch) {
-      scan_leaves();
-      if (left == 0) break;  // this leaf filled the neighbor budget
+    // The paper's branch-pruning cutoff: stop before the node past the cap.
+    if (budget.max_nodes != 0 && nodes_visited == budget.max_nodes) break;
+    ++nodes_visited;
+    const WideNode& node = nodes_[code];
+    double d2[kFanout];
+    box(q.data(), dim, node_boxes(code), d2);
+    u32 pass = 0;
+    for (u32 s = 0; s < kFanout; ++s) {
+      pass |= static_cast<u32>(d2[s] <= eps2) << s;
+    }
+    // An empty slot is +inf away, which passes when eps2 overflows to +inf.
+    pass &= node.live;
+    if (pass == 0) continue;
+    const u32 order = kNearFirst[plane_bits(node, q)];
+    // Leaf slots ahead of the first surviving child node are reached now;
+    // that child and every survivor after it go on the stack, last first,
+    // so they pop in order.
+    u32 k = 0;
+    for (; k < kFanout && !filled; ++k) {
+      const u32 s = (order >> (3 * k)) & 7;
+      if ((pass >> s & 1) == 0) continue;
+      if ((node.slot[s] & kLeafSlot) == 0) break;
+      filled = reach(node.slot[s]);
+    }
+    if (filled) break;
+    for (u32 j = kFanout; j-- > k;) {
+      const u32 s = (order >> (3 * j)) & 7;
+      if ((pass >> s & 1) != 0) stack[top++] = node.slot[s];
     }
   }
   scan_leaves();
@@ -398,87 +479,102 @@ void KdTree::knn_query(std::span<const double> q, size_t k,
   // first — a function of leaf packing, not of the data.)
   using Entry = std::pair<double, PointId>;
   std::priority_queue<Entry> heap;
-  if (root_ < 0 || k == 0) return;
+  if (nodes_.empty() || k == 0) return;
 
   u64 nodes_visited = 0;
   u64 evals = 0;
-  // Iterative best-first would be faster; recursive depth-first with heap
-  // pruning is simpler and the call sites (examples, tests, the exact kNN
-  // graph builder's oracle) are small.
+  const size_t dim = static_cast<size_t>(points_.dim());
   const double* strips = leaf_coords_.get();
-  const simd::StripKernelFn kernel = simd::detail::strip_kernel();
-  auto visit = [&](auto&& self, i32 node_id) -> void {
-    // Node budget: stop descending once the cap is reached (max_neighbors
-    // is ignored for kNN — see the contract in spatial_index.hpp).
-    if (budget.max_nodes != 0 && nodes_visited >= budget.max_nodes) return;
-    ++nodes_visited;
-    const Node& node = nodes_[static_cast<size_t>(node_id)];
-    // Strict > keeps the tie-break exact: a subtree at box distance equal
-    // to the current k-th distance may still hold an equal-distance point
-    // with a smaller id.
-    if (heap.size() == k &&
-        box_distance2(node, q, heap.top().first) > heap.top().first) {
-      return;
-    }
-    if (node.is_leaf()) {
-      // A heap of overflowed (inf) distances — possible with
-      // ~1e154-magnitude coordinates — would let the filter pass every
-      // row, so it falls back to the scalar loop.
-      if (heap.size() == k && std::isfinite(heap.top().first)) {
-        // Kernel-filtered leaf scan: with the heap full, a row can only
-        // matter if (d2, id) < heap.top(), which requires d2 <= top.d2 —
-        // and top.d2 never increases — so the kernel mask at cutoff =
-        // top.d2-at-leaf-entry (its <= keeps the d2 == cutoff rows the
-        // id tie-break may still admit) is a superset of every row the
-        // scalar loop below would insert. Survivors get the exact distance
-        // from the same unfused scalar accumulation, so the heap evolves
-        // identically; rows the filter drops satisfy d2 > cutoff >=
-        // top.d2-current and were no-ops anyway. Charged one eval per row,
-        // exactly like the scalar loop.
-        evals += node.end - node.begin;
-        const double cutoff = heap.top().first;
-        for (u32 i = node.begin; i < node.end;) {
-          const u32 lane = i % static_cast<u32>(kDistanceStrip);
-          const u32 m = std::min<u32>(static_cast<u32>(kDistanceStrip) - lane,
-                                      node.end - i);
-          u32 mask = kernel(q.data(), static_cast<size_t>(points_.dim()),
-                            cutoff, strip_lane(strips, i,
-                                               static_cast<size_t>(
-                                                   points_.dim())),
-                            m);
-          while (mask != 0) {
-            const u32 j = static_cast<u32>(std::countr_zero(mask));
-            const Entry cand{squared_distance_uncounted(q, row(i + j)),
-                             ids_[i + j]};
-            if (cand < heap.top()) {
-              heap.pop();
-              heap.push(cand);
-            }
-            mask &= mask - 1;
+  const simd::detail::KernelSet& kernels = simd::detail::kernels();
+  const simd::StripKernelFn kernel = kernels.strip;
+  const simd::BoxDistFn box = kernels.box;
+  auto scan_leaf = [&](const LeafRange& leaf) {
+    // A heap of overflowed (inf) distances — possible with
+    // ~1e154-magnitude coordinates — would let the filter pass every row,
+    // so it falls back to the scalar loop.
+    if (heap.size() == k && std::isfinite(heap.top().first)) {
+      // Kernel-filtered leaf scan: with the heap full, a row can only
+      // matter if (d2, id) < heap.top(), which requires d2 <= top.d2 — and
+      // top.d2 never increases — so the kernel mask at cutoff =
+      // top.d2-at-leaf-entry (its <= keeps the d2 == cutoff rows the id
+      // tie-break may still admit) is a superset of every row the scalar
+      // loop below would insert. Survivors get the exact distance from the
+      // same unfused scalar accumulation, so the heap evolves identically;
+      // rows the filter drops satisfy d2 > cutoff >= top.d2-current and
+      // were no-ops anyway. Charged one eval per row, exactly like the
+      // scalar loop.
+      evals += leaf.end - leaf.begin;
+      const double cutoff = heap.top().first;
+      for (u32 i = leaf.begin; i < leaf.end;) {
+        const u32 lane = i % static_cast<u32>(kDistanceStrip);
+        const u32 m = std::min<u32>(static_cast<u32>(kDistanceStrip) - lane,
+                                    leaf.end - i);
+        u32 mask = kernel(q.data(), dim, cutoff, strip_lane(strips, i, dim),
+                          m);
+        while (mask != 0) {
+          const u32 j = static_cast<u32>(std::countr_zero(mask));
+          const Entry cand{squared_distance_uncounted(q, row(i + j)),
+                           ids_[i + j]};
+          if (cand < heap.top()) {
+            heap.pop();
+            heap.push(cand);
           }
-          i += m;
+          mask &= mask - 1;
         }
-        return;
-      }
-      // Scalar leaf scan while the heap is filling (the first leaves) or
-      // its cutoff is not finite.
-      for (u32 i = node.begin; i < node.end; ++i) {
-        ++evals;
-        const Entry cand{squared_distance_uncounted(q, row(i)), ids_[i]};
-        if (heap.size() < k) {
-          heap.push(cand);
-        } else if (cand < heap.top()) {
-          heap.pop();
-          heap.push(cand);
-        }
+        i += m;
       }
       return;
     }
-    const bool left_first = q[node.split_dim] <= node.split_value;
-    self(self, left_first ? node.left : node.right);
-    self(self, left_first ? node.right : node.left);
+    // Scalar leaf scan while the heap is filling (the first leaves) or its
+    // cutoff is not finite.
+    for (u32 i = leaf.begin; i < leaf.end; ++i) {
+      ++evals;
+      const Entry cand{squared_distance_uncounted(q, row(i)), ids_[i]};
+      if (heap.size() < k) {
+        heap.push(cand);
+      } else if (cand < heap.top()) {
+        heap.pop();
+        heap.push(cand);
+      }
+    }
   };
-  visit(visit, root_);
+  // Depth-first over wide nodes, slots in near-first order. A node's 8 box
+  // distances are computed when it is entered, and each slot is tested at
+  // its turn against the heap as it is then — the test the binary
+  // recursion made at that node. A collapsed level it would have pruned
+  // earlier prunes every slot below it too: their boxes lie inside its box
+  // and the heap top only shrinks. Iterative best-first would be faster;
+  // depth-first with heap pruning is simpler and the call sites (examples,
+  // tests, serve classify, the exact kNN graph builder's oracle) are small.
+  bool capped = false;
+  auto visit = [&](auto&& self, u32 code) -> void {
+    // Node budget: stop before the node past the cap (max_neighbors is
+    // ignored for kNN — see the contract in spatial_index.hpp).
+    if (budget.max_nodes != 0 && nodes_visited == budget.max_nodes) {
+      capped = true;
+      return;
+    }
+    ++nodes_visited;
+    const WideNode& node = nodes_[code];
+    double d2[kFanout];
+    box(q.data(), dim, node_boxes(code), d2);
+    u32 order = kNearFirst[plane_bits(node, q)];
+    for (u32 j = 0; j < kFanout && !capped; ++j, order >>= 3) {
+      const u32 s = order & 7;
+      if ((node.live >> s & 1) == 0) continue;
+      // Strict > keeps the tie-break exact: a subtree at box distance equal
+      // to the current k-th distance may still hold an equal-distance point
+      // with a smaller id.
+      if (heap.size() == k && d2[s] > heap.top().first) continue;
+      const u32 child = node.slot[s];
+      if ((child & kLeafSlot) != 0) {
+        scan_leaf(leaves_[child & ~kLeafSlot]);
+      } else {
+        self(self, child);
+      }
+    }
+  };
+  visit(visit, 0);
   // One thread-local flush per query (see the counter contract).
   counters::tree_nodes(nodes_visited);
   counters::distance_evals(evals);
@@ -502,7 +598,8 @@ std::vector<PointId> KdTree::knn(std::span<const double> q, size_t k) const {
 
 u64 KdTree::byte_size() const {
   return points_.byte_size() + ids_.size() * sizeof(PointId) +
-         nodes_.size() * sizeof(Node) + boxes_.size() * sizeof(double) +
+         nodes_.size() * sizeof(WideNode) + boxes_.size() * sizeof(double) +
+         leaves_.size() * sizeof(LeafRange) +
          leaf_coords_len_ * sizeof(double);
 }
 

@@ -306,11 +306,13 @@ void RTree::query_node(i32 node_id, std::span<const double> q, double eps2,
                        u64& found, bool& stopped,
                        std::vector<PointId>& out) const {
   if (stopped) return;
-  ++visited;
-  if (budget.max_nodes != 0 && visited > budget.max_nodes) {
+  // Node budget: stop before the node past the cap, so a capped query
+  // charges at most max_nodes.
+  if (budget.max_nodes != 0 && visited == budget.max_nodes) {
     stopped = true;
     return;
   }
+  ++visited;
   const Node& node = nodes_[static_cast<size_t>(node_id)];
   if (rect_distance2(node.rect, q) > eps2) return;
   if (node.leaf) {

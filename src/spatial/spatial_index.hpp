@@ -24,8 +24,9 @@ namespace sdb {
 /// promise):
 ///
 ///  * DETERMINISM. Every index has a fixed candidate traversal order — the
-///    kd-tree descends the child containing the query first and scans leaf
-///    buckets in build-permutation order; the R-tree descends children in
+///    kd-tree descends the child containing the query first (its wide nodes
+///    order their slots the same way) and scans leaf buckets in
+///    build-permutation order; the R-tree descends children in
 ///    entry order; brute force scans ids ascending. A budgeted query returns
 ///    exactly the first matches of that traversal until a budget fires, so
 ///    repeated invocations with the same index, query, and budget return
@@ -36,7 +37,10 @@ namespace sdb {
 ///    traversal visits: under a neighbor budget, the rows up to and
 ///    including the one that fills it, and no row after it — whatever the
 ///    SIMD scan evaluated past that row. tree_nodes counts the nodes
-///    visited, including the one where a node budget fires.
+///    visited: wide nodes on the kd-tree, one box-kernel call each (its
+///    leaves sit in their slots and are not nodes). A node budget stops
+///    the query before the node past the cap, so a capped query charges at
+///    most max_nodes.
 ///  * SUBSET. Budgeted results are always a subset of the exact result set
 ///    (enforced by test_index_properties BudgetLaws).
 ///  * NO SYMMETRY. Exact eps-neighborhoods are symmetric (A within eps of B
@@ -52,8 +56,9 @@ namespace sdb {
 struct QueryBudget {
   /// Stop reporting once this many neighbors were found (0 = exact).
   u64 max_neighbors = 0;
-  /// Stop descending once this many tree nodes were visited (0 = exact).
-  /// Brute force has no nodes and ignores it.
+  /// Stop descending once this many tree nodes were visited (0 = exact):
+  /// the query stops before it would visit one more. The kd-tree counts
+  /// its wide nodes. Brute force has no nodes and ignores it.
   u64 max_nodes = 0;
 
   [[nodiscard]] bool exact() const {
@@ -107,15 +112,17 @@ class SpatialIndex {
   ///     filtering (both are implementation details of the evaluation, as
   ///     in range queries). A traversal forced to examine every row (k >=
   ///     n, or a single-leaf layout) charges exactly n on every index.
-  ///   * tree_nodes: one per tree node the traversal visits (zero for brute
-  ///     force, which has no nodes).
+  ///   * tree_nodes: one per tree node the traversal visits — on the
+  ///     kd-tree a wide node, whose child-box distances one box-kernel call
+  ///     computes on entry (zero for brute force, which has no nodes).
   ///   * All tallies are accumulated locally and flushed once per query
   ///     (counters::add), like range_query.
   ///
   /// BUDGET SEMANTICS for kNN (previously undocumented):
   ///   * budget.max_nodes bounds the nodes visited, exactly as in
-  ///     range queries: the traversal stops descending once the cap is
-  ///     reached, and the result is the EXACT kNN (with the same tie-break)
+  ///     range queries: the traversal stops before the node past the cap,
+  ///     so it charges at most max_nodes, and the result is the EXACT kNN
+  ///     (with the same tie-break)
   ///     of the rows actually examined — deterministic, because traversal
   ///     order is fixed (see the approximation contract above), but NOT
   ///     necessarily a subset of the unbudgeted result's ids beyond the

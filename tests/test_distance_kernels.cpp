@@ -9,8 +9,10 @@
 // values chosen to land exactly on a point's squared distance), denormals,
 // huge magnitudes, an eps2 of +inf, and partial final strips. The kernels
 // abandon a lane's accumulation once its partial sum exceeds eps2; these
-// tests pin that the abandonment never changes a decision. Cluster labels
-// must not depend on which variant ran. The forced-scalar ctest cell
+// tests pin that the abandonment never changes a decision. Each box kernel
+// writes a kd-tree wide node's child-box distances bit-equal to the scalar
+// reference. Cluster labels must not depend on which variant ran. The
+// forced-scalar ctest cell
 // (test_distance_kernels_scalar, SDB_SIMD=scalar in the environment)
 // re-runs this whole binary with dispatch pinned to the fallback, so the
 // index-level comparisons are exercised on both sides on SIMD hosts.
@@ -381,6 +383,126 @@ TEST(RangeScan, OverflowedEpsReturnsEveryIdOnce) {
   EXPECT_EQ(exact.distance_evals, reference.distance_evals);
   EXPECT_EQ(exact.tree_nodes, reference.tree_nodes);
 }
+
+// ---------------------------------------------------------------------------
+// Box kernel: one call writes the squared distances from q to the
+// kBoxFanout child boxes of a kd-tree wide node. Every variant must equal
+// the scalar reference bit for bit, and the reference must equal a per-slot
+// loop of the clamped excess — the binary descent's box arithmetic without
+// its early exit — so every prune decision stays what it was. Boxes are
+// random, some slots empty (lo = +inf, hi = -inf); queries lie inside a
+// box, outside it and on its faces; a quarter of the nodes sit at 1e155,
+// where a squared excess overflows to +inf.
+// ---------------------------------------------------------------------------
+
+/// Slot j's squared box distance, one dimension at a time.
+double box_oracle(const std::vector<double>& q,
+                  const std::vector<double>& boxes, size_t j) {
+  double s = 0.0;
+  for (size_t d = 0; d < q.size(); ++d) {
+    const double lo = boxes[d * 2 * kBoxFanout + j];
+    const double hi = boxes[d * 2 * kBoxFanout + kBoxFanout + j];
+    const double e = std::max(std::max(lo - q[d], q[d] - hi), 0.0);
+    s += e * e;
+  }
+  return s;
+}
+
+class BoxDistBitExact : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(BoxDistBitExact, EveryVariantMatchesScalarAndSlotLoop) {
+  const size_t dim = GetParam();
+  Rng rng(2718 + static_cast<u64>(dim));
+  const auto supported = simd::detail::supported_kernels();
+  for (int trial = 0; trial < 64; ++trial) {
+    const double scale = trial % 4 == 3 ? 1e155 : 100.0;
+    std::vector<double> boxes(2 * kBoxFanout * dim);
+    std::vector<bool> empty(kBoxFanout);
+    for (size_t j = 0; j < kBoxFanout; ++j) {
+      empty[j] = j == 0 || rng.uniform_index(4) == 0;
+      for (size_t d = 0; d < dim; ++d) {
+        double lo = kInf;
+        double hi = -kInf;
+        if (!empty[j]) {
+          const double a = rng.uniform(-1.0, 1.0) * scale;
+          const double b = rng.uniform(-1.0, 1.0) * scale;
+          lo = std::min(a, b);
+          hi = std::max(a, b);
+        }
+        boxes[d * 2 * kBoxFanout + j] = lo;
+        boxes[d * 2 * kBoxFanout + kBoxFanout + j] = hi;
+      }
+    }
+    const auto lo = [&](size_t d, size_t j) {
+      return boxes[d * 2 * kBoxFanout + j];
+    };
+    const auto hi = [&](size_t d, size_t j) {
+      return boxes[d * 2 * kBoxFanout + kBoxFanout + j];
+    };
+    // Per live slot: a query inside its box, one on a face or corner mix of
+    // its faces, and one past it; then points anywhere in and around.
+    std::vector<std::vector<double>> queries;
+    for (size_t j = 0; j < kBoxFanout; ++j) {
+      if (empty[j]) continue;
+      std::vector<double> inside(dim);
+      std::vector<double> face(dim);
+      std::vector<double> outside(dim);
+      for (size_t d = 0; d < dim; ++d) {
+        inside[d] = lo(d, j) + (hi(d, j) - lo(d, j)) * rng.uniform(0.0, 1.0);
+        face[d] = rng.uniform_index(2) == 0 ? lo(d, j) : hi(d, j);
+        outside[d] = rng.uniform_index(2) == 0 ? lo(d, j) - scale
+                                               : hi(d, j) + scale;
+      }
+      queries.push_back(std::move(inside));
+      queries.push_back(std::move(face));
+      queries.push_back(std::move(outside));
+    }
+    for (int i = 0; i < 4; ++i) {
+      std::vector<double> q(dim);
+      for (auto& x : q) x = rng.uniform(-2.0, 2.0) * scale;
+      queries.push_back(std::move(q));
+    }
+    for (const auto& q : queries) {
+      double want[kBoxFanout];
+      simd::detail::box_scalar(q.data(), dim, boxes.data(), want);
+      for (size_t j = 0; j < kBoxFanout; ++j) {
+        EXPECT_EQ(std::bit_cast<u64>(want[j]),
+                  std::bit_cast<u64>(box_oracle(q, boxes, j)))
+            << "scalar vs slot loop: dim=" << dim << " slot=" << j;
+        if (empty[j]) {
+          // +inf away, which still passes an overflowed eps2 of +inf: the
+          // kd-tree masks empty slots out, it cannot rely on the distance.
+          EXPECT_EQ(want[j], kInf) << "dim=" << dim << " slot=" << j;
+          EXPECT_TRUE(want[j] <= kInf);
+        }
+      }
+      for (const simd::detail::KernelSet& set : supported) {
+        double got[kBoxFanout];
+        set.box(q.data(), dim, boxes.data(), got);
+        for (size_t j = 0; j < kBoxFanout; ++j) {
+          EXPECT_EQ(std::bit_cast<u64>(got[j]), std::bit_cast<u64>(want[j]))
+              << name_of(set) << " dim=" << dim << " slot=" << j
+              << " got=" << got[j] << " want=" << want[j];
+        }
+      }
+    }
+    // The inside and face queries of each live slot are at distance 0 from
+    // it (finite boxes only: at 1e155 an inside point can round off).
+    if (scale == 100.0) {
+      size_t qi = 0;
+      for (size_t j = 0; j < kBoxFanout; ++j) {
+        if (empty[j]) continue;
+        EXPECT_EQ(box_oracle(queries[qi], boxes, j), 0.0);
+        EXPECT_EQ(box_oracle(queries[qi + 1], boxes, j), 0.0);
+        EXPECT_GT(box_oracle(queries[qi + 2], boxes, j), 0.0);
+        qi += 3;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, BoxDistBitExact,
+                         ::testing::Values<size_t>(1, 2, 3, 10, 64));
 
 // ---------------------------------------------------------------------------
 // Partial-distance abandonment at high dimension. The probe schedule

@@ -194,32 +194,32 @@ struct GoldenRow {
 };
 
 constexpr GoldenRow kRangeGoldens[] = {
-    {"uniform", "kd4", 0, 0, 0x6173f7fc5d9deb1bull, 8851, 23503},
-    {"uniform", "kd4", 64, 0, 0x9ccad3778bd9714dull, 7743, 18610},
-    {"uniform", "kd4", 16, 0, 0xab498f1b29db19d7ull, 1682, 3045},
-    {"uniform", "kd4", 4, 0, 0x446e6db61ec2614cull, 229, 775},
-    {"uniform", "kd4", 1, 0, 0x1bdaab68624d2b0aull, 54, 714},
-    {"uniform", "kd4", 3, 0, 0x3db4866bb79f923full, 167, 747},
-    {"uniform", "kd4", 31, 0, 0x81638c5a815353bbull, 4116, 8337},
-    {"uniform", "kd4", 32, 0, 0xf7dd1a6db4a25becull, 4248, 8788},
-    {"uniform", "kd4", 33, 0, 0xece16f5ca136a5f2ull, 4368, 9095},
-    {"uniform", "kd4", 0, 50, 0x457732f00842aca6ull, 1758, 2601},
-    {"uniform", "kd4", 0, 700, 0x94b00629c673b554ull, 8588, 21691},
-    {"uniform", "kd4", 64, 200, 0xb932fead96c6ab1bull, 5051, 10115},
-    {"uniform", "kd4", 8, 30, 0x64bb8a546b8c03adull, 597, 1070},
-    {"uniform", "kd192", 0, 0, 0x80cd2e3559923967ull, 102830, 2707},
-    {"uniform", "kd192", 64, 0, 0x9447ae7d12f0519dull, 75682, 2021},
-    {"uniform", "kd192", 16, 0, 0x5a091bed3d85b207ull, 11462, 563},
-    {"uniform", "kd192", 4, 0, 0x96e7b7df54c6baacull, 2049, 408},
-    {"uniform", "kd192", 1, 0, 0xebf722e65624d6ddull, 667, 408},
-    {"uniform", "kd192", 3, 0, 0xae309cb3cb258573ull, 1548, 408},
-    {"uniform", "kd192", 31, 0, 0x4026a1e443c6c6c7ull, 33386, 1006},
-    {"uniform", "kd192", 32, 0, 0x309a805a6f9169e8ull, 35118, 1034},
-    {"uniform", "kd192", 33, 0, 0x3c2874c569e82b07ull, 36337, 1066},
-    {"uniform", "kd192", 0, 50, 0x9b636dd3d7d587f5ull, 81571, 2101},
-    {"uniform", "kd192", 0, 700, 0x80cd2e3559923967ull, 102830, 2707},
-    {"uniform", "kd192", 64, 200, 0x9447ae7d12f0519dull, 75682, 2021},
-    {"uniform", "kd192", 8, 30, 0xe5199564cb5a9d1cull, 4189, 422},
+    {"uniform", "kd4", 0, 0, 0x6173f7fc5d9deb1bull, 8851, 2870},
+    {"uniform", "kd4", 64, 0, 0x9ccad3778bd9714dull, 7743, 2249},
+    {"uniform", "kd4", 16, 0, 0xab498f1b29db19d7ull, 1682, 483},
+    {"uniform", "kd4", 4, 0, 0x446e6db61ec2614cull, 229, 255},
+    {"uniform", "kd4", 1, 0, 0x1bdaab68624d2b0aull, 54, 255},
+    {"uniform", "kd4", 3, 0, 0x3db4866bb79f923full, 167, 255},
+    {"uniform", "kd4", 31, 0, 0x81638c5a815353bbull, 4116, 1076},
+    {"uniform", "kd4", 32, 0, 0xf7dd1a6db4a25becull, 4248, 1130},
+    {"uniform", "kd4", 33, 0, 0xece16f5ca136a5f2ull, 4368, 1162},
+    {"uniform", "kd4", 0, 50, 0x045fe065e8138d3dull, 7752, 2156},
+    {"uniform", "kd4", 0, 700, 0x6173f7fc5d9deb1bull, 8851, 2870},
+    {"uniform", "kd4", 64, 200, 0x9ccad3778bd9714dull, 7743, 2249},
+    {"uniform", "kd4", 8, 30, 0xd91db0c8e9670015ull, 631, 283},
+    {"uniform", "kd192", 0, 0, 0x80cd2e3559923967ull, 102830, 335},
+    {"uniform", "kd192", 64, 0, 0x9447ae7d12f0519dull, 75682, 277},
+    {"uniform", "kd192", 16, 0, 0x5a091bed3d85b207ull, 11462, 166},
+    {"uniform", "kd192", 4, 0, 0x96e7b7df54c6baacull, 2049, 153},
+    {"uniform", "kd192", 1, 0, 0xebf722e65624d6ddull, 667, 153},
+    {"uniform", "kd192", 3, 0, 0xae309cb3cb258573ull, 1548, 153},
+    {"uniform", "kd192", 31, 0, 0x4026a1e443c6c6c7ull, 33386, 199},
+    {"uniform", "kd192", 32, 0, 0x309a805a6f9169e8ull, 35118, 200},
+    {"uniform", "kd192", 33, 0, 0x3c2874c569e82b07ull, 36337, 202},
+    {"uniform", "kd192", 0, 50, 0x80cd2e3559923967ull, 102830, 335},
+    {"uniform", "kd192", 0, 700, 0x80cd2e3559923967ull, 102830, 335},
+    {"uniform", "kd192", 64, 200, 0x9447ae7d12f0519dull, 75682, 277},
+    {"uniform", "kd192", 8, 30, 0xe5199564cb5a9d1cull, 4189, 154},
     {"uniform", "brute", 0, 0, 0xe7fb0dbf568b935bull, 1020000, 0},
     {"uniform", "brute", 64, 0, 0x49da4e5a5ea87030ull, 973628, 0},
     {"uniform", "brute", 16, 0, 0xaf7b8016bac4030cull, 384380, 0},
@@ -233,32 +233,32 @@ constexpr GoldenRow kRangeGoldens[] = {
     {"uniform", "brute", 0, 700, 0xe7fb0dbf568b935bull, 1020000, 0},
     {"uniform", "brute", 64, 200, 0x49da4e5a5ea87030ull, 973628, 0},
     {"uniform", "brute", 8, 30, 0x4270a8fe8e367a82ull, 193737, 0},
-    {"clustered", "kd4", 0, 0, 0x5271a875794d87d4ull, 98745, 133361},
-    {"clustered", "kd4", 64, 0, 0x63dd4b6a9edac53eull, 14058, 24106},
-    {"clustered", "kd4", 16, 0, 0xcce5b82928b4ef1full, 2464, 4582},
-    {"clustered", "kd4", 4, 0, 0xd3094f82f2e00c6cull, 347, 1124},
-    {"clustered", "kd4", 1, 0, 0xba618d04945bb859ull, 74, 714},
-    {"clustered", "kd4", 3, 0, 0xecaa6f9972228a81ull, 252, 1042},
-    {"clustered", "kd4", 31, 0, 0xf58b965434c50004ull, 5940, 10364},
-    {"clustered", "kd4", 32, 0, 0x4ccbc8a8bee92026ull, 6210, 10696},
-    {"clustered", "kd4", 33, 0, 0x1c1cab6146b3e5bbull, 6510, 11197},
-    {"clustered", "kd4", 0, 50, 0x15c25ba9d4f22c5full, 2049, 2567},
-    {"clustered", "kd4", 0, 700, 0x4679c4c9ad2727abull, 26820, 31843},
-    {"clustered", "kd4", 64, 200, 0xfdc24d8688e52697ull, 6864, 7909},
-    {"clustered", "kd4", 8, 30, 0xf92854981bc93b92ull, 656, 1242},
-    {"clustered", "kd192", 0, 0, 0xc630d4c2e4f493c8ull, 222672, 3391},
-    {"clustered", "kd192", 64, 0, 0x25f26ff448c6c174ull, 50160, 1122},
-    {"clustered", "kd192", 16, 0, 0xc8aca6472b3c74dbull, 11916, 615},
-    {"clustered", "kd192", 4, 0, 0x652af5f19e8fd572ull, 3672, 504},
-    {"clustered", "kd192", 1, 0, 0x9ff6de36b019e976ull, 693, 408},
-    {"clustered", "kd192", 3, 0, 0x7be074dd60a82a0cull, 3443, 504},
-    {"clustered", "kd192", 31, 0, 0x495c407bce8fdb49ull, 23618, 750},
-    {"clustered", "kd192", 32, 0, 0x439d15d7dfb51f9dull, 24093, 755},
-    {"clustered", "kd192", 33, 0, 0x380f262aa6f8c08dull, 24794, 762},
-    {"clustered", "kd192", 0, 50, 0xc8ca7b7c6167343dull, 166564, 2439},
-    {"clustered", "kd192", 0, 700, 0xc630d4c2e4f493c8ull, 222672, 3391},
-    {"clustered", "kd192", 64, 200, 0x25f26ff448c6c174ull, 50160, 1122},
-    {"clustered", "kd192", 8, 30, 0xd3235ccaefc40178ull, 5667, 514},
+    {"clustered", "kd4", 0, 0, 0x5271a875794d87d4ull, 98745, 11757},
+    {"clustered", "kd4", 64, 0, 0x63dd4b6a9edac53eull, 14058, 2467},
+    {"clustered", "kd4", 16, 0, 0xcce5b82928b4ef1full, 2464, 617},
+    {"clustered", "kd4", 4, 0, 0xd3094f82f2e00c6cull, 347, 287},
+    {"clustered", "kd4", 1, 0, 0xba618d04945bb859ull, 74, 255},
+    {"clustered", "kd4", 3, 0, 0xecaa6f9972228a81ull, 252, 284},
+    {"clustered", "kd4", 31, 0, 0xf58b965434c50004ull, 5940, 1155},
+    {"clustered", "kd4", 32, 0, 0x4ccbc8a8bee92026ull, 6210, 1182},
+    {"clustered", "kd4", 33, 0, 0x1c1cab6146b3e5bbull, 6510, 1226},
+    {"clustered", "kd4", 0, 50, 0x748830e55e6b0669ull, 23201, 2303},
+    {"clustered", "kd4", 0, 700, 0x5271a875794d87d4ull, 98745, 11757},
+    {"clustered", "kd4", 64, 200, 0x63dd4b6a9edac53eull, 14058, 2466},
+    {"clustered", "kd4", 8, 30, 0x7e0d71e7211b3678ull, 888, 337},
+    {"clustered", "kd192", 0, 0, 0xc630d4c2e4f493c8ull, 222672, 328},
+    {"clustered", "kd192", 64, 0, 0x25f26ff448c6c174ull, 50160, 198},
+    {"clustered", "kd192", 16, 0, 0xc8aca6472b3c74dbull, 11916, 168},
+    {"clustered", "kd192", 4, 0, 0x652af5f19e8fd572ull, 3672, 160},
+    {"clustered", "kd192", 1, 0, 0x9ff6de36b019e976ull, 693, 153},
+    {"clustered", "kd192", 3, 0, 0x7be074dd60a82a0cull, 3443, 160},
+    {"clustered", "kd192", 31, 0, 0x495c407bce8fdb49ull, 23618, 176},
+    {"clustered", "kd192", 32, 0, 0x439d15d7dfb51f9dull, 24093, 176},
+    {"clustered", "kd192", 33, 0, 0x380f262aa6f8c08dull, 24794, 176},
+    {"clustered", "kd192", 0, 50, 0xc630d4c2e4f493c8ull, 222672, 328},
+    {"clustered", "kd192", 0, 700, 0xc630d4c2e4f493c8ull, 222672, 328},
+    {"clustered", "kd192", 64, 200, 0x25f26ff448c6c174ull, 50160, 198},
+    {"clustered", "kd192", 8, 30, 0xd3235ccaefc40178ull, 5980, 161},
     {"clustered", "brute", 0, 0, 0x70f1a4cb3d45b4bcull, 1020000, 0},
     {"clustered", "brute", 64, 0, 0x1b6c67e30944059dull, 501105, 0},
     {"clustered", "brute", 16, 0, 0x7cf9a0c88abf2e80ull, 302879, 0},

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
 
 #include "geom/distance.hpp"
 #include "query_oracles.hpp"
@@ -167,7 +169,9 @@ TEST(KdTree, NodeBudgetReducesVisits) {
     std::vector<PointId> out;
     tree.range_query(ps[0], 10.0, out);
   }
-  EXPECT_LE(limited.tree_nodes, 11u);
+  // The query stops before the node past the cap, so it charges at most
+  // max_nodes.
+  EXPECT_LE(limited.tree_nodes, 10u);
   EXPECT_GT(full.tree_nodes, limited.tree_nodes);
 }
 
@@ -176,7 +180,9 @@ TEST(KdTree, BuildIsBalancedish) {
   const KdTree tree(ps, 16);
   // Perfectly balanced depth would be log2(4096/16) = 8; allow slack.
   EXPECT_LE(tree.depth(), 14);
-  EXPECT_GT(tree.node_count(), 4096u / 16);
+  EXPECT_GE(tree.leaf_count(), 4096u / 16);
+  // Every wide node has at most kFanout slots, and every leaf fills one.
+  EXPECT_GE(tree.node_count() * KdTree::kFanout, tree.leaf_count());
 }
 
 TEST(KdTree, ByteSizeNonTrivial) {
@@ -241,10 +247,9 @@ TEST(KdTree, QueryReachingMoreLeavesThanTheLeafBatchMatchesLegacy) {
   // budget.
   const PointSet ps = random_points(3000, 3, 30.0, 83);
   const KdTree tree(ps, KdTreeOptions{.leaf_size = 4, .build_threads = 1});
-  const size_t leaves = (tree.node_count() + 1) / 2;
-  ASSERT_GT(leaves, 8 * KdTree::kLeafBatch);
+  ASSERT_GT(tree.leaf_count(), 8 * KdTree::kLeafBatch);
   QueryBudget node_capped;
-  node_capped.max_nodes = 700;
+  node_capped.max_nodes = 50;  // of the tree's wide nodes
   for (const double eps : {6.0, 20.0, 60.0}) {
     for (const QueryBudget& budget : {QueryBudget{}, node_capped}) {
       for (const PointId q : {PointId{0}, PointId{1234}, PointId{2999}}) {
@@ -259,6 +264,9 @@ TEST(KdTree, QueryReachingMoreLeavesThanTheLeafBatchMatchesLegacy) {
         if (budget.max_nodes == 0) {
           EXPECT_EQ(sorted(exact.hits), per_point_hits(ps, ps[q], eps))
               << "eps=" << eps << " q=" << q;
+        } else if (eps == 60.0) {
+          // The widest radius reaches every node, so the cap fires.
+          EXPECT_EQ(exact.tree_nodes, budget.max_nodes) << "q=" << q;
         }
       }
     }
@@ -281,7 +289,7 @@ TEST(KdTree, BudgetedQueriesReproducible) {
     const PointId q = static_cast<PointId>(rng.uniform_index(ps.size()));
     QueryBudget budget;
     budget.max_neighbors = 1 + rng.uniform_index(16);
-    budget.max_nodes = 8 + rng.uniform_index(64);
+    budget.max_nodes = 1 + rng.uniform_index(8);  // of 19 wide nodes
     std::vector<PointId> first;
     seq.range_query_budgeted(ps[q], 5.0, budget, first);
     for (int repeat = 0; repeat < 3; ++repeat) {
@@ -292,6 +300,128 @@ TEST(KdTree, BudgetedQueriesReproducible) {
     std::vector<PointId> parallel_tree;
     par.range_query_budgeted(ps[q], 5.0, budget, parallel_tree);
     EXPECT_EQ(first, parallel_tree);
+  }
+}
+
+/// 8 sites repeated over most rows, one row in four uniform: subtrees that
+/// hold copies of one site end in degenerate-spread leaves of any size.
+PointSet duplicate_heavy(i64 n, int dim, u64 seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> sites(8, std::vector<double>(
+                                                static_cast<size_t>(dim)));
+  for (auto& site : sites) {
+    for (auto& x : site) x = rng.uniform(0.0, 20.0);
+  }
+  PointSet ps(dim);
+  std::vector<double> p(static_cast<size_t>(dim));
+  for (i64 i = 0; i < n; ++i) {
+    if (rng.uniform_index(4) == 0) {
+      for (auto& x : p) x = rng.uniform(0.0, 20.0);
+      ps.add(p);
+    } else {
+      ps.add(sites[rng.uniform_index(sites.size())]);
+    }
+  }
+  return ps;
+}
+
+u64 fold(u64 h, u64 v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xff;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(KdTree, TreeShapeGoldensForRangeAndKnn) {
+  // Hits in order and distance_evals of range queries (exact and under
+  // neighbor budgets) and kNN queries, on tree shapes the node layout must
+  // carry: a root that is a leaf, leaves at uneven depths (n just past a
+  // power of two times the leaf size, or not a power of two at all), leaf
+  // sizes 1 and 4, and duplicate-heavy sets whose degenerate-spread leaves
+  // stop splitting early. Recorded on the binary median-split descent;
+  // tree_nodes is not pinned, since it counts the layout's nodes.
+  struct Shape {
+    const char* name;
+    PointSet ps;
+    int leaf_size;
+    double eps;
+    u64 range_digest;
+    u64 range_evals;
+    u64 knn_digest;
+    u64 knn_evals;
+  };
+  const Shape shapes[] = {
+      {"root leaf", random_points(150, 3, 10.0, 101), 192, 2.5,
+       0xf39fa5b84689da1bull, 2139, 0x8c1a2df8d23782c8ull, 7650},
+      {"uneven L192", random_points(1537, 5, 20.0, 103), 192, 5.0,
+       0x6eb2227842b44c60ull, 76276, 0xd2f0d431c43e98deull, 81942},
+      {"uneven L4", random_points(1000, 3, 20.0, 107), 4, 2.0,
+       0x9f0fd3d00b5bbb18ull, 1910, 0xf97e5d8707c1b134ull, 3489},
+      {"leaf 1", random_points(300, 2, 10.0, 109), 1, 1.5,
+       0x9f90f846f8d4f12dull, 546, 0xf6dc9728d0ae149full, 762},
+      {"duplicates L4", duplicate_heavy(1200, 3, 113), 4, 1.0,
+       0x94de26008a906f2eull, 4969, 0x5b06983513ef58c4ull, 11470},
+      {"duplicates L1", duplicate_heavy(400, 2, 127), 1, 1.0,
+       0x2af91c7727a01ddeull, 1035, 0xd9f54b39a804d097ull, 2718},
+  };
+  for (const Shape& shape : shapes) {
+    const PointSet& ps = shape.ps;
+    const KdTree tree(ps, KdTreeOptions{.leaf_size = shape.leaf_size,
+                                        .build_threads = 1});
+    // Every 37th point, then off-data points across the data's range.
+    std::vector<std::vector<double>> queries;
+    for (size_t i = 0; i < ps.size(); i += 37) {
+      const auto p = ps[static_cast<PointId>(i)];
+      queries.emplace_back(p.begin(), p.end());
+    }
+    Rng rng(131);
+    for (int i = 0; i < 12; ++i) {
+      std::vector<double> q(static_cast<size_t>(ps.dim()));
+      for (auto& x : q) x = rng.uniform(-1.0, 21.0);
+      queries.push_back(std::move(q));
+    }
+    u64 range_digest = 14695981039346656037ull;
+    u64 range_evals = 0;
+    u64 knn_digest = 14695981039346656037ull;
+    u64 knn_evals = 0;
+    for (const auto& q : queries) {
+      for (const u64 max_neighbors : {u64{0}, u64{4}, u64{64}}) {
+        const QueryRun run =
+            run_query(tree, q, shape.eps,
+                      QueryBudget{.max_neighbors = max_neighbors});
+        for (const PointId id : run.hits) {
+          range_digest = fold(range_digest, static_cast<u64>(id));
+        }
+        range_digest = fold(range_digest, ~u64{0});
+        range_evals += run.distance_evals;
+      }
+      for (const size_t k : {size_t{1}, size_t{5}, size_t{16}}) {
+        std::vector<KnnHit> hits;
+        WorkCounters wc;
+        {
+          ScopedCounters scope(&wc);
+          tree.knn_query(q, k, QueryBudget{}, hits);
+        }
+        for (const KnnHit& hit : hits) {
+          knn_digest = fold(knn_digest, static_cast<u64>(hit.id));
+          knn_digest = fold(knn_digest, std::bit_cast<u64>(hit.d2));
+        }
+        knn_digest = fold(knn_digest, ~u64{0});
+        knn_evals += wc.distance_evals;
+      }
+    }
+    EXPECT_EQ(range_digest, shape.range_digest) << shape.name;
+    EXPECT_EQ(range_evals, shape.range_evals) << shape.name;
+    EXPECT_EQ(knn_digest, shape.knn_digest) << shape.name;
+    EXPECT_EQ(knn_evals, shape.knn_evals) << shape.name;
+    if (HasFailure()) {
+      std::printf("%s: 0x%016llxull, %llu, 0x%016llxull, %llu\n", shape.name,
+                  static_cast<unsigned long long>(range_digest),
+                  static_cast<unsigned long long>(range_evals),
+                  static_cast<unsigned long long>(knn_digest),
+                  static_cast<unsigned long long>(knn_evals));
+    }
   }
 }
 

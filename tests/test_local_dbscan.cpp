@@ -412,36 +412,36 @@ TEST(LocalDbscan, GoldenResultsAndCountersPerBackend) {
     };
     const Case cases[] = {
         {PartitionerKind::kBlock, SeedStrategy::kAllForeign,
-         {16236602016041878037ull, 1706400, 68990, 737895, 48910, 4300, 20503,
+         {16236602016041878037ull, 1706400, 10291, 737895, 48910, 4300, 20503,
           394}},
         {PartitionerKind::kBlock, SeedStrategy::kOnePerPartition,
-         {8546718667956331759ull, 1706400, 68990, 717392, 48910, 4300, 20503,
+         {8546718667956331759ull, 1706400, 10291, 717392, 48910, 4300, 20503,
           394}},
         {PartitionerKind::kRandom, SeedStrategy::kAllForeign,
-         {2210995881594213048ull, 1706400, 68990, 738920, 49140, 4300, 20639,
+         {2210995881594213048ull, 1706400, 10291, 738920, 49140, 4300, 20639,
           267}},
         {PartitionerKind::kRandom, SeedStrategy::kOnePerPartition,
-         {9930683129439682314ull, 1706400, 68990, 718281, 49140, 4300, 20639,
+         {9930683129439682314ull, 1706400, 10291, 718281, 49140, 4300, 20639,
           267}},
         {PartitionerKind::kKdSplit, SeedStrategy::kAllForeign,
-         {15512154076714684969ull, 1706400, 68990, 589888, 11914, 4300, 1890,
+         {15512154076714684969ull, 1706400, 10291, 589888, 11914, 4300, 1890,
           272}},
         {PartitionerKind::kKdSplit, SeedStrategy::kOnePerPartition,
-         {2133173307550461048ull, 1706400, 68990, 587998, 11914, 4300, 1890,
+         {2133173307550461048ull, 1706400, 10291, 587998, 11914, 4300, 1890,
           272}},
         {PartitionerKind::kGrid, SeedStrategy::kAllForeign,
-         {4537282393945122227ull, 1706400, 68990, 579142, 10916, 4300, 1399,
+         {4537282393945122227ull, 1706400, 10291, 579142, 10916, 4300, 1399,
           310}},
         {PartitionerKind::kGrid, SeedStrategy::kOnePerPartition,
-         {15566479648013115457ull, 1706400, 68990, 577743, 10916, 4300, 1399,
+         {15566479648013115457ull, 1706400, 10291, 577743, 10916, 4300, 1399,
           310}},
         // A budget that truncates most neighbourhoods: core tests and the
         // enqueued rows both come from the truncated hits.
         {PartitionerKind::kKdSplit, SeedStrategy::kAllForeign,
-         {14658881486954721383ull, 201997, 27783, 59981, 8158, 4300, 2054, 30},
+         {14658881486954721383ull, 201997, 8635, 59981, 8158, 4300, 2054, 30},
          QueryBudget{.max_neighbors = 8}},
         {PartitionerKind::kRandom, SeedStrategy::kOnePerPartition,
-         {292189693828583887ull, 201997, 27783, 75269, 47500, 4300, 22658, 20},
+         {292189693828583887ull, 201997, 8635, 75269, 47500, 4300, 22658, 20},
          QueryBudget{.max_neighbors = 8}},
     };
     for (const Case& c : cases) {

@@ -278,6 +278,39 @@ TEST(SparkDbscan, BudgetSeparatesJobFingerprints) {
   fs::remove_all(dir);
 }
 
+TEST(SparkDbscan, NodeCapFingerprintsFoldTheKdTreeFanout) {
+  // A max_nodes cap counts the kd-tree's nodes, so which hits a capped job
+  // keeps depends on the node layout: a checkpoint written under one layout
+  // must not resume into another. Exact and neighbor-capped jobs report the
+  // same hits on every layout, so their fingerprints keep the values they
+  // had under the binary layout; a node-capped one must move off its value.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("sdb_fanout_fp_" + std::to_string(::getpid()));
+  const PointSet ps = blob_data(600, 37);
+  auto fingerprint = [&](QueryBudget budget) {
+    fs::remove_all(dir);
+    minispark::SparkContext ctx(cluster(2));
+    SparkDbscanConfig cfg;
+    cfg.params = {1.0, 5};
+    cfg.partitions = 2;
+    cfg.budget = budget;
+    cfg.checkpoint_dir = dir.string();
+    SparkDbscan dbscan(ctx, cfg);
+    return dbscan.run(ps).job_fingerprint;
+  };
+  // Recorded under the binary layout.
+  constexpr u64 kExact = 8654376068423609953ull;
+  constexpr u64 kNeighborCapped = 14156292801718581282ull;
+  constexpr u64 kBinaryNodeCapped = 11581811627787627618ull;
+  const u64 exact = fingerprint({});
+  const u64 neighbor_capped = fingerprint({.max_neighbors = 4});
+  const u64 node_capped = fingerprint({.max_nodes = 64});
+  EXPECT_EQ(exact, kExact);
+  EXPECT_EQ(neighbor_capped, kNeighborCapped);
+  EXPECT_NE(node_capped, kBinaryNodeCapped);
+  fs::remove_all(dir);
+}
+
 TEST(SparkDbscan, WallPhasesFitInsideWallTime) {
   const fs::path dir = fs::temp_directory_path() /
                        ("sdb_spark_wall_" + std::to_string(::getpid()));
