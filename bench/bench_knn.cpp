@@ -8,10 +8,13 @@
 //           (the O(n^2)-shaped baseline the backend replaces);
 //   knn   — NN-descent graph build (wall, rounds, evals, recall vs the
 //           exact graph), eps-graph derivation, and the graph-BFS sweep;
+//   rounds — the descent's start (forest leaf joins) and each refinement
+//           round: evaluations, updates and wall time;
 //   gap   — the disagreement-bound harness vs the exact clustering (ARI,
 //           label/noise/core mismatches). The run itself SDB_CHECKs the
-//           bound (ARI >= 0.95, disagreement fraction <= 2%), so a
-//           quality regression fails the perf smoke, not just a human
+//           bound (ARI >= 0.95, disagreement fraction <= 2%) and the
+//           sampled recall (>= kRecallFloor), so a quality regression or a
+//           start that stalls fails the perf smoke, not just a human
 //           reading the numbers.
 //
 // --smoke shrinks n to seconds-scale and runs under ctest -L perf; full
@@ -36,6 +39,11 @@ using namespace sdb;
 
 namespace {
 
+/// Floor on the stride-sampled graph recall. Full runs read 0.94-0.95 and
+/// smoke runs 0.98-0.99; a descent whose start stalls (one forest tree, or
+/// rows that never leave their leaves) reads 0.2-0.4.
+constexpr double kRecallFloor = 0.90;
+
 struct WorkloadReport {
   std::string name;
   u64 n = 0;
@@ -52,8 +60,7 @@ struct WorkloadReport {
   u64 exact_noise = 0;
 
   double knn_graph_ms = 0.0;
-  u32 knn_rounds = 0;
-  u64 knn_graph_evals = 0;
+  knn::KnnGraphBuildStats knn_stats;
   double knn_recall = 0.0;
   double knn_eps_graph_ms = 0.0;
   double knn_cluster_ms = 0.0;
@@ -69,10 +76,10 @@ struct WorkloadReport {
     return knn_graph_ms + knn_eps_graph_ms + knn_cluster_ms;
   }
   [[nodiscard]] double eval_ratio() const {
-    return knn_graph_evals == 0
+    return knn_stats.distance_evals == 0
                ? 0.0
                : static_cast<double>(exact_evals) /
-                     static_cast<double>(knn_graph_evals);
+                     static_cast<double>(knn_stats.distance_evals);
   }
 };
 
@@ -157,15 +164,12 @@ WorkloadReport run_workload(const std::string& name, i64 n, int dim,
   // half-rate sampling keeps recall within a point of full-rate on these
   // workloads (the run's own recall column + disagreement SDB_CHECK pin it).
   knn_cfg.sample = k / 2;
-  knn::KnnGraphBuildStats stats;
   knn::KnnGraph graph;
   {
     Stopwatch sw;
-    graph = knn::build_knn_graph(ps, knn_cfg, &stats);
+    graph = knn::build_knn_graph(ps, knn_cfg, &r.knn_stats);
     r.knn_graph_ms = sw.millis();
   }
-  r.knn_rounds = stats.rounds;
-  r.knn_graph_evals = stats.distance_evals;
 
   // Stride-sampled recall: exact rows for ~1k query points via the
   // brute-force kernel scan. (The full n^2 exact-graph oracle would
@@ -232,6 +236,13 @@ WorkloadReport run_workload(const std::string& name, i64 n, int dim,
   SDB_CHECK(r.gap.within(0.95, 0.02),
             "KNN-DBSCAN drifted outside the disagreement bound "
             "(ARI >= 0.95, fraction <= 0.02)");
+  if (r.knn_recall < kRecallFloor) {
+    std::fprintf(stderr, "%s: recall=%.4f rounds=%u graph_evals=%llu\n",
+                 name.c_str(), r.knn_recall, r.knn_stats.rounds,
+                 static_cast<unsigned long long>(r.knn_stats.distance_evals));
+  }
+  SDB_CHECK(r.knn_recall >= kRecallFloor,
+            "NN-descent graph recall fell below the floor (0.90)");
   return r;
 }
 
@@ -245,15 +256,33 @@ void print_table(const std::vector<WorkloadReport>& reports, bool csv) {
                TablePrinter::cell(r.exact_total_ms(), 1),
                TablePrinter::cell(r.exact_evals),
                TablePrinter::cell(r.knn_total_ms(), 1),
-               TablePrinter::cell(r.knn_graph_evals),
+               TablePrinter::cell(r.knn_stats.distance_evals),
                TablePrinter::cell(r.eval_ratio(), 2),
-               TablePrinter::cell(static_cast<u64>(r.knn_rounds)),
+               TablePrinter::cell(static_cast<u64>(r.knn_stats.rounds)),
                TablePrinter::cell(r.knn_recall, 4),
                TablePrinter::cell(r.gap.ari, 4),
                TablePrinter::cell(r.gap.disagreement_frac(), 5)});
   }
   t.print("KNN-DBSCAN vs exact DBSCAN (high-dimensional embeddings)");
   if (csv) std::printf("%s", t.to_csv().c_str());
+
+  // The start (the forest's leaf joins) fills rows rather than updating
+  // them, so it has no update count.
+  TablePrinter rounds({"workload", "round", "evals", "updates", "ms"});
+  for (const auto& r : reports) {
+    const knn::KnnGraphBuildStats& st = r.knn_stats;
+    rounds.add_row({r.name, "start", TablePrinter::cell(st.start_evals), "-",
+                    TablePrinter::cell(st.start_s * 1e3, 1)});
+    for (size_t i = 0; i < st.per_round.size(); ++i) {
+      const knn::KnnGraphRoundStats& rs = st.per_round[i];
+      rounds.add_row({r.name, TablePrinter::cell(static_cast<u64>(i + 1)),
+                      TablePrinter::cell(rs.distance_evals),
+                      TablePrinter::cell(rs.updates),
+                      TablePrinter::cell(rs.wall_s * 1e3, 1)});
+    }
+  }
+  rounds.print("NN-descent build per round");
+  if (csv) std::printf("%s", rounds.to_csv().c_str());
 }
 
 void write_json(const std::string& path, const std::string& mode, u64 seed,
@@ -286,13 +315,27 @@ void write_json(const std::string& path, const std::string& mode, u64 seed,
                  "     \"knn\": {\"graph_ms\": %.3f, \"rounds\": %u, "
                  "\"graph_evals\": %llu, \"recall\": %.4f, "
                  "\"eps_graph_ms\": %.3f, \"cluster_ms\": %.3f, "
-                 "\"total_ms\": %.3f, \"clusters\": %llu, \"noise\": %llu},\n",
-                 r.knn_graph_ms, r.knn_rounds,
-                 static_cast<unsigned long long>(r.knn_graph_evals),
+                 "\"total_ms\": %.3f, \"clusters\": %llu, \"noise\": %llu,\n",
+                 r.knn_graph_ms, r.knn_stats.rounds,
+                 static_cast<unsigned long long>(r.knn_stats.distance_evals),
                  r.knn_recall, r.knn_eps_graph_ms, r.knn_cluster_ms,
                  r.knn_total_ms(),
                  static_cast<unsigned long long>(r.knn_clusters),
                  static_cast<unsigned long long>(r.knn_noise));
+    std::fprintf(f,
+                 "             \"start\": {\"evals\": %llu, \"ms\": %.3f},\n"
+                 "             \"per_round\": [",
+                 static_cast<unsigned long long>(r.knn_stats.start_evals),
+                 r.knn_stats.start_s * 1e3);
+    for (size_t i = 0; i < r.knn_stats.per_round.size(); ++i) {
+      const knn::KnnGraphRoundStats& rs = r.knn_stats.per_round[i];
+      std::fprintf(f, "%s{\"evals\": %llu, \"updates\": %llu, \"ms\": %.3f}",
+                   i == 0 ? "" : ",\n                           ",
+                   static_cast<unsigned long long>(rs.distance_evals),
+                   static_cast<unsigned long long>(rs.updates),
+                   rs.wall_s * 1e3);
+    }
+    std::fprintf(f, "]},\n");
     std::fprintf(f,
                  "     \"eval_ratio\": %.2f,\n"
                  "     \"disagreement\": {\"ari\": %.6f, "

@@ -71,8 +71,10 @@ inline u64 job_fingerprint(std::string_view engine, u64 dataset,
   // Non-exact neighborhoods (the KNN-DBSCAN backend, or a query budget on
   // the exact one) fold their parameters in as a salt: a knn or budgeted
   // checkpoint must never resume into an exact job or into a job with other
-  // graph or budget parameters, and a node-capped one never into a job whose
-  // kd-tree nodes have another fan-out. Zero (exact queries) folds nothing.
+  // graph or budget parameters, a descent-built one never into a job whose
+  // descent starts from other rows (knn::kDescentStartVersion), and a
+  // node-capped one never into a job whose kd-tree nodes have another
+  // fan-out. Zero (exact queries) folds nothing.
   if (backend_salt != 0) h = detail::fnv1a_value(h, backend_salt);
   return h;
 }

@@ -116,6 +116,12 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
       backend_salt =
           detail::fnv1a_value(backend_salt, config_.knn.termination_frac);
       backend_salt = detail::fnv1a_value(backend_salt, config_.knn.seed);
+      // The rows a descent starts from shape the graph it converges to: a
+      // checkpoint written on one start's graph must not resume.
+      if (config_.knn.build == knn::KnnGraphConfig::Build::kDescent) {
+        backend_salt =
+            detail::fnv1a_value(backend_salt, knn::kDescentStartVersion);
+      }
     } else if (!config_.budget.exact()) {
       // A budget drops neighbors, and which ones depends on the index's
       // traversal order: fold both. Exact queries report the same hits on

@@ -20,53 +20,65 @@ KnnEpsGraph KnnEpsGraph::build(const KnnGraph& graph,
   g.minpts_ = params.minpts;
   g.core_.assign(n, 0);
 
-  // Pass 1: in-eps prefix of every row -> directed edge lists + core mask.
-  // Rows are ascending by (d2, id), so the in-eps prefix is contiguous.
-  std::vector<std::vector<std::pair<PointId, std::uint8_t>>> adj(n);
+  // Rows are ascending by (d2, id), so each row's in-eps part is a prefix.
+  const auto in_eps = [&](size_t i) {
+    const auto ids = graph.row_ids(static_cast<PointId>(i));
+    const auto d2s = graph.row_d2(static_cast<PointId>(i));
+    u32 m = 0;
+    while (m < graph.k() && ids[m] != kNoNeighbor && d2s[m] <= eps2) ++m;
+    return m;
+  };
+
+  // Pass 1: count every node's directed edges (its in-eps prefix forward,
+  // each appearance in another prefix reverse) and set the core mask: the
+  // point itself plus its in-eps row reaches minpts.
+  std::vector<u64> start(n + 1, 0);
   for (size_t i = 0; i < n; ++i) {
-    const auto pid = static_cast<PointId>(i);
-    const auto ids = graph.row_ids(pid);
-    const auto d2s = graph.row_d2(pid);
-    u32 in_eps = 0;
-    for (u32 s = 0; s < graph.k(); ++s) {
-      if (ids[s] == kNoNeighbor || d2s[s] > eps2) break;
-      ++in_eps;
-      adj[i].emplace_back(ids[s], kFwd);
-      adj[static_cast<size_t>(ids[s])].emplace_back(pid, kRev);
+    const u32 m = in_eps(i);
+    start[i + 1] += m;
+    for (const PointId j : graph.row_ids(static_cast<PointId>(i)).first(m)) {
+      ++start[static_cast<size_t>(j) + 1];
     }
-    // Core: the point itself plus its in-eps row reaches minpts.
-    if (1 + static_cast<i64>(in_eps) >= params.minpts) g.core_[i] = 1;
+    if (1 + static_cast<i64>(m) >= params.minpts) g.core_[i] = 1;
+  }
+  for (size_t i = 0; i < n; ++i) start[i + 1] += start[i];
+
+  // Pass 2: fill one flat array, each edge packed as target << 2 | flags.
+  std::vector<u64> edges(start[n]);
+  std::vector<u64> fill(start.begin(), start.end() - 1);
+  for (size_t i = 0; i < n; ++i) {
+    for (const PointId j :
+         graph.row_ids(static_cast<PointId>(i)).first(in_eps(i))) {
+      edges[fill[i]++] = static_cast<u64>(j) << 2 | kFwd;
+      edges[fill[static_cast<size_t>(j)]++] = static_cast<u64>(i) << 2 | kRev;
+    }
   }
 
-  // Pass 2: per-row sort by target and OR the flags of duplicate targets
-  // (an edge seen both forward and reverse becomes kMutual), then pack CSR.
+  // Sort each row by target and OR the flags of duplicate targets (an edge
+  // seen both forward and reverse becomes kMutual), compacting the rows
+  // into the CSR in place.
   g.offsets_.assign(n + 1, 0);
-  u64 total = 0;
+  g.targets_.resize(start[n]);
+  g.flags_.resize(start[n]);
+  u64 w = 0;
   for (size_t i = 0; i < n; ++i) {
-    auto& row = adj[i];
-    std::sort(row.begin(), row.end());
-    size_t w = 0;
-    for (size_t r = 0; r < row.size(); ++r) {
-      if (w > 0 && row[w - 1].first == row[r].first) {
-        row[w - 1].second |= row[r].second;
+    u64* const row_end = edges.data() + start[i + 1];
+    std::sort(edges.data() + start[i], row_end);
+    for (const u64* e = edges.data() + start[i]; e != row_end; ++e) {
+      const auto target = static_cast<PointId>(*e >> 2);
+      const auto flag = static_cast<std::uint8_t>(*e & kMutual);
+      if (w > g.offsets_[i] && g.targets_[w - 1] == target) {
+        g.flags_[w - 1] |= flag;
       } else {
-        row[w++] = row[r];
+        g.targets_[w] = target;
+        g.flags_[w] = flag;
+        ++w;
       }
     }
-    row.resize(w);
-    total += w;
-    g.offsets_[i + 1] = total;
+    g.offsets_[i + 1] = w;
   }
-  g.targets_.resize(total);
-  g.flags_.resize(total);
-  for (size_t i = 0; i < n; ++i) {
-    u64 at = g.offsets_[i];
-    for (const auto& [t, f] : adj[i]) {
-      g.targets_[at] = t;
-      g.flags_[at] = f;
-      ++at;
-    }
-  }
+  g.targets_.resize(w);
+  g.flags_.resize(w);
   return g;
 }
 

@@ -11,6 +11,7 @@
 #include "fault/injection.hpp"
 #include "geom/distance.hpp"
 #include "util/rng.hpp"
+#include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sdb::knn {
@@ -297,6 +298,184 @@ struct JoinScratch {
   }
 };
 
+/// Offer `cands` (never q itself) to q's row: score kLanes candidates at a
+/// time, then apply them in list order against the live worst slot. A full
+/// row's worst slot bounds what can still matter, and it only improves as
+/// candidates land, so a lane abandoned against the worst slot at the batch
+/// start is strictly worse than the live one too, and is rejected without
+/// touching the row. A finished lane is the exact distance, so each
+/// candidate is accepted or rejected exactly as if its exact distance had
+/// been offered to row_insert alone. Returns the slots updated.
+u64 offer_candidates(const PointSet& points, PointId q_id,
+                     std::span<const PointId> cands, KnnGraph& graph,
+                     std::span<unsigned char> flags) {
+  const size_t dim = static_cast<size_t>(points.dim());
+  const u32 k = graph.k();
+  const size_t m = cands.size();
+  const auto ids = graph.mutable_row_ids(q_id);
+  const auto d2s = graph.mutable_row_d2(q_id);
+  const auto cutoff = [&] {
+    return ids[k - 1] != kNoNeighbor ? d2s[k - 1]
+                                     : std::numeric_limits<double>::infinity();
+  };
+  const double* q = points[q_id].data();
+  u64 updates = 0;
+  for (size_t i = 0; i < m; i += kLanes) {
+    const size_t lanes = std::min(kLanes, m - i);
+    // A short final batch pads with copies of its last candidate.
+    std::array<const double*, kLanes> rows{};
+    for (size_t l = 0; l < kLanes; ++l) {
+      rows[l] = points[cands[i + std::min(l, lanes - 1)]].data();
+    }
+    // Candidate rows are scattered over the whole point set; start pulling
+    // in the next batch while this one is scored.
+    for (size_t l = i + kLanes; l < std::min(m, i + 2 * kLanes); ++l) {
+      const double* row = points[cands[l]].data();
+      for (size_t d = 0; d < dim; d += 8) __builtin_prefetch(row + d);
+    }
+    const std::array<double, kLanes> d2 = score_lanes(q, rows, dim, cutoff());
+    for (size_t l = 0; l < lanes; ++l) {
+      const PointId c = cands[i + l];
+      const double live = cutoff();
+      double dc = d2[l];
+      // A NaN sum (non-finite coordinates) is neither above nor below the
+      // cutoff, and no batch abandons it: whether it is rejected depends on
+      // its partials before the NaN against the live slot.
+      if (std::isnan(dc)) {
+        dc = squared_distance_abandoned(points[q_id], points[c], live);
+      }
+      if (dc > live) continue;
+      if (row_insert(ids, d2s, flags, k, dc, c)) ++updates;
+    }
+  }
+  return updates;
+}
+
+/// Trees in the random-projection forest that starts the descent (swept in
+/// EXPERIMENTS.md). One tree stalls: its leaves are closed cliques, so the
+/// first round proposes only pairs its rows already scored and stops there.
+constexpr u32 kForestTrees = 4;
+/// A forest node splits while its range holds more than kForestLeafFactor * k
+/// points, so a leaf holds 4k..8k of them when n > 8k (all n otherwise):
+/// always at least k + 1, so every row fills from its own leaf.
+constexpr u32 kForestLeafFactor = 8;
+
+/// A forest member: its projection onto the current node's direction.
+struct Projected {
+  double key;
+  PointId id;
+};
+
+/// (key, id) ascending with NaN keys last: a strict total order even on NaN
+/// and infinite coordinates, which nth_element needs to be defined.
+bool projected_less(const Projected& a, const Projected& b) {
+  const bool a_nan = std::isnan(a.key);
+  const bool b_nan = std::isnan(b.key);
+  if (a_nan != b_nan) return b_nan;
+  if (!a_nan && a.key != b.key) return a.key < b.key;
+  return a.id < b.id;
+}
+
+/// A point's leaf in one tree: positions [begin, end) of the tree's order
+/// (32 bits, as the join's radix sort assumes of point ids).
+struct LeafSpan {
+  u32 begin;
+  u32 end;
+};
+
+/// Split order[begin, end) of one random-projection tree at the median of
+/// the members' projections onto the difference of two members drawn from
+/// an RNG keyed by (tree_seed, node), recursing until a range holds at most
+/// `leaf_max` points; each leaf's members record it in `leaf_of`. A zero
+/// direction (duplicate points) projects every member to 0, and the id
+/// tie-break still halves the range. Nodes are numbered heap-style from 1.
+void split_rp_node(const PointSet& points, u64 tree_seed, size_t leaf_max,
+                   std::span<Projected> order, std::span<LeafSpan> leaf_of,
+                   size_t begin, size_t end, u64 node) {
+  const size_t m = end - begin;
+  if (m <= leaf_max) {
+    for (size_t i = begin; i < end; ++i) {
+      leaf_of[static_cast<size_t>(order[i].id)] = {static_cast<u32>(begin),
+                                                   static_cast<u32>(end)};
+    }
+    return;
+  }
+  Rng rng(tree_seed ^ (0x9e3779b97f4a7c15ull * node));
+  const size_t ia = rng.uniform_index(m);
+  size_t ib = rng.uniform_index(m - 1);
+  if (ib >= ia) ++ib;
+  const std::span<const double> a = points[order[begin + ia].id];
+  const std::span<const double> b = points[order[begin + ib].id];
+  for (size_t i = begin; i < end; ++i) {
+    const std::span<const double> x = points[order[i].id];
+    double s = 0.0;
+    for (size_t d = 0; d < x.size(); ++d) s += x[d] * (a[d] - b[d]);
+    order[i].key = s;
+  }
+  const size_t mid = begin + m / 2;
+  std::nth_element(order.begin() + static_cast<std::ptrdiff_t>(begin),
+                   order.begin() + static_cast<std::ptrdiff_t>(mid),
+                   order.begin() + static_cast<std::ptrdiff_t>(end),
+                   projected_less);
+  split_rp_node(points, tree_seed, leaf_max, order, leaf_of, begin, mid,
+                2 * node);
+  split_rp_node(points, tree_seed, leaf_max, order, leaf_of, mid, end,
+                2 * node + 1);
+}
+
+/// The descent's start: each row becomes the exact nearest of the point's
+/// leaf-mates over a forest of kForestTrees random-projection trees. The
+/// trees build as tasks and the leaf joins run in point chunks, each row
+/// written only by its own point's chunk, so the rows do not depend on
+/// `threads`. Candidates are offered in a fixed order (tree, then leaf
+/// position), a mate shared by several trees once per tree, and each offer
+/// is charged one distance_eval. Needs n >= k + 2.
+void forest_start(const PointSet& points, const KnnGraphConfig& cfg,
+                  unsigned threads, KnnGraph& graph,
+                  std::span<unsigned char> new_flag,
+                  KnnGraphBuildStats& stats) {
+  const size_t n = points.size();
+  const u32 k = cfg.k;
+  const size_t leaf_max = static_cast<size_t>(kForestLeafFactor) * k;
+  // Every buffer is allocated here, on the calling thread: a pool thread
+  // that allocates gets a malloc arena of its own, which keeps its pages.
+  std::vector<Projected> order(kForestTrees * n);
+  std::vector<LeafSpan> leaf_of(kForestTrees * n);
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = {0.0, static_cast<PointId>(i % n)};
+  }
+  const u64 forest_seed = derive_seed(cfg.seed, "knn.forest");
+  parallel_for(kForestTrees, threads, [&](size_t t) {
+    split_rp_node(points, forest_seed ^ (0xbf58476d1ce4e5b9ull * (t + 1)),
+                  leaf_max, std::span(order).subspan(t * n, n),
+                  std::span(leaf_of).subspan(t * n, n), 0, n, 1);
+  });
+
+  std::vector<u64> worker_evals(threads, 0);
+  std::vector<std::vector<PointId>> mates(threads);
+  for (auto& m : mates) m.reserve(kForestTrees * leaf_max);
+  parallel_chunks(n, threads, [&](size_t begin, size_t end, unsigned worker) {
+    std::vector<PointId>& cands = mates[worker];
+    u64 evals = 0;
+    for (size_t p = begin; p < end; ++p) {
+      const auto pid = static_cast<PointId>(p);
+      cands.clear();
+      for (u32 t = 0; t < kForestTrees; ++t) {
+        const LeafSpan leaf = leaf_of[t * n + p];
+        for (u32 i = leaf.begin; i < leaf.end; ++i) {
+          const PointId c = order[t * n + i].id;
+          if (c != pid) cands.push_back(c);
+        }
+      }
+      evals += cands.size();
+      offer_candidates(points, pid, cands, graph, new_flag.subspan(p * k, k));
+    }
+    worker_evals[worker] += evals;
+  });
+  for (const u64 e : worker_evals) stats.start_evals += e;
+  stats.distance_evals += stats.start_evals;
+}
+
 /// NN-descent refinement (Dong et al., incremental local join): every
 /// round, each point t gathers candidates from its sampled forward +
 /// reverse neighborhood's neighborhoods (read from the PREVIOUS round's
@@ -306,10 +485,8 @@ struct JoinScratch {
 void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
                    KnnGraph& graph, KnnGraphBuildStats& stats) {
   const size_t n = points.size();
-  const size_t dim = static_cast<size_t>(points.dim());
   const u32 k = cfg.k;
   const unsigned threads = build_threads(cfg.threads, n);
-  const u64 init_seed = derive_seed(cfg.seed, "knn.init");
 
   // Per-slot new/old bits for the incremental local join (Dong et al.): a
   // slot is "new" until the round that exploits it as a join pivot, and a
@@ -322,43 +499,10 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
     return std::span<unsigned char>(new_flag.data() + p * k, k);
   };
 
-  // --- Seeded random initial rows (exact when n - 1 <= k). ---
-  std::vector<u64> worker_evals(threads, 0);
-  parallel_chunks(n, threads, [&](size_t begin, size_t end, unsigned worker) {
-    std::vector<PointId> picks;
-    u64 evals = 0;
-    for (size_t p = begin; p < end; ++p) {
-      const auto pid = static_cast<PointId>(p);
-      picks.clear();
-      if (n - 1 <= k) {
-        for (size_t j = 0; j < n; ++j) {
-          if (j != p) picks.push_back(static_cast<PointId>(j));
-        }
-      } else {
-        // Per-point independent stream: identical rows for any threading.
-        Rng rng(init_seed ^ (0x9e3779b97f4a7c15ull * (p + 1)));
-        while (picks.size() < k) {
-          const auto c = static_cast<PointId>(rng.uniform_index(n));
-          if (c == pid) continue;
-          if (std::find(picks.begin(), picks.end(), c) != picks.end()) {
-            continue;
-          }
-          picks.push_back(c);
-        }
-      }
-      auto ids = graph.mutable_row_ids(pid);
-      auto d2s = graph.mutable_row_d2(pid);
-      for (const PointId c : picks) {
-        ++evals;
-        row_insert(ids, d2s, row_flags(p), k,
-                   squared_distance_uncounted(points[pid], points[c]), c);
-      }
-    }
-    worker_evals[worker] += evals;
-  });
-  for (const u64 e : worker_evals) stats.distance_evals += e;
-
-  if (n - 1 <= k) return;  // rows are already exact
+  // --- Start: nearest leaf-mates in the random-projection forest. ---
+  const Stopwatch start_wall;
+  forest_start(points, cfg, threads, graph, new_flag, stats);
+  stats.start_s = start_wall.seconds();
 
   // --- Refinement rounds. ---
   std::vector<PointId> prev_ids;
@@ -373,8 +517,12 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
   const u32 fwd_sample = std::min(k, cfg.sample);
   const auto radix_passes =
       static_cast<unsigned>((std::bit_width(n - 1) + 7) / 8);
+  std::vector<u64> worker_evals(threads);
+  std::vector<u64> worker_updates(threads);
+  std::vector<u64> worker_drops(threads);
   for (u32 round = 0; round < cfg.max_rounds; ++round) {
     ++stats.rounds;
+    const Stopwatch round_wall;
     // Snapshot the rows + new/old bits: candidate generation reads prev,
     // updates land in the live graph (each row written only by its owner
     // chunk).
@@ -418,9 +566,9 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
       }
     }
 
-    std::vector<u64> worker_updates(threads, 0);
-    std::vector<u64> worker_drops(threads, 0);
     std::fill(worker_evals.begin(), worker_evals.end(), 0);
+    std::fill(worker_updates.begin(), worker_updates.end(), 0);
+    std::fill(worker_drops.begin(), worker_drops.end(), 0);
     parallel_chunks(n, threads, [&](size_t begin, size_t end, unsigned worker) {
       JoinScratch& js = scratch[worker];
       u64 updates = 0;
@@ -480,63 +628,20 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
         // the unified counter contract.
         evals += m;
 
-        // Score kLanes candidates at a time, then apply them in id order
-        // against the live worst slot. A full row's worst slot bounds what
-        // can still matter, and it only improves as candidates land, so a
-        // lane abandoned against the worst slot at the batch start is
-        // strictly worse than the live one too, and is rejected without
-        // touching the row. A finished lane is the exact distance, so each
-        // candidate is accepted or rejected exactly as if it had been
-        // scored alone against the live slot.
-        auto ids = graph.mutable_row_ids(tid);
-        auto d2s = graph.mutable_row_d2(tid);
-        const auto flags = row_flags(t);
-        const auto cutoff = [&] {
-          return ids[k - 1] != kNoNeighbor
-                     ? d2s[k - 1]
-                     : std::numeric_limits<double>::infinity();
-        };
-        const double* q = points[tid].data();
-        for (size_t i = 0; i < m; i += kLanes) {
-          const size_t lanes = std::min(kLanes, m - i);
-          // A short final batch pads with copies of its last candidate.
-          std::array<const double*, kLanes> rows{};
-          for (size_t l = 0; l < kLanes; ++l) {
-            rows[l] = points[fresh[i + std::min(l, lanes - 1)]].data();
-          }
-          // Candidate rows are scattered over the whole point set; start
-          // pulling in the next batch while this one is scored.
-          for (size_t l = i + kLanes; l < std::min(m, i + 2 * kLanes); ++l) {
-            const double* row = points[fresh[l]].data();
-            for (size_t d = 0; d < dim; d += 8) __builtin_prefetch(row + d);
-          }
-          const std::array<double, kLanes> d2 =
-              score_lanes(q, rows, dim, cutoff());
-          for (size_t l = 0; l < lanes; ++l) {
-            const PointId c = fresh[i + l];
-            const double live = cutoff();
-            double dc = d2[l];
-            // A NaN sum (non-finite coordinates) is neither above nor below
-            // the cutoff, and no batch abandons it: whether it is rejected
-            // depends on its partials before the NaN against the live slot.
-            if (std::isnan(dc)) {
-              dc = squared_distance_abandoned(points[tid], points[c], live);
-            }
-            if (dc > live) continue;
-            if (row_insert(ids, d2s, flags, k, dc, c)) ++updates;
-          }
-        }
+        updates += offer_candidates(points, tid, fresh, graph, row_flags(t));
       }
       worker_updates[worker] += updates;
       worker_evals[worker] += evals;
       worker_drops[worker] += drops;
     });
-    u64 round_updates = 0;
-    for (const u64 u : worker_updates) round_updates += u;
-    for (const u64 e : worker_evals) stats.distance_evals += e;
+    KnnGraphRoundStats& rs = stats.per_round.emplace_back();
+    for (const u64 u : worker_updates) rs.updates += u;
+    for (const u64 e : worker_evals) rs.distance_evals += e;
     for (const u64 d : worker_drops) stats.dropped_edges += d;
-    stats.updates += round_updates;
-    if (static_cast<double>(round_updates) <
+    rs.wall_s = round_wall.seconds();
+    stats.updates += rs.updates;
+    stats.distance_evals += rs.distance_evals;
+    if (static_cast<double>(rs.updates) <
         cfg.termination_frac * static_cast<double>(target_slots)) {
       break;
     }

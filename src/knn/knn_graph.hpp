@@ -8,7 +8,11 @@
 // core points fall out of the k-th neighbor distance, connectivity out of
 // mutual-kNN edges — and an APPROXIMATE graph, built by NN-descent (Dong et
 // al.)-style neighbor refinement, costs O(n * k^2 * rounds) distance
-// evaluations instead of O(n^2), independent of dimension.
+// evaluations instead of O(n^2), independent of dimension. The descent
+// starts from a small forest of random-projection trees, as KNN-DBSCAN
+// seeds its graph from randomized kd-trees: each row begins as the exact
+// nearest of the point's leaf-mates, so the rounds refine a graph that is
+// already local instead of one drawn at random.
 //
 // Graph layout: flat rows of k slots per point — neighbor_ids / neighbor_d2
 // — each row sorted ascending by (d2, id) with kNoNeighbor padding. Rows
@@ -21,10 +25,12 @@
 // distances are bit-identical to the scalar reference on every host.
 //
 // Determinism: both builders are bit-deterministic for a given (points,
-// config) INCLUDING config.threads — exact rows are independent per point,
-// and NN-descent's rounds are barriers whose candidate generation reads
-// only the previous round's graph while each point's row is updated by
-// exactly one task. digest() pins this in tests.
+// config) INCLUDING config.threads — exact rows are independent per point;
+// each forest tree is built by one task from an RNG keyed by (seed, tree,
+// node), and each start row by its own point's task; NN-descent's rounds
+// are barriers whose candidate generation reads only the previous round's
+// graph while each point's row is updated by exactly one task. digest()
+// pins this in tests.
 #pragma once
 
 #include <span>
@@ -48,10 +54,11 @@ struct KnnGraphConfig {
     /// Exact rows by brute-force strip scan: O(n^2) evals — the oracle the
     /// descent build is tested against, and the right choice for small n.
     kExact,
-    /// NN-descent neighbor refinement: seeded random rows, then rounds of
-    /// "compare me against my neighbors' neighbors" local joins until the
-    /// update rate falls below termination_frac (or max_rounds). O(n * k^2)
-    /// per round, dimension-independent traversal.
+    /// NN-descent neighbor refinement: rows start as the nearest leaf-mates
+    /// in a random-projection forest, then rounds of "compare me against my
+    /// neighbors' neighbors" local joins run until the update rate falls
+    /// below termination_frac (or max_rounds). O(n * k^2) per round,
+    /// dimension-independent traversal.
     kDescent,
   };
   Build build = Build::kDescent;
@@ -64,7 +71,8 @@ struct KnnGraphConfig {
   /// Descent: stop when a round improves fewer than this fraction of the
   /// n*k row slots.
   double termination_frac = 0.002;
-  /// Seed for the random initial rows and the per-round join sampling.
+  /// Seed for the random-projection forest that starts the descent: every
+  /// split direction is drawn from it. The rounds draw nothing.
   u64 seed = 42;
   /// Worker threads: 0 = auto (hardware concurrency, at most 16), 1 =
   /// sequential. Builds under 4096 points always run sequentially. Results
@@ -135,12 +143,28 @@ class KnnGraph {
   std::vector<double> d2_;
 };
 
+/// Which rows the descent starts from; a checkpoint of partitions computed
+/// on one start's graph must not resume into a job on another's, so the
+/// kNN backend folds this into its job fingerprint. 1 was seeded random
+/// rows; 2 is the random-projection forest.
+inline constexpr u32 kDescentStartVersion = 2;
+
+/// One descent refinement round.
+struct KnnGraphRoundStats {
+  u64 distance_evals = 0;  ///< candidate pairs evaluated
+  u64 updates = 0;         ///< row-slot improvements applied
+  double wall_s = 0.0;     ///< snapshot, reverse lists and local join
+};
+
 /// Build stats (and the work tally the pipeline prices the build from).
 struct KnnGraphBuildStats {
   u32 rounds = 0;          ///< refinement rounds executed (0 for exact)
   u64 updates = 0;         ///< row-slot improvements applied (descent)
-  u64 distance_evals = 0;  ///< candidate pairs evaluated
+  u64 distance_evals = 0;  ///< candidate pairs evaluated, start included
   u64 dropped_edges = 0;   ///< candidates skipped by knn.graph.drop_edge
+  u64 start_evals = 0;     ///< descent: leaf-mate pairs of the start
+  double start_s = 0.0;    ///< descent: forest build and leaf joins
+  std::vector<KnnGraphRoundStats> per_round;  ///< descent: one per round
 };
 
 /// Build the kNN graph of `points` per `cfg`. Charges one distance_eval per

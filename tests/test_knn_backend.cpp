@@ -131,6 +131,22 @@ TEST(KnnEpsGraph, MutualEdgesAreSymmetricAndFlagsConsistent) {
   }
 }
 
+TEST(KnnEpsGraph, DigestGoldenFromExactGraph) {
+  // An exact graph's rows depend on nothing but the points, so the
+  // eps-graph derived from them is a fixed CSR: any rewrite of the
+  // derivation must reproduce it byte for byte (digest recorded from the
+  // per-row vector build).
+  synth::EmbeddingConfig gen_cfg;
+  const PointSet ps = embedding_fixture(2000, 64, 23, &gen_cfg);
+  const dbscan::DbscanParams params{synth::embedding_suggested_eps(gen_cfg),
+                                    5};
+  const KnnEpsGraph eps =
+      KnnEpsGraph::build(build_knn_graph(ps, exact_graph_cfg(16)), params);
+  EXPECT_EQ(eps.digest(), 1313776661338552976ull);
+  EXPECT_EQ(eps.num_edges(), 45260u);
+  EXPECT_EQ(eps.num_core(), 1960u);
+}
+
 // ---------------------------------------------------------------------------
 // Disagreement harness.
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // kNN graph builder contract (knn/knn_graph.hpp): exact rows against the
-// brute-force oracle, NN-descent recall against exact rows, bit-determinism
-// across thread counts, and self-healing under the knn.graph.drop_edge
-// chaos site.
+// brute-force oracle, the random-projection forest's start rows (full from
+// the leaves, on non-finite and duplicate points too), NN-descent recall
+// against exact rows, bit-determinism across thread counts, and
+// self-healing under the knn.graph.drop_edge chaos site.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -152,6 +153,151 @@ TEST(KnnGraphDescent, HighRecallOnEmbeddingWorkload) {
   }
 }
 
+TEST(KnnGraphDescent, RecallOnParallelFixtureAtLeastRandomStart) {
+  // Above the sequential floor, so the trees and the leaf joins run on a
+  // pool. The seeded random-row start reached 0.999042 on this fixture in
+  // 4 rounds and 6,373,908 evaluations; the forest start must not lose any
+  // of that recall.
+  const PointSet ps = embedding_fixture(4500, 64, 5);
+  ASSERT_GE(ps.size(), 4096u);
+  KnnGraphConfig cfg;
+  cfg.k = 16;
+  cfg.threads = 4;
+  cfg.build = KnnGraphConfig::Build::kExact;
+  const KnnGraph exact = build_knn_graph(ps, cfg);
+  cfg.build = KnnGraphConfig::Build::kDescent;
+  KnnGraphBuildStats stats;
+  const KnnGraph approx = build_knn_graph(ps, cfg, &stats);
+  EXPECT_GE(graph_recall(exact, approx), 0.999042);
+  EXPECT_LT(stats.distance_evals, 6373908u);
+}
+
+TEST(KnnGraphDescent, PerRoundStatsAddUp) {
+  const PointSet ps = embedding_fixture(1500, 64, 64);
+  KnnGraphConfig cfg;
+  cfg.k = 16;
+  KnnGraphBuildStats stats;
+  (void)build_knn_graph(ps, cfg, &stats);
+  ASSERT_EQ(stats.per_round.size(), stats.rounds);
+  u64 evals = stats.start_evals;
+  u64 updates = 0;
+  for (const KnnGraphRoundStats& r : stats.per_round) {
+    evals += r.distance_evals;
+    updates += r.updates;
+    EXPECT_GE(r.wall_s, 0.0);
+  }
+  EXPECT_EQ(evals, stats.distance_evals);
+  EXPECT_EQ(updates, stats.updates);
+  EXPECT_GT(stats.start_evals, 0u);
+  EXPECT_GT(stats.start_s, 0.0);
+}
+
+// The forest start on its own (max_rounds = 0): every row fills from its
+// point's leaves, since a leaf holds at least k + 1 points.
+KnnGraph forest_only(const PointSet& ps, u32 k, unsigned threads,
+                     KnnGraphBuildStats* stats = nullptr) {
+  KnnGraphConfig cfg;
+  cfg.k = k;
+  cfg.max_rounds = 0;
+  cfg.threads = threads;
+  return build_knn_graph(ps, cfg, stats);
+}
+
+void expect_full_self_free_rows(const KnnGraph& g) {
+  for (PointId i = 0; i < static_cast<PointId>(g.size()); ++i) {
+    ASSERT_EQ(g.row_size(i), g.k()) << "i=" << i;
+    const auto ids = g.row_ids(i);
+    for (u32 s = 0; s < g.k(); ++s) {
+      ASSERT_NE(ids[s], i) << "self edge at i=" << i;
+      for (u32 t = 0; t < s; ++t) {
+        ASSERT_NE(ids[s], ids[t]) << "duplicate id at i=" << i;
+      }
+    }
+  }
+}
+
+TEST(KnnGraphForest, EveryRowFillsFromItsLeaves) {
+  // n = k + 2 is the smallest descent build: one leaf holds every point,
+  // so the start is the exact graph and the first round changes nothing.
+  // Larger n split into leaves of 4k..8k points, never fewer than k + 1.
+  for (const i64 n : {6, 32, 33, 65, 100, 257}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const PointSet ps = embedding_fixture(n, 16, 40 + static_cast<u64>(n));
+    KnnGraphBuildStats stats;
+    const KnnGraph g = forest_only(ps, 4, 1, &stats);
+    EXPECT_EQ(stats.rounds, 0u);
+    EXPECT_EQ(stats.distance_evals, stats.start_evals);
+    expect_full_self_free_rows(g);
+  }
+  const PointSet ps = embedding_fixture(18, 64, 18);
+  KnnGraphConfig cfg;
+  cfg.k = 16;
+  KnnGraphBuildStats stats;
+  const KnnGraph descent = build_knn_graph(ps, cfg, &stats);
+  cfg.build = KnnGraphConfig::Build::kExact;
+  EXPECT_EQ(descent.digest(), build_knn_graph(ps, cfg).digest());
+  EXPECT_EQ(stats.start_evals, 18u * 17u * 4u);  // every pair, in 4 trees
+  EXPECT_EQ(stats.rounds, 1u);
+  EXPECT_EQ(stats.updates, 0u);
+}
+
+TEST(KnnGraphForest, NonFiniteCoordinatesBuildTheSameGraphOnEveryThreadCount) {
+  // NaN and infinite coordinates make NaN and infinite projections. NaN
+  // sorts last, so the split order stays a strict total order and
+  // nth_element stays defined (checked under `-L sanitize`, whose builds
+  // add _GLIBCXX_ASSERTIONS). Above the sequential floor, so the trees and
+  // joins run on a pool.
+  const PointSet clean = embedding_fixture(4200, 16, 77);
+  PointSet ps(16);
+  for (PointId i = 0; i < static_cast<PointId>(clean.size()); ++i) {
+    std::vector<double> row(clean[i].begin(), clean[i].end());
+    const auto d = static_cast<size_t>(i % 16);
+    if (i % 37 == 0) row[d] = std::numeric_limits<double>::quiet_NaN();
+    if (i % 41 == 0) row[d] = std::numeric_limits<double>::infinity();
+    if (i % 43 == 0) row[d] = -std::numeric_limits<double>::infinity();
+    ps.add(row);
+  }
+  expect_full_self_free_rows(forest_only(ps, 8, 1));
+  KnnGraphConfig cfg;
+  cfg.k = 8;
+  cfg.threads = 1;
+  const u64 base = build_knn_graph(ps, cfg).digest();
+  for (const unsigned threads : {2u, 4u}) {
+    cfg.threads = threads;
+    EXPECT_EQ(build_knn_graph(ps, cfg).digest(), base)
+        << "threads=" << threads;
+  }
+}
+
+TEST(KnnGraphForest, IdenticalPointsSplitInIdOrder) {
+  // Every direction is zero and every projection 0, so each node halves
+  // its range in id order; every distance is 0, so a row keeps the
+  // smallest ids it meets.
+  PointSet ps(8);
+  for (int i = 0; i < 4500; ++i) {
+    ps.add(std::vector<double>{1, 2, 3, 4, 5, 6, 7, 8});
+  }
+  const KnnGraph start = forest_only(ps, 8, 1);
+  expect_full_self_free_rows(start);
+  KnnGraphConfig cfg;
+  cfg.k = 8;
+  cfg.threads = 1;
+  const KnnGraph g = build_knn_graph(ps, cfg);
+  expect_full_self_free_rows(g);
+  for (PointId i = 0; i < static_cast<PointId>(g.size()); ++i) {
+    const auto ids = g.row_ids(i);
+    const auto d2s = g.row_d2(i);
+    for (u32 s = 0; s < g.k(); ++s) {
+      EXPECT_EQ(d2s[s], 0.0);
+      if (s > 0) {
+        EXPECT_LT(ids[s - 1], ids[s]) << "i=" << i;
+      }
+    }
+  }
+  cfg.threads = 4;
+  EXPECT_EQ(build_knn_graph(ps, cfg).digest(), g.digest());
+}
+
 TEST(KnnGraphDescent, RowsAreSortedSelfFreeAndDuplicateFree) {
   const PointSet ps = embedding_fixture(800, 128, 3);
   KnnGraphConfig cfg;
@@ -196,9 +342,10 @@ TEST(KnnGraphDescent, BitDeterministicAcrossThreadCounts) {
   }
 }
 
-// Descent graphs recorded from the original sort/unique local join. Any
-// rewrite of candidate generation or scoring must reproduce them bit for
-// bit: rows and d2 bits (digest), rounds, updates and evaluation counts.
+// Descent graphs recorded from the forest start and the incremental local
+// join. Any rewrite of the start, candidate generation or scoring must
+// reproduce them bit for bit: rows and d2 bits (digest), rounds, updates
+// and evaluation counts.
 struct DescentGolden {
   i64 n;
   int dim;
@@ -215,10 +362,10 @@ TEST(KnnGraphDescent, GoldenGraphsMatchReferenceJoin) {
   // (threads = 0) builds it on a pool; {1500, 64}: the workload's
   // dimension, sequential.
   const DescentGolden goldens[] = {
-      {4500, 12, 55, 16, 0x2a77fdae343d476dull, 4, 416545, 5985243},
-      {4500, 12, 55, 12, 0x8702ef322c301af2ull, 5, 322373, 4275552},
-      {1500, 64, 64, 16, 0x5728f89f750bb280ull, 4, 112130, 1541917},
-      {1500, 64, 64, 12, 0xdebbf4b94320a14dull, 4, 88589, 1158444},
+      {4500, 12, 55, 16, 0xcdf39fbddb891bd4ull, 3, 10361, 2210686},
+      {4500, 12, 55, 12, 0xd2f12f5f0da14b33ull, 3, 6638, 1921591},
+      {1500, 64, 64, 16, 0x8f7d7e1621ab7207ull, 3, 1908, 840103},
+      {1500, 64, 64, 12, 0xf0448b19b53bb71aull, 3, 1260, 768050},
   };
   for (const DescentGolden& g : goldens) {
     SCOPED_TRACE("n=" + std::to_string(g.n) + " dim=" +
@@ -239,7 +386,8 @@ TEST(KnnGraphDescent, NanCoordinatesMatchReferenceJoin) {
   // A NaN coordinate makes NaN sums, which are neither above nor below a
   // row's worst slot. Whether such a candidate is rejected depends on its
   // partial sums before the NaN; the build must still decide every one as
-  // the reference join did (golden recorded from it).
+  // the reference join did (golden recorded from the forest start and the
+  // incremental join).
   const PointSet clean = embedding_fixture(600, 64, 99);
   PointSet ps(64);
   for (PointId i = 0; i < static_cast<PointId>(clean.size()); ++i) {
@@ -254,10 +402,10 @@ TEST(KnnGraphDescent, NanCoordinatesMatchReferenceJoin) {
   cfg.k = 12;
   KnnGraphBuildStats stats;
   const KnnGraph graph = build_knn_graph(ps, cfg, &stats);
-  EXPECT_EQ(graph.digest(), 0xb457df9d5b5529ffull);
+  EXPECT_EQ(graph.digest(), 0xa1c2e707da13eee1ull);
   EXPECT_EQ(stats.rounds, 12u);
-  EXPECT_EQ(stats.updates, 49828u);
-  EXPECT_EQ(stats.distance_evals, 407446u);
+  EXPECT_EQ(stats.updates, 5831u);
+  EXPECT_EQ(stats.distance_evals, 248667u);
 }
 
 TEST(KnnGraphDescent, SeedChangesInitButConvergesToSimilarQuality) {
@@ -321,9 +469,10 @@ TEST(KnnGraphChaos, DropEdgeFaultsSelfHealAndReplayByteIdentically) {
 }
 
 TEST(KnnGraphChaos, DropEdgeGoldenMatchesReferenceJoin) {
-  // One faulted build recorded from the original sort/unique local join:
-  // the drop_edge site must be hit once per fresh candidate, in ascending
-  // id order per point, so the same plan drops the same candidates.
+  // One faulted build recorded from the forest start and the incremental
+  // join: the drop_edge site must be hit once per fresh candidate, in
+  // ascending id order per point, so the same plan drops the same
+  // candidates.
   const PointSet ps = embedding_fixture(900, 64, 31);
   KnnGraphConfig cfg;
   cfg.k = 12;
@@ -331,10 +480,10 @@ TEST(KnnGraphChaos, DropEdgeGoldenMatchesReferenceJoin) {
   fault::ScopedFaultPlan chaos("seed=1;knn.graph.drop_edge:p=0.02,budget=500");
   KnnGraphBuildStats stats;
   const KnnGraph faulted = build_knn_graph(ps, cfg, &stats);
-  EXPECT_EQ(faulted.digest(), 0x7453be7d9b5ab93bull);
+  EXPECT_EQ(faulted.digest(), 0x32bc4e242390743aull);
   EXPECT_EQ(chaos.plan().log_digest(), 0xc32fec1baa526d6eull);
   EXPECT_EQ(stats.dropped_edges, 500u);
-  EXPECT_EQ(stats.distance_evals, 582825u);
+  EXPECT_EQ(stats.distance_evals, 314504u);
 }
 
 TEST(KnnGraphChaos, NoPlanMeansNoDrops) {

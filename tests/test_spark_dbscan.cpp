@@ -311,6 +311,34 @@ TEST(SparkDbscan, NodeCapFingerprintsFoldTheKdTreeFanout) {
   fs::remove_all(dir);
 }
 
+TEST(SparkDbscan, KnnFingerprintsFoldTheDescentStart) {
+  // Which rows an NN-descent build starts from changes the graph it
+  // converges to, so partitions checkpointed from a graph with one start
+  // must not resume into a job whose graph has another. The exact backend
+  // builds no graph and keeps its fingerprint; the kNN backend's must move
+  // off the value it had when the descent started from random rows.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("sdb_start_fp_" + std::to_string(::getpid()));
+  const PointSet ps = blob_data(600, 37);
+  auto fingerprint = [&](DbscanBackend backend) {
+    fs::remove_all(dir);
+    minispark::SparkContext ctx(cluster(2));
+    SparkDbscanConfig cfg;
+    cfg.params = {1.0, 5};
+    cfg.partitions = 2;
+    cfg.backend = backend;
+    cfg.checkpoint_dir = dir.string();
+    SparkDbscan dbscan(ctx, cfg);
+    return dbscan.run(ps).job_fingerprint;
+  };
+  // Recorded when the descent started from seeded random rows.
+  constexpr u64 kExact = 8654376068423609953ull;
+  constexpr u64 kRandomStartKnn = 7377778652359950393ull;
+  EXPECT_EQ(fingerprint(DbscanBackend::kExact), kExact);
+  EXPECT_NE(fingerprint(DbscanBackend::kKnn), kRandomStartKnn);
+  fs::remove_all(dir);
+}
+
 TEST(SparkDbscan, WallPhasesFitInsideWallTime) {
   const fs::path dir = fs::temp_directory_path() /
                        ("sdb_spark_wall_" + std::to_string(::getpid()));
