@@ -6,7 +6,7 @@
 // training, no mode count needed. The example also shows the pipeline
 // surviving injected executor faults (the paper's motivation for Spark over
 // MPI): the run is repeated with a 50% task-failure rate and must produce
-// the identical anomaly set via lineage recomputation.
+// the identical anomaly set by re-executing the failed tasks.
 //
 //   ./sensor_anomaly [--readings 4000] [--modes 5] [--anomalies 40]
 #include <cstdio>
@@ -88,8 +88,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(caught), injected.size(),
               static_cast<unsigned long long>(flagged - caught));
 
-  // 4. Same run under executor faults: lineage recomputation must give the
-  //    byte-identical labeling (the Spark-over-MPI argument, measured).
+  // 4. Same run under executor faults: re-executing the failed tasks must
+  //    give the byte-identical labeling (the Spark-over-MPI argument,
+  //    measured).
   const auto [faulty, injected_failures] = run(0.5);
   const bool identical = faulty.clustering.labels == clean.clustering.labels;
   std::printf("\nfault drill: %u task failures injected -> result %s\n",

@@ -96,8 +96,9 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
   report.sim_read_s = sim_read_s;
   report.wall_read_s = wall_read_s;
 
-  const u32 partitions = config_.partitions > 0 ? config_.partitions
-                                                : ctx_.default_parallelism();
+  const u32 partitions = config_.partitions > 0
+                             ? config_.partitions
+                             : ctx_.config().total_cores();
 
   // --- Durability: open the job checkpoint and recover committed results.
   // Partitions with a committed record are never re-executed; their blobs

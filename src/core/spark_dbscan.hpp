@@ -61,7 +61,7 @@ struct SparkDbscanConfig {
   knn::KnnGraphConfig knn;
   IndexKind index = IndexKind::kKdTree;
   /// Number of data partitions (the paper runs partitions == cores).
-  /// 0 = the context's default parallelism.
+  /// 0 = the simulated cluster's total cores.
   u32 partitions = 0;
   PartitionerKind partitioner = PartitionerKind::kBlock;
   SeedStrategy seed_strategy = SeedStrategy::kAllForeign;

@@ -221,58 +221,6 @@ std::string MiniDfs::read(const std::string& path, unsigned threads) const {
   return out;
 }
 
-std::string MiniDfs::read_block(const std::string& path,
-                                size_t block_index) const {
-  const FileInfo& info = stat(path);
-  SDB_CHECK(block_index < info.blocks.size(), "block index out of range");
-  std::string out(info.blocks[block_index].size, '\0');
-  read_block_into(info.blocks[block_index], out.data());
-  return out;
-}
-
-std::string MiniDfs::read_text_split(const std::string& path,
-                                     size_t block_index) const {
-  const FileInfo& info = stat(path);
-  SDB_CHECK(block_index < info.blocks.size(), "block index out of range");
-
-  std::string data = read_block(path, block_index);
-
-  // Ownership rule: a record belongs to the block containing its FIRST byte.
-  // If the previous block did not end in a newline, this block opens with
-  // the tail of a record owned by the previous reader — skip through the
-  // first newline (LineRecordReader semantics). If it did end in a newline,
-  // this block starts a fresh record and nothing is skipped.
-  size_t begin = 0;
-  if (block_index > 0) {
-    const std::string prev = read_block(path, block_index - 1);
-    if (prev.empty() || prev.back() != '\n') {
-      const size_t nl = data.find('\n');
-      if (nl == std::string::npos) {
-        // The entire block is the middle of a record started earlier; the
-        // previous reader consumed it all.
-        return {};
-      }
-      begin = nl + 1;
-    }
-  }
-
-  // If the block does not end with a newline, keep reading into following
-  // blocks to complete the final record.
-  if (data.empty() || data.back() != '\n') {
-    for (size_t b = block_index + 1; b < info.blocks.size(); ++b) {
-      const std::string next = read_block(path, b);
-      const size_t nl = next.find('\n');
-      if (nl == std::string::npos) {
-        data += next;
-        continue;
-      }
-      data += next.substr(0, nl + 1);
-      break;
-    }
-  }
-  return data.substr(begin);
-}
-
 std::vector<size_t> MiniDfs::verify(const std::string& path) const {
   const FileInfo& info = stat(path);
   std::vector<size_t> corrupt;

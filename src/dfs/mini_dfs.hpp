@@ -7,13 +7,13 @@
 //     disk (so byte volumes and read costs are physical, not modeled);
 //   * a namenode-style catalog maps path -> ordered block list, and each
 //     block carries simulated datanode replica locations (round-robin,
-//     configurable replication factor) used by the scheduler's locality
-//     accounting;
-//   * TextInputFormat semantics: reading block k of a text file yields only
-//     complete records — the reader skips the partial first line (unless
-//     k == 0) and reads past the block boundary to finish its last line,
-//     exactly as Hadoop's LineRecordReader does. One block == one input
-//     partition in minispark's textFile.
+//     configurable replication factor) that a read fails over across when
+//     a datanode is dead;
+//   * read(path, threads) reads every block once, concurrently, into one
+//     string. Blocks split records at arbitrary bytes; TextInputFormat's
+//     record ownership (a record belongs to the range holding its first
+//     byte) is applied by the parser, synth::from_text, over byte ranges of
+//     the whole text.
 //
 // Failure semantics (see DESIGN.md "Failure model & fault injection"):
 // transient block I/O failures — injected at the `dfs.read.fail`,
@@ -59,7 +59,8 @@ struct BlockInfo {
   u64 id = 0;
   u64 size = 0;                       ///< bytes in this block
   u64 checksum = 0;                   ///< FNV-1a over the block contents
-  std::vector<u32> replicas;          ///< simulated datanode ids
+  std::vector<u32> replicas;          ///< simulated datanode ids, primary
+                                      ///< first; reads fail over in order
 };
 
 struct FileInfo {
@@ -103,16 +104,6 @@ class MiniDfs {
   /// lowest block's error first.
   [[nodiscard]] std::string read(const std::string& path,
                                  unsigned threads = 1) const;
-
-  /// Read one raw block.
-  [[nodiscard]] std::string read_block(const std::string& path,
-                                       size_t block_index) const;
-
-  /// TextInputFormat read: the complete text records "owned" by block
-  /// `block_index` (see class comment). Concatenating the results for all
-  /// blocks reproduces the file's records exactly once, in order.
-  [[nodiscard]] std::string read_text_split(const std::string& path,
-                                            size_t block_index) const;
 
   /// Remove a file and its blocks.
   void remove(const std::string& path);
@@ -172,11 +163,11 @@ class MiniDfs {
   /// Enforce replica availability for a block read (counts failovers,
   /// aborts when every replica's datanode is dead).
   void check_replicas(const BlockInfo& block) const;
-  /// The one checked block read behind read, read_block and
-  /// read_text_split: the replica check, the physical read under the retry
-  /// policy (injection sites dfs.read.fail / dfs.read.slow) straight into
-  /// dst[0, block.size), then the size and checksum check against the
-  /// catalog entry. Charges bytes_read once. Safe to call concurrently.
+  /// The checked block read behind read: the replica check, the physical
+  /// read under the retry policy (injection sites dfs.read.fail /
+  /// dfs.read.slow) straight into dst[0, block.size), then the size and
+  /// checksum check against the catalog entry. Charges bytes_read once.
+  /// Safe to call concurrently.
   void read_block_into(const BlockInfo& block, char* dst) const;
   /// Physically write one block under the retry policy (injection site
   /// dfs.write.torn writes a real partial file before failing the attempt).

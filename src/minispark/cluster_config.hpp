@@ -1,8 +1,6 @@
 // Simulated cluster topology + execution knobs for a SparkContext.
 #pragma once
 
-#include <string>
-
 #include "minispark/cost_model.hpp"
 #include "util/common.hpp"
 
@@ -19,18 +17,15 @@ struct ClusterConfig {
   /// on it: labels, work counters and simulated-clock times are the same at
   /// any value. Chaos tests pin 1 so the fault log is totally ordered.
   u32 host_threads = 0;
-  /// Default partition count for parallelize() when unspecified (Spark's
-  /// defaultParallelism). 0 = total simulated cores.
-  u32 default_parallelism = 0;
 
   CostModel cost;
   StragglerModel straggler;
 
   /// Fraction of task *attempts* that are injected to fail (fault-tolerance
-  /// exercises). Failed tasks are recomputed from lineage up to
-  /// `max_task_attempts` times. The FaultPlan sites `spark.task.fail`,
-  /// `spark.task.hang`, `spark.acc.lost` and `spark.task.duplicate`
-  /// (fault/fault_plan.hpp) feed the same retry loop.
+  /// exercises). A failed attempt recomputes its partition from the
+  /// generator, up to `max_task_attempts` attempts per task. The FaultPlan
+  /// sites `spark.task.fail`, `spark.task.hang`, `spark.acc.lost` and
+  /// `spark.task.duplicate` (fault/fault_plan.hpp) feed the same retry loop.
   double fault_injection_rate = 0.0;
   u32 max_task_attempts = 4;
 
@@ -44,9 +39,6 @@ struct ClusterConfig {
 
   /// Seed for straggler sampling and fault injection.
   u64 seed = 42;
-
-  /// Application name, used in logs/metrics.
-  std::string app_name = "sparkdbscan";
 
   [[nodiscard]] u32 total_cores() const {
     return executors * cores_per_executor;

@@ -10,16 +10,12 @@ BalanceStats balance_stats(const JobMetrics& job) {
   if (job.tasks.empty()) return stats;
   stats.min_task_s = job.tasks.front().sim_s;
   double total = 0.0;
-  u64 local = 0;
   for (const TaskMetrics& t : job.tasks) {
     stats.min_task_s = std::min(stats.min_task_s, t.sim_s);
     stats.max_task_s = std::max(stats.max_task_s, t.sim_s);
     total += t.sim_s;
-    local += t.locality_hit ? 1 : 0;
   }
   stats.mean_task_s = total / static_cast<double>(job.tasks.size());
-  stats.locality_rate =
-      static_cast<double>(local) / static_cast<double>(job.tasks.size());
   return stats;
 }
 

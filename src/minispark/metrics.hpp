@@ -13,7 +13,6 @@ struct TaskMetrics {
   u32 partition = 0;
   u32 attempts = 1;        ///< 1 = succeeded first try
   bool straggled = false;
-  bool locality_hit = false;
   double wall_s = 0.0;     ///< real host time spent computing the task
   double sim_s = 0.0;      ///< simulated task duration (launch + work)
   WorkCounters counters;
@@ -23,8 +22,6 @@ struct JobMetrics {
   u64 job_id = 0;
   std::string name;
   u32 num_tasks = 0;
-  u32 num_stages = 1;      ///< narrow-only lineage -> always 1 here
-  u32 lineage_depth = 0;
   u32 failures_injected = 0;
   u32 timeouts = 0;          ///< task attempts declared dead by the timeout
   u32 duplicated_tasks = 0;  ///< speculative duplicate executions injected
@@ -38,11 +35,10 @@ struct JobMetrics {
   /// Sum of all task durations (the serial executor work).
   double sim_executor_total_s = 0.0;
   /// Simulated driver-side time for this job: job setup, broadcast
-  /// shipment, result/accumulator collection.
+  /// shipment and one task-completion message.
   double sim_driver_s = 0.0;
 
   u64 broadcast_bytes = 0;
-  u64 result_bytes = 0;
 
   std::vector<TaskMetrics> tasks;
 
@@ -63,8 +59,6 @@ struct BalanceStats {
   double min_task_s = 0.0;
   double max_task_s = 0.0;
   double mean_task_s = 0.0;
-  /// Fraction of tasks whose input block had a co-located replica.
-  double locality_rate = 1.0;
 
   /// max/mean task duration; 1.0 = perfectly balanced. This is the factor
   /// by which the executor-phase makespan exceeds the ideal at high core

@@ -1,266 +1,46 @@
-// Typed, lazy, lineage-tracked RDDs.
+// The RDD the paper's pipeline runs: a named, partitioned dataset whose
+// partition p is produced by a generator function.
 //
-// A faithful (narrow-dependency) subset of Spark's RDD model:
-//   * an Rdd<T> is an immutable description of a partitioned dataset;
-//   * compute(p) deterministically materializes partition p — this purity is
-//     what makes lineage-based fault recovery sound (a lost/failed task is
-//     simply recomputed);
-//   * transformations (map/filter/map_partitions) build child RDDs lazily;
-//   * cache() memoizes materialized partitions, Spark's in-memory RDD reuse;
-//   * every RDD records its parents, so the scheduler can report lineage
-//     depth and recovery can walk the chain.
+// compute(p) must be deterministic. The scheduler recovers a failed task
+// attempt by computing its partition again — lineage recomputation of a
+// source RDD — so a rerun must yield the same partition.
 //
-// Wide (shuffle) dependencies are intentionally absent: the whole point of
-// the paper's algorithm is that DBSCAN-with-SEEDs needs none. The MapReduce
-// substrate (src/mapreduce) is where shuffles live, as the paper's baseline.
+// Transformations and wide (shuffle) dependencies are absent. Algorithm 2's
+// RDD carries partition indices only (the data plane is the broadcast
+// kd-tree), and the whole point of the paper's algorithm is that
+// DBSCAN-with-SEEDs needs no shuffle. The MapReduce substrate
+// (src/mapreduce) is where shuffles live, as the paper's baseline.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "util/common.hpp"
 
 namespace sdb::minispark {
 
-/// Untyped RDD facts: identity, arity, lineage.
-class RddBase {
- public:
-  RddBase(std::string name, u32 num_partitions,
-          std::vector<std::shared_ptr<const RddBase>> parents)
-      : id_(next_id_.fetch_add(1, std::memory_order_relaxed)),
-        name_(std::move(name)),
-        num_partitions_(num_partitions),
-        parents_(std::move(parents)) {}
-  virtual ~RddBase() = default;
-
-  [[nodiscard]] u64 id() const { return id_; }
-  [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] u32 num_partitions() const { return num_partitions_; }
-  [[nodiscard]] const std::vector<std::shared_ptr<const RddBase>>& parents()
-      const {
-    return parents_;
-  }
-
-  /// Longest parent chain above this RDD (0 for a source).
-  [[nodiscard]] u32 lineage_depth() const {
-    u32 depth = 0;
-    for (const auto& p : parents_) depth = std::max(depth, p->lineage_depth() + 1);
-    return depth;
-  }
-
-  /// Preferred simulated datanode ids for a partition (HDFS locality hint);
-  /// empty = no preference. Only source RDDs typically have one.
-  [[nodiscard]] virtual std::vector<u32> preferred_locations(u32 partition) const {
-    if (!parents_.empty()) return parents_.front()->preferred_locations(partition);
-    (void)partition;
-    return {};
-  }
-
- private:
-  static inline std::atomic<u64> next_id_{0};
-  u64 id_;
-  std::string name_;
-  u32 num_partitions_;
-  std::vector<std::shared_ptr<const RddBase>> parents_;
-};
-
 template <typename T>
-class Rdd : public RddBase,
-            public std::enable_shared_from_this<Rdd<T>> {
- public:
-  using element_type = T;
-
-  using RddBase::RddBase;
-
-  /// Deterministically compute partition `p` from scratch (pure).
-  [[nodiscard]] virtual std::vector<T> compute(u32 p) const = 0;
-
-  /// Materialize partition `p`, consulting the cache when enabled.
-  [[nodiscard]] std::vector<T> materialize(u32 p) const {
-    if (!cached_.load(std::memory_order_acquire)) return compute(p);
-    {
-      const std::scoped_lock lock(cache_mutex_);
-      if (p < cache_.size() && cache_[p].has_value()) return *cache_[p];
-    }
-    std::vector<T> data = compute(p);
-    {
-      const std::scoped_lock lock(cache_mutex_);
-      if (cache_.size() < num_partitions()) cache_.resize(num_partitions());
-      cache_[p] = data;
-    }
-    return data;
-  }
-
-  /// Enable in-memory caching of materialized partitions (Spark's cache()).
-  std::shared_ptr<Rdd<T>> cache() {
-    cached_.store(true, std::memory_order_release);
-    return this->shared_from_this();
-  }
-
-  /// Drop cached partitions (used by fault-recovery tests).
-  void uncache_all() {
-    const std::scoped_lock lock(cache_mutex_);
-    cache_.clear();
-  }
-
-  [[nodiscard]] bool is_cached() const {
-    return cached_.load(std::memory_order_acquire);
-  }
-
-  // --- transformations (lazy, narrow) ---
-
-  template <typename F>
-  [[nodiscard]] auto map(F fn, std::string name = "map") const;
-
-  template <typename F>
-  [[nodiscard]] std::shared_ptr<Rdd<T>> filter(F pred,
-                                               std::string name = "filter") const;
-
-  /// fn: (partition_index, std::vector<T>&&) -> std::vector<U>
-  template <typename F>
-  [[nodiscard]] auto map_partitions(F fn,
-                                    std::string name = "mapPartitions") const;
-
- private:
-  std::atomic<bool> cached_{false};
-  mutable std::mutex cache_mutex_;
-  mutable std::vector<std::optional<std::vector<T>>> cache_;
-};
-
-// --- concrete RDDs ---
-
-/// Source: an in-driver vector split into `partitions` contiguous chunks
-/// (Spark's parallelize).
-template <typename T>
-class ParallelizeRdd final : public Rdd<T> {
- public:
-  ParallelizeRdd(std::vector<T> data, u32 partitions)
-      : Rdd<T>("parallelize", std::max<u32>(1, partitions), {}),
-        data_(std::make_shared<const std::vector<T>>(std::move(data))) {}
-
-  [[nodiscard]] std::vector<T> compute(u32 p) const override {
-    const u64 n = data_->size();
-    const u32 parts = this->num_partitions();
-    const u64 begin = n * p / parts;
-    const u64 end = n * (p + 1) / parts;
-    return std::vector<T>(data_->begin() + static_cast<long>(begin),
-                          data_->begin() + static_cast<long>(end));
-  }
-
- private:
-  std::shared_ptr<const std::vector<T>> data_;
-};
-
-/// Source: partitions produced by a user function (used for generated data
-/// that should not be materialized in the driver first).
-template <typename T>
-class GeneratorRdd final : public Rdd<T> {
+class Rdd {
  public:
   using Fn = std::function<std::vector<T>(u32)>;
-  GeneratorRdd(Fn fn, u32 partitions, std::string name = "generator")
-      : Rdd<T>(std::move(name), std::max<u32>(1, partitions), {}),
+
+  Rdd(Fn fn, u32 partitions, std::string name = "generator")
+      : name_(std::move(name)),
+        num_partitions_(std::max<u32>(1, partitions)),
         fn_(std::move(fn)) {}
 
-  [[nodiscard]] std::vector<T> compute(u32 p) const override { return fn_(p); }
+  [[nodiscard]] const std::string& name() const { return name_; }
+  [[nodiscard]] u32 num_partitions() const { return num_partitions_; }
+
+  /// Compute partition `p` from scratch: every call runs the generator.
+  [[nodiscard]] std::vector<T> compute(u32 p) const { return fn_(p); }
 
  private:
+  std::string name_;
+  u32 num_partitions_;
   Fn fn_;
 };
-
-template <typename T, typename U, typename F>
-class MapRdd final : public Rdd<U> {
- public:
-  MapRdd(std::shared_ptr<const Rdd<T>> parent, F fn, std::string name)
-      : Rdd<U>(std::move(name), parent->num_partitions(), {parent}),
-        parent_(std::move(parent)),
-        fn_(std::move(fn)) {}
-
-  [[nodiscard]] std::vector<U> compute(u32 p) const override {
-    std::vector<T> in = parent_->materialize(p);
-    std::vector<U> out;
-    out.reserve(in.size());
-    for (auto& x : in) out.push_back(fn_(x));
-    return out;
-  }
-
- private:
-  std::shared_ptr<const Rdd<T>> parent_;
-  F fn_;
-};
-
-template <typename T, typename F>
-class FilterRdd final : public Rdd<T> {
- public:
-  FilterRdd(std::shared_ptr<const Rdd<T>> parent, F pred, std::string name)
-      : Rdd<T>(std::move(name), parent->num_partitions(), {parent}),
-        parent_(std::move(parent)),
-        pred_(std::move(pred)) {}
-
-  [[nodiscard]] std::vector<T> compute(u32 p) const override {
-    std::vector<T> in = parent_->materialize(p);
-    std::vector<T> out;
-    for (auto& x : in) {
-      if (pred_(x)) out.push_back(std::move(x));
-    }
-    return out;
-  }
-
- private:
-  std::shared_ptr<const Rdd<T>> parent_;
-  F pred_;
-};
-
-template <typename T, typename U, typename F>
-class MapPartitionsRdd final : public Rdd<U> {
- public:
-  MapPartitionsRdd(std::shared_ptr<const Rdd<T>> parent, F fn, std::string name)
-      : Rdd<U>(std::move(name), parent->num_partitions(), {parent}),
-        parent_(std::move(parent)),
-        fn_(std::move(fn)) {}
-
-  [[nodiscard]] std::vector<U> compute(u32 p) const override {
-    return fn_(p, parent_->materialize(p));
-  }
-
- private:
-  std::shared_ptr<const Rdd<T>> parent_;
-  F fn_;
-};
-
-// --- transformation factories ---
-
-template <typename T>
-template <typename F>
-auto Rdd<T>::map(F fn, std::string name) const {
-  using U = std::invoke_result_t<F, const T&>;
-  auto self = std::static_pointer_cast<const Rdd<T>>(this->shared_from_this());
-  return std::static_pointer_cast<Rdd<U>>(
-      std::make_shared<MapRdd<T, U, F>>(self, std::move(fn), std::move(name)));
-}
-
-template <typename T>
-template <typename F>
-std::shared_ptr<Rdd<T>> Rdd<T>::filter(F pred, std::string name) const {
-  auto self = std::static_pointer_cast<const Rdd<T>>(this->shared_from_this());
-  return std::static_pointer_cast<Rdd<T>>(
-      std::make_shared<FilterRdd<T, F>>(self, std::move(pred), std::move(name)));
-}
-
-template <typename T>
-template <typename F>
-auto Rdd<T>::map_partitions(F fn, std::string name) const {
-  using Ret = std::invoke_result_t<F, u32, std::vector<T>&&>;
-  using U = typename Ret::value_type;
-  auto self = std::static_pointer_cast<const Rdd<T>>(this->shared_from_this());
-  return std::static_pointer_cast<Rdd<U>>(
-      std::make_shared<MapPartitionsRdd<T, U, F>>(self, std::move(fn),
-                                                  std::move(name)));
-}
 
 }  // namespace sdb::minispark

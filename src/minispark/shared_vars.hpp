@@ -43,8 +43,8 @@ class Broadcast {
   u64 bytes_ = 0;
 };
 
-/// Accumulator with a user merge operation. add() may be called from any
-/// task thread; value() must only be read in the driver after the job
+/// Accumulator with a user merge operation. add_once() may be called from
+/// any task thread; value() must only be read in the driver after the job
 /// completes (Spark's contract — enforced here only by convention, verified
 /// by the scheduler which snapshots after the barrier).
 template <typename T>
@@ -55,35 +55,22 @@ class Accumulator {
   Accumulator(T zero, Merge merge)
       : value_(std::move(zero)), merge_(std::move(merge)) {}
 
-  /// Fold `delta` into the accumulator. `bytes` is the serialized size of
-  /// the delta, charged to the calling task's network counter (accumulator
-  /// updates ride the task-completion message in Spark).
+  /// Fold `delta` into the accumulator unless an update tagged `tag` was
+  /// already applied: at most one update per tag is ever applied, no matter
+  /// how many task attempts or speculative duplicates deliver it. Tag with
+  /// the task/partition id to make re-execution and duplicate execution
+  /// exact — Spark's own accumulator dedup for actions.
+  ///
+  /// `bytes` is the serialized size of the delta, charged to the calling
+  /// task's network counter (accumulator updates ride the task-completion
+  /// message in Spark). A dropped duplicate still pays its bytes (the
+  /// message was shipped, then ignored).
   ///
   /// Fault site `spark.acc.lost`: the update message is dropped in flight —
   /// the delta is NOT applied and fault::InjectedFault propagates to the
   /// task runner, which treats the task attempt as failed and re-executes
   /// it (the update rides the task-completion message, so a lost update IS
   /// a failed task from the driver's point of view).
-  void add(T delta, u64 bytes) {
-    if (SDB_INJECT("spark.acc.lost")) {
-      {
-        const std::scoped_lock lock(mutex_);
-        ++lost_updates_;
-      }
-      throw fault::InjectedFault("spark.acc.lost");
-    }
-    counters::net_bytes(bytes);
-    const std::scoped_lock lock(mutex_);
-    merge_(value_, std::move(delta));
-    total_bytes_ += bytes;
-    ++updates_;
-  }
-
-  /// Idempotent add: at most one update per `tag` is ever applied, no matter
-  /// how many task attempts or speculative duplicates deliver it. Tag with
-  /// the task/partition id to make re-execution and duplicate execution
-  /// exact — Spark's own accumulator dedup for actions. A dropped duplicate
-  /// still pays its network bytes (the message was shipped, then ignored).
   void add_once(u64 tag, T delta, u64 bytes) {
     if (SDB_INJECT("spark.acc.lost")) {
       {
@@ -131,7 +118,6 @@ class Accumulator {
 
   /// Driver-side read.
   [[nodiscard]] const T& value() const { return value_; }
-  [[nodiscard]] T& mutable_value() { return value_; }
   [[nodiscard]] u64 total_bytes() const { return total_bytes_; }
   [[nodiscard]] u64 updates() const { return updates_; }
   /// Updates dropped by the `spark.acc.lost` fault site.
@@ -156,12 +142,5 @@ class Accumulator {
   u64 lost_updates_ = 0;
   u64 duplicates_ignored_ = 0;
 };
-
-/// Convenience numeric sum accumulator.
-template <typename T>
-std::shared_ptr<Accumulator<T>> make_sum_accumulator(T zero = T{}) {
-  return std::make_shared<Accumulator<T>>(
-      std::move(zero), [](T& into, T&& delta) { into += delta; });
-}
 
 }  // namespace sdb::minispark

@@ -1,13 +1,12 @@
 // SparkContext — the driver.
 //
-// Mirrors the Spark surface the paper's algorithm uses:
-//   * sources: parallelize(), text_file(), generate();
+// Mirrors the Spark surface the paper's algorithm (Algorithm 2) uses:
+//   * source: generate() — one partition per generator call;
 //   * shared variables: broadcast(), accumulator();
-//   * actions: collect(), count(), foreach_partition() — each action runs
-//     one job: partitions become tasks, tasks run on a host thread pool,
-//     failed tasks (fault injection) are recomputed from lineage, and the
-//     completed job's simulated executor/driver times are recorded in
-//     JobMetrics.
+//   * action: foreach_partition() runs one job: partitions become tasks,
+//     tasks run on a host thread pool, failed attempts (fault injection) are
+//     recomputed from the generator, and the completed job's simulated
+//     executor/driver times are recorded in JobMetrics.
 //
 // Two clocks:
 //   * wall clock — real host time (meaningful only for host-level benches);
@@ -21,13 +20,11 @@
 #include <mutex>
 #include <vector>
 
-#include "dfs/mini_dfs.hpp"
 #include "fault/injection.hpp"
 #include "minispark/cluster_config.hpp"
 #include "minispark/metrics.hpp"
 #include "minispark/rdd.hpp"
 #include "minispark/shared_vars.hpp"
-#include "minispark/text_file_rdd.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -47,30 +44,12 @@ class SparkContext {
   /// Host threads that run tasks: config().host_threads resolved.
   [[nodiscard]] u32 host_threads() const { return pool_.size(); }
 
-  /// Default partition count for parallelize().
-  [[nodiscard]] u32 default_parallelism() const {
-    return cfg_.default_parallelism > 0 ? cfg_.default_parallelism
-                                        : cfg_.total_cores();
-  }
-
-  // --- sources ---
-
-  template <typename T>
-  std::shared_ptr<Rdd<T>> parallelize(std::vector<T> data, u32 partitions = 0) {
-    if (partitions == 0) partitions = default_parallelism();
-    return std::make_shared<ParallelizeRdd<T>>(std::move(data), partitions);
-  }
-
-  std::shared_ptr<Rdd<std::string>> text_file(const dfs::MiniDfs& dfs,
-                                              const std::string& path) {
-    return std::make_shared<TextFileRdd>(dfs, path);
-  }
+  // --- source ---
 
   template <typename T>
   std::shared_ptr<Rdd<T>> generate(std::function<std::vector<T>(u32)> fn,
                                    u32 partitions, std::string name = "generator") {
-    return std::make_shared<GeneratorRdd<T>>(std::move(fn), partitions,
-                                             std::move(name));
+    return std::make_shared<Rdd<T>>(std::move(fn), partitions, std::move(name));
   }
 
   // --- shared variables ---
@@ -90,28 +69,25 @@ class SparkContext {
     return std::make_shared<Accumulator<T>>(std::move(zero), std::move(merge));
   }
 
-  // --- actions ---
+  // --- action ---
 
-  /// Run `fn(partition_index, partition_data)` once per partition and gather
-  /// the returned values in partition order. The generic job runner
-  /// underlying every action. `result_bytes_per_task` prices each task's
-  /// result shipment to the driver.
+  /// Run `fn(partition_index, partition_data)` once per partition as one
+  /// job (the paper's foreach). Results flow back through accumulators, not
+  /// return values. Every task finishes before the first task exception, in
+  /// partition order, is rethrown.
   template <typename T, typename F>
-  auto run_job(const Rdd<T>& rdd, F fn, std::string name,
-               u64 result_bytes_per_task = 0) {
-    using R = std::invoke_result_t<F, u32, std::vector<T>&&>;
+  void foreach_partition(const Rdd<T>& rdd, F fn,
+                         std::string name = "foreachPartition") {
     const u32 num_tasks = rdd.num_partitions();
 
     JobMetrics job;
     job.job_id = jobs_.size();
     job.name = std::move(name);
     job.num_tasks = num_tasks;
-    job.lineage_depth = rdd.lineage_depth();
     job.broadcast_bytes = pending_broadcast_bytes_;
     job.tasks.resize(num_tasks);
 
     Stopwatch job_wall;
-    std::vector<R> results(num_tasks);
     std::vector<std::future<void>> futures;
     futures.reserve(num_tasks);
     std::mutex metrics_mutex;
@@ -127,8 +103,8 @@ class SparkContext {
           const bool can_retry = attempt < cfg_.max_task_attempts;
           if (can_retry && (inject_fault(job.job_id, p, attempt) ||
                             SDB_INJECT("spark.task.fail"))) {
-            // Simulated task loss: lineage makes recomputation trivially
-            // correct, so "recovery" is literally running compute again.
+            // Simulated task loss: the partition is a pure function of its
+            // index, so "recovery" is literally running the task again.
             const std::scoped_lock lock(metrics_mutex);
             ++job.failures_injected;
             continue;
@@ -136,8 +112,8 @@ class SparkContext {
           if (SDB_INJECT("spark.task.hang")) {
             // The task stalls on the simulated clock. With a timeout
             // configured, the driver declares the attempt dead once the
-            // stall reaches it and re-executes from lineage; otherwise the
-            // task is merely a straggler.
+            // stall reaches it and re-executes it; otherwise the task is
+            // merely a straggler.
             if (can_retry && cfg_.task_timeout_s > 0.0 &&
                 cfg_.task_hang_s >= cfg_.task_timeout_s) {
               stall_sim_s += cfg_.task_timeout_s;  // time burned waiting
@@ -151,22 +127,20 @@ class SparkContext {
           bool attempt_ok = true;
           try {
             ScopedCounters scope(&wc);
-            std::vector<T> data = rdd.materialize(p);
-            results[p] = fn(p, std::move(data));
+            fn(p, rdd.compute(p));
             if (SDB_INJECT("spark.task.duplicate")) {
               // Speculative duplicate: the whole task runs a second time
-              // (both copies' work is physical). Exactness relies on
-              // deterministic lineage plus idempotent accumulator merge
+              // (both copies' work is physical). Exactness relies on the
+              // deterministic generator plus idempotent accumulator merge
               // (Accumulator::add_once) — verified by the chaos suite.
-              std::vector<T> dup = rdd.materialize(p);
-              results[p] = fn(p, std::move(dup));
+              fn(p, rdd.compute(p));
               const std::scoped_lock lock(metrics_mutex);
               ++job.duplicated_tasks;
             }
           } catch (const fault::InjectedFault&) {
             // An in-task fault (e.g. a lost accumulator update) fails the
-            // attempt; the driver re-executes from lineage. Exhausted
-            // attempts propagate — faults beyond the retry budget are real.
+            // attempt; the driver re-executes it. Exhausted attempts
+            // propagate — faults beyond the retry budget are real.
             attempt_ok = false;
             if (!can_retry) throw;
             const std::scoped_lock lock(metrics_mutex);
@@ -177,24 +151,25 @@ class SparkContext {
           break;
         }
         tm.wall_s = wall.seconds();
+        // The completion message carries no result (a foreach returns
+        // nothing; accumulator updates charge their own bytes), so it costs
+        // one message latency: a zero-byte transfer.
         double sim = cfg_.cost.task_launch_s * tm.attempts +
                      cfg_.cost.compute_seconds(tm.counters) +
-                     cfg_.cost.transfer_seconds(result_bytes_per_task);
+                     cfg_.cost.transfer_seconds(0);
         const double factor = straggle_factor(job.job_id, p);
         tm.straggled = factor > 1.0 || stall_sim_s > 0.0;
         sim = sim * factor + stall_sim_s;
         tm.sim_s = sim;
-        tm.locality_hit = locality_hit(rdd, p);
         {
           const std::scoped_lock lock(metrics_mutex);
           job.tasks[p] = tm;
-          job.result_bytes += result_bytes_per_task;
         }
       }));
     }
     // Every task must finish before this frame unwinds: the tasks write into
-    // `results`, `job` and `metrics_mutex` and call `fn`. So wait for all of
-    // them, then rethrow the first task exception in partition order.
+    // `job` and `metrics_mutex` and call `fn`. So wait for all of them, then
+    // rethrow the first task exception in partition order.
     if (const std::exception_ptr error = wait_all(futures)) {
       std::rethrow_exception(error);
     }
@@ -208,10 +183,12 @@ class SparkContext {
     }
     job.sim_executor_makespan_s =
         list_schedule_makespan(durations, cfg_.total_cores());
+    // The tasks return no results to collect, so the driver's share of the
+    // result traffic is one zero-byte message.
     job.sim_driver_s =
         cfg_.cost.job_setup_s +
         cfg_.cost.broadcast_seconds(pending_broadcast_bytes_, cfg_.executors) +
-        cfg_.cost.transfer_seconds(job.result_bytes);
+        cfg_.cost.transfer_seconds(0);
     pending_broadcast_bytes_ = 0;
 
     SDB_LOG_DEBUG("minispark",
@@ -219,91 +196,6 @@ class SparkContext {
                   static_cast<unsigned long long>(job.job_id), job.name.c_str(),
                   num_tasks, job.sim_executor_makespan_s, job.sim_driver_s);
     jobs_.push_back(std::move(job));
-    return results;
-  }
-
-  /// Materialize the whole RDD in the driver, in partition order.
-  template <typename T>
-  std::vector<T> collect(const Rdd<T>& rdd, u64 bytes_per_element = sizeof(T)) {
-    auto parts = run_job(
-        rdd, [](u32, std::vector<T>&& data) { return std::move(data); },
-        "collect(" + rdd.name() + ")");
-    std::vector<T> out;
-    u64 bytes = 0;
-    for (auto& part : parts) {
-      bytes += part.size() * bytes_per_element;
-      out.insert(out.end(), std::make_move_iterator(part.begin()),
-                 std::make_move_iterator(part.end()));
-    }
-    if (!jobs_.empty()) jobs_.back().result_bytes += bytes;
-    return out;
-  }
-
-  /// Count elements across all partitions.
-  template <typename T>
-  u64 count(const Rdd<T>& rdd) {
-    auto sizes = run_job(
-        rdd, [](u32, std::vector<T>&& data) { return data.size(); },
-        "count(" + rdd.name() + ")", sizeof(u64));
-    u64 total = 0;
-    for (const auto s : sizes) total += s;
-    return total;
-  }
-
-  /// Fold all elements with an associative, commutative operation (Spark's
-  /// reduce). Aborts on an empty RDD, like Spark.
-  template <typename T, typename Op>
-  T reduce(const Rdd<T>& rdd, Op op) {
-    auto partials = run_job(
-        rdd,
-        [op](u32, std::vector<T>&& data) {
-          std::optional<T> acc;
-          for (auto& x : data) {
-            if (!acc) acc = std::move(x);
-            else acc = op(std::move(*acc), std::move(x));
-          }
-          return acc;
-        },
-        "reduce(" + rdd.name() + ")", sizeof(T));
-    std::optional<T> total;
-    for (auto& part : partials) {
-      if (!part) continue;
-      if (!total) total = std::move(part);
-      else total = op(std::move(*total), std::move(*part));
-    }
-    SDB_CHECK(total.has_value(), "reduce() on an empty RDD");
-    return std::move(*total);
-  }
-
-  /// First `n` elements in partition order (Spark's take; here a single job
-  /// rather than Spark's incremental partition scan).
-  template <typename T>
-  std::vector<T> take(const Rdd<T>& rdd, size_t n) {
-    std::vector<T> out;
-    auto parts = run_job(
-        rdd, [](u32, std::vector<T>&& data) { return std::move(data); },
-        "take(" + rdd.name() + ")");
-    for (auto& part : parts) {
-      for (auto& x : part) {
-        if (out.size() == n) return out;
-        out.push_back(std::move(x));
-      }
-    }
-    return out;
-  }
-
-  /// Run a side-effecting function once per partition (the paper's foreach;
-  /// results flow back through accumulators, not return values).
-  template <typename T, typename F>
-  void foreach_partition(const Rdd<T>& rdd, F fn,
-                         std::string name = "foreachPartition") {
-    run_job(
-        rdd,
-        [fn = std::move(fn)](u32 p, std::vector<T>&& data) {
-          fn(p, std::move(data));
-          return 0;
-        },
-        std::move(name));
   }
 
   // --- metrics ---
@@ -342,18 +234,6 @@ class SparkContext {
             (job * 1000003ull + task * 7919ull));
     if (!rng.chance(cfg_.straggler.fraction)) return 1.0;
     return 1.0 + rng.uniform(0.0, cfg_.straggler.max_extra);
-  }
-
-  /// Executor for task p is p % executors; a locality hit means the block's
-  /// replica set contains the datanode co-located with that executor.
-  [[nodiscard]] bool locality_hit(const RddBase& rdd, u32 p) const {
-    const auto locations = rdd.preferred_locations(p);
-    if (locations.empty()) return true;  // no preference -> trivially local
-    const u32 executor_node = p % cfg_.executors;
-    for (const u32 loc : locations) {
-      if (loc == executor_node) return true;
-    }
-    return false;
   }
 
   ClusterConfig cfg_;

@@ -69,8 +69,9 @@ std::exception_ptr wait_all(std::vector<std::future<void>>& futures);
 /// `threads` threads. At one thread the calls run inline in index order, and
 /// an exception leaves from the call that threw it. Otherwise a fresh pool
 /// runs the tasks; every task finishes before the exception of the lowest
-/// failing index is rethrown (SparkContext::run_job's rule), and the work
-/// counters each task charged reach the caller's scope in index order.
+/// failing index is rethrown (SparkContext::foreach_partition's rule), and
+/// the work counters each task charged reach the caller's scope in index
+/// order.
 ///
 /// Tasks should not allocate anything large: a pool thread that allocates
 /// gets a malloc arena of its own, and the arena keeps its pages.

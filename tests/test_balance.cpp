@@ -15,7 +15,6 @@ TEST(BalanceStats, UniformTasksBalanced) {
   for (int i = 0; i < 8; ++i) {
     TaskMetrics t;
     t.sim_s = 2.0;
-    t.locality_hit = true;
     job.tasks.push_back(t);
   }
   const BalanceStats b = balance_stats(job);
@@ -23,7 +22,6 @@ TEST(BalanceStats, UniformTasksBalanced) {
   EXPECT_DOUBLE_EQ(b.max_task_s, 2.0);
   EXPECT_DOUBLE_EQ(b.mean_task_s, 2.0);
   EXPECT_DOUBLE_EQ(b.imbalance(), 1.0);
-  EXPECT_DOUBLE_EQ(b.locality_rate, 1.0);
 }
 
 TEST(BalanceStats, SkewDetected) {
@@ -44,18 +42,6 @@ TEST(BalanceStats, EmptyJob) {
   JobMetrics job;
   const BalanceStats b = balance_stats(job);
   EXPECT_DOUBLE_EQ(b.imbalance(), 1.0);
-  EXPECT_DOUBLE_EQ(b.locality_rate, 1.0);
-}
-
-TEST(BalanceStats, LocalityRate) {
-  JobMetrics job;
-  for (int i = 0; i < 4; ++i) {
-    TaskMetrics t;
-    t.sim_s = 1.0;
-    t.locality_hit = i < 3;
-    job.tasks.push_back(t);
-  }
-  EXPECT_DOUBLE_EQ(balance_stats(job).locality_rate, 0.75);
 }
 
 TEST(BalanceStats, RealJobEndToEnd) {
@@ -70,7 +56,7 @@ TEST(BalanceStats, RealJobEndToEnd) {
         return std::vector<int>{1};
       },
       8, "skewed");
-  ctx.count(*rdd);
+  ctx.foreach_partition(*rdd, [](u32, std::vector<int>&&) {});
   const BalanceStats b = balance_stats(ctx.last_job());
   EXPECT_GT(b.imbalance(), 1.5);
   EXPECT_GT(b.max_task_s, b.min_task_s);

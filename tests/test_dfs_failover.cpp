@@ -76,11 +76,7 @@ TEST_F(DfsFailoverTest, TextSplitsAlsoFailOver) {
   for (int i = 0; i < 10; ++i) content += "rec" + std::to_string(i) + "\n";
   dfs.write("/f", content);
   dfs.fail_datanode(1);
-  std::string reassembled;
-  for (size_t b = 0; b < dfs.stat("/f").blocks.size(); ++b) {
-    reassembled += dfs.read_text_split("/f", b);
-  }
-  EXPECT_EQ(reassembled, content);
+  EXPECT_EQ(dfs.read("/f", 4), content);
 }
 
 TEST_F(DfsFailoverTest, PartialReplicaLossOneHealthyReplicaServesAndCounts) {
@@ -104,9 +100,10 @@ TEST_F(DfsFailoverTest, PartialReplicaLossOneHealthyReplicaServesAndCounts) {
   // alive. The counters metric mirrors the DFS-side tally exactly.
   EXPECT_EQ(dfs.failovers(), 2u);
   EXPECT_EQ(wc.dfs_failovers, 2u);
-  // Reads outside a counter scope still fail over (metric is best-effort).
-  EXPECT_EQ(dfs.read_block("/f", 0), content.substr(0, 8));
-  EXPECT_EQ(dfs.failovers(), 3u);
+  // Reads outside a counter scope still fail over (metric is best-effort):
+  // blocks 0 and 1 fail over again.
+  EXPECT_EQ(dfs.read("/f"), content);
+  EXPECT_EQ(dfs.failovers(), 4u);
   EXPECT_EQ(wc.dfs_failovers, 2u);
 }
 

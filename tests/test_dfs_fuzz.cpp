@@ -1,20 +1,27 @@
-// Randomized laws for the DFS text-split machinery: for ANY content and ANY
-// block size, concatenating all text splits must reproduce the records
-// exactly once, in order. This is the invariant the whole textFile -> RDD
-// partitioning rests on.
+// Randomized laws for the driver's read path (SparkDbscan::run_from_dfs):
+// for ANY content and ANY block size, MiniDfs::read(path, t) returns the
+// written bytes exactly at every thread count, and from_text(text, t)
+// parses them into points bit-identical to a one-thread parse of the
+// original text. Together: every record exactly once, in order, however the
+// blocks and the parser's byte ranges cut the records.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "dfs/mini_dfs.hpp"
+#include "synth/io.hpp"
 #include "util/rng.hpp"
 
 namespace sdb::dfs {
 namespace {
 
 namespace fs = std::filesystem;
+
+constexpr unsigned kThreadCounts[] = {1, 2, 4, 16};
 
 class DfsFuzz : public ::testing::TestWithParam<u64> {
  protected:
@@ -52,16 +59,64 @@ TEST_P(DfsFuzz, SplitsReassembleExactly) {
 
     MiniDfs dfs(root_ + "/t" + std::to_string(trial), block);
     dfs.write("/f", content);
-    std::string reassembled;
-    const size_t blocks = dfs.stat("/f").blocks.size();
-    for (size_t b = 0; b < blocks; ++b) {
-      reassembled += dfs.read_text_split("/f", b);
+    for (const unsigned threads : kThreadCounts) {
+      EXPECT_EQ(dfs.read("/f", threads), content)
+          << "block=" << block << " trial=" << trial
+          << " threads=" << threads;
     }
-    // The reader completes the final record, so a missing trailing newline
-    // is the only tolerated difference.
-    std::string expected = content;
-    EXPECT_EQ(reassembled, expected)
-        << "block=" << block << " trial=" << trial;
+  }
+}
+
+/// One random coordinate, in one of the spellings std::from_chars reads.
+std::string random_coordinate(Rng& rng) {
+  char buf[64];
+  const double x = rng.uniform(-1000.0, 1000.0);
+  switch (rng.uniform_index(4)) {
+    case 0: std::snprintf(buf, sizeof(buf), "%.17g", x); break;
+    case 1: std::snprintf(buf, sizeof(buf), "%.3f", x); break;
+    case 2: std::snprintf(buf, sizeof(buf), "%.6e", x); break;
+    default: std::snprintf(buf, sizeof(buf), "%d", static_cast<int>(x)); break;
+  }
+  return buf;
+}
+
+TEST_P(DfsFuzz, ParsedPointsMatchOneThreadParse) {
+  // Texts of 200-256 KiB hold several of from_text's 16 KiB-or-larger byte
+  // ranges, and blocks of 1-64 KiB cut records at arbitrary bytes, so block
+  // edges, range edges and record edges fall everywhere relative to each
+  // other.
+  Rng rng(GetParam() ^ 0x9e3779b97f4a7c15ull);
+  for (int trial = 0; trial < 2; ++trial) {
+    const u64 block = (1 + rng.uniform_index(64)) << 10;
+    const u64 target = (200u << 10) + rng.uniform_index(56u << 10);
+    const u64 dim = 1 + rng.uniform_index(12);
+    std::string content;
+    while (content.size() < target) {
+      if (rng.chance(0.02)) content += rng.chance(0.5) ? "\n" : " \t\n";
+      for (u64 d = 0; d < dim; ++d) {
+        if (d > 0) content += rng.chance(0.9) ? " " : "\t ";
+        content += random_coordinate(rng);
+      }
+      content += rng.chance(0.05) ? "\r\n" : "\n";
+    }
+    if (rng.chance(0.5)) content.pop_back();  // no trailing newline
+
+    MiniDfs dfs(root_ + "/n" + std::to_string(trial), block);
+    dfs.write("/points", content);
+    const PointSet expected = synth::from_text(content, 1);
+    ASSERT_EQ(static_cast<u64>(expected.dim()), dim);
+    for (const unsigned threads : kThreadCounts) {
+      SCOPED_TRACE("block=" + std::to_string(block) +
+                   " trial=" + std::to_string(trial) +
+                   " threads=" + std::to_string(threads));
+      const PointSet parsed =
+          synth::from_text(dfs.read("/points", threads), threads);
+      ASSERT_EQ(parsed.dim(), expected.dim());
+      ASSERT_EQ(parsed.size(), expected.size());
+      EXPECT_EQ(std::memcmp(parsed.raw().data(), expected.raw().data(),
+                            expected.raw().size() * sizeof(double)),
+                0);
+    }
   }
 }
 

@@ -1,14 +1,48 @@
 // Fault-tolerance: the motivation the paper gives for leaving MPI behind.
-// Tasks are killed by injection and must be recomputed from lineage with
-// identical results.
+// Tasks are killed by injection and must be recomputed from their generator
+// with identical results. Results travel the way Algorithm 2's do (and the
+// chaos grid's): foreach_partition, then Accumulator::add_once tagged by
+// partition.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 
 #include "minispark/spark_context.hpp"
 
 namespace sdb::minispark {
 namespace {
+
+/// Partition p of `n` values 0..n-1 cut into `partitions` contiguous chunks.
+std::shared_ptr<Rdd<int>> iota_rdd(SparkContext& ctx, int n, u32 partitions) {
+  return ctx.generate<int>(
+      [n, parts = static_cast<int>(partitions)](u32 p) {
+        const int begin = n * static_cast<int>(p) / parts;
+        const int end = n * static_cast<int>(p + 1) / parts;
+        std::vector<int> out(static_cast<size_t>(end - begin));
+        std::iota(out.begin(), out.end(), begin);
+        return out;
+      },
+      partitions, "iota");
+}
+
+/// Run one foreach_partition job that ships every partition to the driver
+/// through add_once, and return the partitions concatenated in order.
+std::vector<int> gather(SparkContext& ctx, const Rdd<int>& rdd) {
+  using Parts = std::map<u32, std::vector<int>>;
+  auto acc = ctx.accumulator<Parts>({}, [](Parts& into, Parts&& delta) {
+    into.merge(delta);
+  });
+  ctx.foreach_partition(rdd, [&acc](u32 p, std::vector<int>&& data) {
+    const u64 bytes = data.size() * sizeof(int);
+    acc->add_once(p, Parts{{p, std::move(data)}}, bytes);
+  });
+  std::vector<int> out;
+  for (const auto& [p, part] : acc->value()) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
 
 TEST(FaultTolerance, InjectedFailuresAreRetriedToSuccess) {
   ClusterConfig cfg;
@@ -20,8 +54,7 @@ TEST(FaultTolerance, InjectedFailuresAreRetriedToSuccess) {
   SparkContext ctx(cfg);
   std::vector<int> data(1000);
   std::iota(data.begin(), data.end(), 0);
-  auto rdd = ctx.parallelize(data, 16);
-  const auto out = ctx.collect(*rdd);
+  const auto out = gather(ctx, *iota_rdd(ctx, 1000, 16));
   EXPECT_EQ(out, data);  // result identical despite failures
   EXPECT_GT(ctx.last_job().failures_injected, 0u);
 }
@@ -34,8 +67,7 @@ TEST(FaultTolerance, AttemptsRecordedPerTask) {
   cfg.straggler.fraction = 0.0;
   cfg.seed = 3;
   SparkContext ctx(cfg);
-  auto rdd = ctx.parallelize(std::vector<int>(64, 1), 32);
-  ctx.count(*rdd);
+  EXPECT_EQ(gather(ctx, *iota_rdd(ctx, 64, 32)).size(), 64u);
   u32 retried = 0;
   for (const auto& t : ctx.last_job().tasks) {
     EXPECT_GE(t.attempts, 1u);
@@ -58,8 +90,7 @@ TEST(FaultTolerance, RetriesChargeExtraLaunchOverhead) {
   SparkContext clean(no_faults_cfg);
   SparkContext faulty(faults_cfg);
   auto make = [](SparkContext& ctx) {
-    auto rdd = ctx.parallelize(std::vector<int>(8, 1), 8);
-    ctx.count(*rdd);
+    (void)gather(ctx, *iota_rdd(ctx, 8, 8));
     return ctx.last_job().sim_executor_total_s;
   };
   EXPECT_GT(make(faulty), make(clean));
@@ -73,30 +104,13 @@ TEST(FaultTolerance, DeterministicGivenSeed) {
     cfg.seed = seed;
     cfg.straggler.fraction = 0.0;
     SparkContext ctx(cfg);
-    auto rdd = ctx.parallelize(std::vector<int>(100, 2), 20);
-    ctx.count(*rdd);
+    (void)gather(ctx, *iota_rdd(ctx, 100, 20));
     std::vector<u32> attempts;
     for (const auto& t : ctx.last_job().tasks) attempts.push_back(t.attempts);
     return attempts;
   };
   EXPECT_EQ(run(42), run(42));
   EXPECT_NE(run(42), run(43));
-}
-
-TEST(FaultTolerance, CachedRddSurvivesCacheLossViaLineage) {
-  // Spark reconstructs lost cached partitions from lineage; uncache_all()
-  // models the loss, materialize() must transparently recompute.
-  ClusterConfig cfg;
-  cfg.executors = 2;
-  cfg.straggler.fraction = 0.0;
-  SparkContext ctx(cfg);
-  auto base = ctx.parallelize(std::vector<int>{1, 2, 3, 4}, 2);
-  auto mapped = base->map([](const int& x) { return x * 10; });
-  mapped->cache();
-  const auto first = ctx.collect(*mapped);
-  mapped->uncache_all();  // simulated executor loss
-  const auto second = ctx.collect(*mapped);
-  EXPECT_EQ(first, second);
 }
 
 }  // namespace

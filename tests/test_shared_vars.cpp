@@ -20,10 +20,15 @@ TEST(Broadcast, EmptyDereferenceAborts) {
   EXPECT_DEATH((void)b.value(), "empty Broadcast");
 }
 
+std::shared_ptr<Accumulator<i64>> sum_accumulator() {
+  return std::make_shared<Accumulator<i64>>(
+      0, [](i64& into, i64&& delta) { into += delta; });
+}
+
 TEST(Accumulator, SumSemantics) {
-  auto acc = make_sum_accumulator<i64>();
-  acc->add(5, 8);
-  acc->add(7, 8);
+  auto acc = sum_accumulator();
+  acc->add_once(1, 5, 8);
+  acc->add_once(2, 7, 8);
   EXPECT_EQ(acc->value(), 12);
   EXPECT_EQ(acc->total_bytes(), 16u);
   EXPECT_EQ(acc->updates(), 2u);
@@ -34,17 +39,17 @@ TEST(Accumulator, CustomMerge) {
       {}, [](std::vector<int>& into, std::vector<int>&& delta) {
         for (const int x : delta) into.push_back(x);
       });
-  acc.add({1, 2}, 8);
-  acc.add({3}, 4);
+  acc.add_once(1, {1, 2}, 8);
+  acc.add_once(2, {3}, 4);
   EXPECT_EQ(acc.value(), (std::vector<int>{1, 2, 3}));
 }
 
 TEST(Accumulator, NetBytesCountedInTaskScope) {
   WorkCounters wc;
-  auto acc = make_sum_accumulator<i64>();
+  auto acc = sum_accumulator();
   {
     ScopedCounters scope(&wc);
-    acc->add(1, 123);
+    acc->add_once(1, 1, 123);
   }
   EXPECT_EQ(wc.net_bytes, 123u);
 }
@@ -58,10 +63,10 @@ TEST(Accumulator, ConcurrentAddsFromTasks) {
   auto acc = ctx.accumulator<i64>(0, [](i64& into, i64&& d) { into += d; });
   auto rdd = ctx.generate<int>([](u32) { return std::vector<int>(10, 1); },
                                64, "gen");
-  ctx.foreach_partition(*rdd, [&acc](u32, std::vector<int>&& data) {
+  ctx.foreach_partition(*rdd, [&acc](u32 p, std::vector<int>&& data) {
     i64 sum = 0;
     for (const int x : data) sum += x;
-    acc->add(sum, sizeof(i64));
+    acc->add_once(p, sum, sizeof(i64));
   });
   EXPECT_EQ(acc->value(), 640);
   EXPECT_EQ(acc->updates(), 64u);
@@ -83,7 +88,7 @@ TEST(Accumulator, PaperUsage_PartialClustersTravelViaAccumulator) {
       [](u32 p) { return std::vector<int>{static_cast<int>(p) * 10}; }, 6,
       "gen");
   ctx.foreach_partition(*rdd, [&acc](u32 p, std::vector<int>&& data) {
-    acc->add({{p, data[0]}}, 16);
+    acc->add_once(p, {{p, data[0]}}, 16);
   });
   EXPECT_EQ(acc->value().size(), 6u);
   EXPECT_EQ(acc->total_bytes(), 96u);
@@ -92,7 +97,7 @@ TEST(Accumulator, PaperUsage_PartialClustersTravelViaAccumulator) {
 // --- add_once job scoping (the checkpoint/resume contract) -----------------
 
 TEST(Accumulator, AddOnceDedupsByTag) {
-  auto acc = make_sum_accumulator<i64>();
+  auto acc = sum_accumulator();
   acc->add_once(7, 5, 8);
   acc->add_once(7, 5, 8);  // speculative duplicate: ignored
   EXPECT_EQ(acc->value(), 5);
@@ -103,7 +108,7 @@ TEST(Accumulator, AddOnceDedupsByTag) {
 }
 
 TEST(Accumulator, BeginJobSameScopeKeepsTags) {
-  auto acc = make_sum_accumulator<i64>();
+  auto acc = sum_accumulator();
   acc->begin_job(0xabc);
   acc->add_once(1, 10, 0);
   acc->begin_job(0xabc);  // re-entering the SAME job: dedup state survives
@@ -113,7 +118,7 @@ TEST(Accumulator, BeginJobSameScopeKeepsTags) {
 }
 
 TEST(Accumulator, BeginJobNewScopeClearsTags) {
-  auto acc = make_sum_accumulator<i64>();
+  auto acc = sum_accumulator();
   acc->begin_job(0xabc);
   acc->add_once(1, 10, 0);
   EXPECT_EQ(acc->pending_tags(), 1u);
@@ -127,7 +132,7 @@ TEST(Accumulator, BeginJobNewScopeClearsTags) {
 }
 
 TEST(Accumulator, CommitJobClearsTags) {
-  auto acc = make_sum_accumulator<i64>();
+  auto acc = sum_accumulator();
   acc->begin_job(0xabc);
   acc->add_once(1, 10, 0);
   acc->add_once(2, 10, 0);

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
-#include <numeric>
 #include <thread>
 
 namespace sdb::minispark {
@@ -17,62 +17,64 @@ ClusterConfig quiet_config(u32 executors) {
   return cfg;
 }
 
-TEST(SparkContext, CollectRoundTrip) {
-  SparkContext ctx(quiet_config(4));
-  std::vector<int> data(100);
-  std::iota(data.begin(), data.end(), 0);
-  auto rdd = ctx.parallelize(data, 7);
-  EXPECT_EQ(ctx.collect(*rdd), data);
+/// A job with no counted work: each of `partitions` tasks gets one element.
+std::shared_ptr<Rdd<int>> unit_rdd(SparkContext& ctx, u32 partitions) {
+  return ctx.generate<int>([](u32) { return std::vector<int>{1}; },
+                           partitions, "unit");
 }
 
-TEST(SparkContext, CountAcrossPartitions) {
-  SparkContext ctx(quiet_config(2));
-  auto rdd = ctx.parallelize(std::vector<int>(1234, 1), 5);
-  EXPECT_EQ(ctx.count(*rdd), 1234u);
-}
-
-TEST(SparkContext, DefaultParallelismIsTotalCores) {
-  ClusterConfig cfg = quiet_config(4);
-  cfg.cores_per_executor = 2;
-  SparkContext ctx(cfg);
-  EXPECT_EQ(ctx.default_parallelism(), 8u);
-  auto rdd = ctx.parallelize(std::vector<int>(100, 1));
-  EXPECT_EQ(rdd->num_partitions(), 8u);
-}
-
-TEST(SparkContext, TransformPipelineThroughActions) {
-  SparkContext ctx(quiet_config(2));
-  std::vector<int> data(50);
-  std::iota(data.begin(), data.end(), 0);
-  auto rdd = ctx.parallelize(data, 4);
-  auto result = rdd->map([](const int& x) { return x * x; })
-                    ->filter([](const int& x) { return x % 2 == 0; });
-  const auto collected = ctx.collect(*result);
-  u64 count = 0;
-  for (const int x : data) {
-    if ((x * x) % 2 == 0) ++count;
-  }
-  EXPECT_EQ(collected.size(), count);
+void run_noop(SparkContext& ctx, const Rdd<int>& rdd) {
+  ctx.foreach_partition(rdd, [](u32, std::vector<int>&&) {});
 }
 
 TEST(SparkContext, ForeachPartitionSeesEveryPartitionOnce) {
   SparkContext ctx(quiet_config(3));
-  auto rdd = ctx.parallelize(std::vector<int>(30, 7), 6);
+  auto rdd = ctx.generate<int>(
+      [](u32 p) { return std::vector<int>(5, static_cast<int>(p)); }, 6,
+      "gen");
   std::mutex mutex;
   std::vector<u32> seen;
   ctx.foreach_partition(*rdd, [&](u32 p, std::vector<int>&& data) {
     const std::scoped_lock lock(mutex);
     seen.push_back(p);
-    EXPECT_EQ(data.size(), 5u);
+    EXPECT_EQ(data, std::vector<int>(5, static_cast<int>(p)));
   });
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(seen, (std::vector<u32>{0, 1, 2, 3, 4, 5}));
 }
 
+TEST(SparkContext, FailedAttemptCallsGeneratorAgain) {
+  // A failed attempt is recovered by running the task again, and the task
+  // recomputes its partition from the generator (lineage recomputation of
+  // a source RDD): partition 2 is generated twice, the others once.
+  SparkContext ctx(quiet_config(2));
+  std::array<std::atomic<u32>, 4> generated{};
+  std::atomic<bool> failed{false};
+  auto rdd = ctx.generate<int>(
+      [&generated](u32 p) {
+        generated[p].fetch_add(1);
+        return std::vector<int>{static_cast<int>(p)};
+      },
+      4, "gen");
+  ctx.foreach_partition(*rdd, [&failed](u32 p, std::vector<int>&& data) {
+    EXPECT_EQ(data, std::vector<int>{static_cast<int>(p)});
+    if (p == 2 && !failed.exchange(true)) {
+      throw fault::InjectedFault("test.task.fail");
+    }
+  });
+  EXPECT_EQ(generated[0].load(), 1u);
+  EXPECT_EQ(generated[1].load(), 1u);
+  EXPECT_EQ(generated[2].load(), 2u);
+  EXPECT_EQ(generated[3].load(), 1u);
+  const JobMetrics& job = ctx.last_job();
+  EXPECT_EQ(job.failures_injected, 1u);
+  EXPECT_EQ(job.tasks[2].attempts, 2u);
+  EXPECT_EQ(job.tasks[0].attempts, 1u);
+}
+
 TEST(SparkContext, JobMetricsRecorded) {
   SparkContext ctx(quiet_config(4));
-  auto rdd = ctx.parallelize(std::vector<int>(100, 1), 8);
-  ctx.count(*rdd);
+  run_noop(ctx, *unit_rdd(ctx, 8));
   const JobMetrics& job = ctx.last_job();
   EXPECT_EQ(job.num_tasks, 8u);
   EXPECT_EQ(job.tasks.size(), 8u);
@@ -96,7 +98,7 @@ TEST(SparkContext, MakespanShrinksWithMoreCores) {
           return std::vector<int>{1};
         },
         16, "work");
-    ctx.count(*rdd);
+    run_noop(ctx, *rdd);
     return ctx.last_job().sim_executor_makespan_s;
   };
   const double t1 = run(1);
@@ -108,10 +110,10 @@ TEST(SparkContext, BroadcastChargedOnceToNextJob) {
   SparkContext ctx(quiet_config(4));
   auto b = ctx.broadcast(std::string("payload"), 1'000'000);
   EXPECT_EQ(b.value(), "payload");
-  auto rdd = ctx.parallelize(std::vector<int>(10, 1), 2);
-  ctx.count(*rdd);
+  auto rdd = unit_rdd(ctx, 2);
+  run_noop(ctx, *rdd);
   EXPECT_EQ(ctx.last_job().broadcast_bytes, 1'000'000u);
-  ctx.count(*rdd);
+  run_noop(ctx, *rdd);
   EXPECT_EQ(ctx.last_job().broadcast_bytes, 0u);  // shipped already
 }
 
@@ -139,7 +141,7 @@ TEST(SparkContext, StragglerInflatesSomeTasks) {
         return std::vector<int>{1};
       },
       32, "work");
-  ctx.count(*rdd);
+  run_noop(ctx, *rdd);
   u32 straggled = 0;
   for (const auto& t : ctx.last_job().tasks) straggled += t.straggled ? 1 : 0;
   EXPECT_GT(straggled, 4u);
@@ -154,13 +156,13 @@ TEST(SparkContext, TaskExceptionPropagates) {
         return {1};
       },
       2, "boom");
-  EXPECT_THROW(ctx.count(*rdd), std::runtime_error);
+  EXPECT_THROW(run_noop(ctx, *rdd), std::runtime_error);
 }
 
 TEST(SparkContext, TaskExceptionWaitsForEveryTask) {
   // Partition 0 throws at once while the other tasks are still queued or
-  // running. They write into run_job's frame, so the exception may only
-  // surface after every one of them has finished.
+  // running. They write into foreach_partition's frame, so the exception
+  // may only surface after every one of them has finished.
   constexpr u32 kTasks = 8;
   for (const u32 threads : {1u, 4u}) {
     SCOPED_TRACE("host_threads=" + std::to_string(threads));
@@ -176,7 +178,7 @@ TEST(SparkContext, TaskExceptionWaitsForEveryTask) {
           return {1};
         },
         kTasks, "boom");
-    EXPECT_THROW(ctx.count(*rdd), std::runtime_error);
+    EXPECT_THROW(run_noop(ctx, *rdd), std::runtime_error);
     EXPECT_EQ(finished.load(), kTasks - 1);
   }
 }

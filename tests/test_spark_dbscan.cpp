@@ -339,6 +339,34 @@ TEST(SparkDbscan, KnnFingerprintsFoldTheDescentStart) {
   fs::remove_all(dir);
 }
 
+TEST(SparkDbscan, ZeroPartitionsMeansOnePerCore) {
+  // partitions = 0 asks for one partition per simulated core: 4 executors
+  // x 2 cores run 8 tasks, and the job is the one partitions = 8 names.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("sdb_default_parts_" + std::to_string(::getpid()));
+  const PointSet ps = blob_data(600, 37);
+  auto run = [&](u32 partitions) {
+    fs::remove_all(dir);
+    minispark::ClusterConfig ccfg = cluster(4);
+    ccfg.cores_per_executor = 2;
+    minispark::SparkContext ctx(ccfg);
+    SparkDbscanConfig cfg;
+    cfg.params = {1.0, 5};
+    cfg.partitions = partitions;
+    cfg.checkpoint_dir = dir.string();
+    SparkDbscan dbscan(ctx, cfg);
+    SparkDbscanReport report = dbscan.run(ps);
+    EXPECT_EQ(ctx.last_job().num_tasks, 8u);
+    EXPECT_EQ(report.executed_partitions, 8u);
+    return report;
+  };
+  const SparkDbscanReport by_default = run(0);
+  const SparkDbscanReport eight = run(8);
+  EXPECT_EQ(by_default.job_fingerprint, eight.job_fingerprint);
+  EXPECT_EQ(by_default.clustering.labels, eight.clustering.labels);
+  fs::remove_all(dir);
+}
+
 TEST(SparkDbscan, WallPhasesFitInsideWallTime) {
   const fs::path dir = fs::temp_directory_path() /
                        ("sdb_spark_wall_" + std::to_string(::getpid()));
