@@ -1,11 +1,10 @@
 // Micro benchmarks for the spatial indexes (Section V.B's complexity claim):
-// kd-tree vs R-tree vs naive O(n) scan, build and eps-range query, at the
-// paper's d=10 and at low dimension.
+// kd-tree vs the naive O(n) scan, build and eps-range query, at the paper's
+// d=10 and at low dimension.
 #include <benchmark/benchmark.h>
 
 #include "spatial/brute_force.hpp"
 #include "spatial/kd_tree.hpp"
-#include "spatial/r_tree.hpp"
 #include "synth/generators.hpp"
 #include "util/rng.hpp"
 
@@ -31,16 +30,6 @@ void BM_KdTreeBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_KdTreeBuild)->Arg(1000)->Arg(10000)->Arg(50000);
-
-void BM_RTreeBuild(benchmark::State& state) {
-  const PointSet ps = dataset(state.range(0), 10);
-  for (auto _ : state) {
-    RTree tree(ps);
-    benchmark::DoNotOptimize(tree.node_count());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RTreeBuild)->Arg(1000)->Arg(10000);
 
 template <typename Index>
 void range_query_loop(benchmark::State& state, const PointSet& ps,
@@ -69,13 +58,6 @@ void BM_BruteForceQuery10d(benchmark::State& state) {
   range_query_loop(state, ps, brute, 25.0);
 }
 BENCHMARK(BM_BruteForceQuery10d)->Arg(1000)->Arg(10000)->Arg(50000);
-
-void BM_RTreeQuery10d(benchmark::State& state) {
-  const PointSet ps = dataset(state.range(0), 10);
-  const RTree tree(ps);
-  range_query_loop(state, ps, tree, 25.0);
-}
-BENCHMARK(BM_RTreeQuery10d)->Arg(10000)->Arg(50000);
 
 void BM_KdTreeQuery2d(benchmark::State& state) {
   const PointSet ps = dataset(state.range(0), 2);

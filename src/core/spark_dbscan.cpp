@@ -3,22 +3,11 @@
 #include "core/job_identity.hpp"
 #include "knn/knn_backend.hpp"
 #include "minispark/job_checkpoint.hpp"
-#include "spatial/brute_force.hpp"
 #include "spatial/kd_tree.hpp"
-#include "spatial/r_tree.hpp"
 #include "synth/io.hpp"
 #include "util/stopwatch.hpp"
 
 namespace sdb::dbscan {
-
-const char* index_kind_name(IndexKind kind) {
-  switch (kind) {
-    case IndexKind::kKdTree: return "kd-tree";
-    case IndexKind::kRTree: return "r-tree";
-    case IndexKind::kBruteForce: return "brute-force";
-  }
-  return "?";
-}
 
 const char* backend_name(DbscanBackend backend) {
   switch (backend) {
@@ -30,32 +19,17 @@ const char* backend_name(DbscanBackend backend) {
 
 namespace {
 
-/// Everything the driver broadcasts: the spatial index over all points, the
+/// Everything the driver broadcasts: the kd-tree over all points, the
 /// parameters, and the partition map (paper Section IV.B).
 struct BroadcastState {
   const PointSet* points = nullptr;
-  std::unique_ptr<SpatialIndex> tree;
-  /// KNN backend: the in-eps graph + global core mask replaces the spatial
-  /// index as the neighborhood machinery (non-null iff backend == kKnn).
+  std::unique_ptr<KdTree> tree;
+  /// KNN backend: the in-eps graph + global core mask replaces the kd-tree
+  /// as the neighborhood machinery (non-null iff backend == kKnn).
   std::unique_ptr<knn::KnnEpsGraph> eps_graph;
   Partitioning partitioning;
   LocalDbscanConfig local_config;
 };
-
-std::unique_ptr<SpatialIndex> build_index(IndexKind kind,
-                                          const PointSet& points,
-                                          unsigned build_threads) {
-  switch (kind) {
-    case IndexKind::kKdTree:
-      return std::make_unique<KdTree>(
-          points, KdTreeOptions{.build_threads = build_threads});
-    case IndexKind::kRTree: return std::make_unique<RTree>(points);
-    case IndexKind::kBruteForce:
-      return std::make_unique<BruteForceIndex>(points);
-  }
-  SDB_CHECK(false, "unknown index kind");
-  return nullptr;
-}
 
 }  // namespace
 
@@ -124,15 +98,18 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
             detail::fnv1a_value(backend_salt, knn::kDescentStartVersion);
       }
     } else if (!config_.budget.exact()) {
-      // A budget drops neighbors, and which ones depends on the index's
-      // traversal order: fold both. Exact queries report the same hits on
-      // every index, so exact fingerprints stay as they were.
+      // A budget drops neighbors, and which ones depends on the kd-tree's
+      // traversal order: fold the budget. Exact queries report every hit,
+      // so exact fingerprints fold nothing.
       backend_salt = detail::fnv1a_append(1469598103934665603ull, "budget", 6);
       backend_salt =
           detail::fnv1a_value(backend_salt, config_.budget.max_neighbors);
       backend_salt =
           detail::fnv1a_value(backend_salt, config_.budget.max_nodes);
-      backend_salt = detail::fnv1a_value(backend_salt, config_.index);
+      // Four zero bytes where an index choice was once folded (the
+      // kd-tree's 0), so budgeted fingerprints, and the checkpoints they
+      // name, keep their values.
+      backend_salt = detail::fnv1a_value(backend_salt, i32{0});
       // A node cap counts the kd-tree's wide nodes, so the hits it keeps
       // depend on their fan-out: a checkpoint written when the cap counted
       // binary nodes must not resume.
@@ -157,8 +134,8 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
   report.executed_partitions = pending.size();
 
   // --- Driver: build the neighborhood machinery (priced from its measured
-  // work): the spatial index for the exact backend, the kNN graph + in-eps
-  // graph for the KNN backend. ---
+  // work): the kd-tree for the exact backend, the kNN graph + in-eps graph
+  // for the KNN backend. ---
   auto state = std::make_shared<BroadcastState>();
   state->points = &points;
   const Stopwatch index_wall;
@@ -178,8 +155,8 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
   } else {
     WorkCounters tree_wc;
     ScopedCounters scope(&tree_wc);
-    state->tree =
-        build_index(config_.index, points, config_.index_build_threads);
+    state->tree = std::make_unique<KdTree>(
+        points, KdTreeOptions{.build_threads = config_.index_build_threads});
     // Tree build work is dominated by nth_element coordinate comparisons;
     // they are not individually counted, so price them explicitly:
     // ~n log2(n) comparisons at distance-eval granularity per dim pass.

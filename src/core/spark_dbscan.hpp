@@ -31,16 +31,9 @@
 
 namespace sdb::dbscan {
 
-/// Which spatial index the driver builds and broadcasts. The paper uses the
-/// kd-tree and cites the R*-tree as the standard alternative; brute force is
-/// the O(n^2) baseline of Section V.B.
-enum class IndexKind { kKdTree, kRTree, kBruteForce };
-
-const char* index_kind_name(IndexKind kind);
-
 /// Which neighborhood machinery the pipeline runs on.
 enum class DbscanBackend {
-  /// Exact eps-range queries over a broadcast spatial index — the paper's
+  /// Exact eps-range queries over the broadcast kd-tree — the paper's
   /// design, and exact at any dimension it can afford.
   kExact,
   /// KNN-DBSCAN (knn/knn_backend.hpp): the driver builds an approximate kNN
@@ -59,7 +52,6 @@ struct SparkDbscanConfig {
   /// kNN graph build parameters (backend == kKnn only). knn.k must be
   /// >= params.minpts - 1.
   knn::KnnGraphConfig knn;
-  IndexKind index = IndexKind::kKdTree;
   /// Number of data partitions (the paper runs partitions == cores).
   /// 0 = the simulated cluster's total cores.
   u32 partitions = 0;

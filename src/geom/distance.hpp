@@ -4,11 +4,12 @@
 // counters::add — same totals, no thread-local lookup per evaluation.
 //
 // The vectorized leaf-scan kernels live in distance_simd.hpp: runtime-
-// dispatched AVX2/AVX-512/NEON strip kernels and range scans over a
-// strip-transposed (SoA) layout, bit-identical to the scalar loops here
-// (unfused multiply+add, ascending-d accumulation) so eps-membership
-// decisions never depend on the host ISA. strip_scan below drives the range
-// scan for every kd-tree and brute-force range query, exact or budgeted.
+// dispatched scalar/AVX2/AVX-512/NEON range scans over a strip-transposed
+// (SoA) layout, bit-identical to the scalar loops here (unfused
+// multiply+add, ascending-d accumulation) so eps-membership decisions never
+// depend on the host ISA. strip_scan below drives the range scan for every
+// row scan: each kd-tree and brute-force range query, exact or budgeted,
+// and each kNN cutoff filter.
 #pragma once
 
 #include <algorithm>

@@ -39,8 +39,6 @@ void box_scalar(const double* q, size_t dim, const double* boxes, double* d2) {
 
 #if SDB_HAVE_AVX2
 // Defined in distance_simd_avx2.cpp (compiled with -mavx2 only).
-std::uint32_t strip_avx2(const double* q, size_t dim, double eps2,
-                         const double* lanes, size_t count);
 std::uint32_t range_avx2(const double* q, size_t dim, double eps2,
                          const double* strips, size_t begin, size_t end,
                          std::uint32_t* out);
@@ -48,8 +46,6 @@ void box_avx2(const double* q, size_t dim, const double* boxes, double* d2);
 #endif
 #if SDB_HAVE_AVX512
 // Defined in distance_simd_avx512.cpp (compiled with -mavx512f only).
-std::uint32_t strip_avx512(const double* q, size_t dim, double eps2,
-                           const double* lanes, size_t count);
 std::uint32_t range_avx512(const double* q, size_t dim, double eps2,
                            const double* strips, size_t begin, size_t end,
                            std::uint32_t* out);
@@ -64,19 +60,18 @@ void box_neon(const double* q, size_t dim, const double* boxes, double* d2);
 
 namespace {
 
-constexpr KernelSet kScalarSet{KernelVariant::kScalar, &strip_scalar,
+constexpr KernelSet kScalarSet{KernelVariant::kScalar,
                                &range_by_segments<&strip_scalar>,
                                &box_scalar};
 #if SDB_HAVE_AVX2
-constexpr KernelSet kAvx2Set{KernelVariant::kAvx2, &strip_avx2, &range_avx2,
-                             &box_avx2};
+constexpr KernelSet kAvx2Set{KernelVariant::kAvx2, &range_avx2, &box_avx2};
 #endif
 #if SDB_HAVE_AVX512
-constexpr KernelSet kAvx512Set{KernelVariant::kAvx512, &strip_avx512,
-                               &range_avx512, &box_avx512};
+constexpr KernelSet kAvx512Set{KernelVariant::kAvx512, &range_avx512,
+                               &box_avx512};
 #endif
 #if SDB_HAVE_NEON
-constexpr KernelSet kNeonSet{KernelVariant::kNeon, &strip_neon,
+constexpr KernelSet kNeonSet{KernelVariant::kNeon,
                              &range_by_segments<&strip_neon>, &box_neon};
 #endif
 

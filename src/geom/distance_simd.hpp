@@ -40,19 +40,18 @@
 // returning the distances would force every lane to full depth, which
 // sparse and high-dimensional scans mostly avoid.
 //
-// Three entry points per variant:
-// - the strip kernel (StripKernelFn) decides one segment of one block and
-//   returns a mask. Callers that need per-block control use it: kNN filters
-//   leaf candidates through the mask with eps^2 = its current worst heap
-//   distance and computes exact distances only for survivors, as does the
-//   exact kNN graph build;
+// Two dispatched entry points per variant:
 // - the range scan (RangeScanFn) decides a whole position range in one
-//   call and writes the positions of its hits. Every eps range query uses
-//   it, exact or neighbor-budgeted: one call per kd-tree leaf or
-//   brute-force chunk (strip_scan, distance.hpp), which keeps the hits up
-//   to the one that fills a budget. A c100k query reaches ~21 leaves that
-//   span ~85 block segments; one call per leaf drops the per-segment
-//   calls, mask walks and ragged-edge paths that dominated the scan;
+//   call and writes the positions of its hits. Every row scan uses it:
+//   each eps range query, exact or neighbor-budgeted, with one call per
+//   kd-tree leaf or brute-force chunk (strip_scan, distance.hpp), which
+//   keeps the hits up to the one that fills a budget; and the kNN filters
+//   (kd-tree and brute-force knn_query, the exact kNN graph build), which
+//   scan with eps^2 = the heap's worst distance at leaf or block entry and
+//   compute exact distances only for the hits. A c100k query reaches ~21
+//   leaves that span ~85 block segments; one call per leaf drops the
+//   per-segment calls, mask walks and ragged-edge paths that dominated the
+//   scan;
 // - the box kernel (BoxDistFn) writes the squared distances from q to the
 //   kBoxFanout child boxes of one kd-tree wide node, so a node's children
 //   are tested with one call and no data-dependent branch. It takes no
@@ -63,6 +62,11 @@
 //   arithmetic, max(max(lo - q, q - hi), 0) squared, on every variant, so
 //   the distances are bit-identical and every prune decision is the
 //   scalar one.
+// The AVX2 and AVX-512 range scans run whole blocks. The scalar and NEON
+// ones are range_by_segments over a strip kernel (StripKernelFn), which
+// decides one segment of one block and returns a mask; the scalar strip
+// kernel, strip_scalar, is also the reference the tests hold every range
+// scan to.
 //
 // Dispatch: the kernels are one set of function pointers per variant,
 // resolved together on first use — CPU feature detection (AVX-512F then
@@ -98,7 +102,8 @@ namespace simd {
 
 enum class KernelVariant { kScalar = 0, kAvx2 = 1, kNeon = 2, kAvx512 = 3 };
 
-/// fn(q, dim, eps2, lanes, count) -> mask:
+/// A strip kernel, the building block of the scalar and NEON range scans
+/// (range_by_segments). fn(q, dim, eps2, lanes, count) -> mask:
 ///   bit j of the result is set iff
 ///   sum_d (q[d] - lanes[d * kDistanceStrip + j])^2 <= eps2,   for j < count;
 ///   bits >= count are always zero (count <= kDistanceStrip = 32, so the
@@ -116,8 +121,9 @@ using StripKernelFn = std::uint32_t (*)(const double* q, size_t dim,
 /// fn(q, dim, eps2, strips, begin, end, out) -> hit count: the exact
 /// eps-range scan of global strip positions [begin, end) of the buffer at
 /// `strips`. Writes to `out`, in ascending order, every position whose
-/// squared distance from q is <= eps2 — the strip kernel's decision with the
-/// strip kernel's arithmetic, so the positions are exactly its mask walk —
+/// squared distance from q is <= eps2 — strip_scalar's decision with its
+/// arithmetic, so the positions are exactly the mask walk of
+/// range_by_segments<&strip_scalar> —
 /// and returns how many it wrote. `out` must have room for end - begin
 /// entries; nothing past the returned count is written. The scan loads
 /// whole blocks (every strip buffer is padded to whole blocks, see
@@ -146,12 +152,10 @@ using BoxDistFn = void (*)(const double* q, size_t dim, const double* boxes,
 namespace detail {
 
 /// One variant's entry points. The dispatcher selects a whole set, so the
-/// strip kernel, the range scan and the box kernel always come from the
-/// same variant — the SDB_SIMD=scalar environment variable and
-/// force_scalar() pin all three.
+/// range scan and the box kernel always come from the same variant — the
+/// SDB_SIMD=scalar environment variable and force_scalar() pin both.
 struct KernelSet {
   KernelVariant variant;
-  StripKernelFn strip;
   RangeScanFn range;
   BoxDistFn box;
 };
@@ -161,8 +165,8 @@ struct KernelSet {
 /// initializations are benign.
 extern std::atomic<const KernelSet*> g_kernels;
 
-/// Scalar reference implementation — always built, and the ground truth the
-/// vector variants are tested bit-equal against.
+/// Scalar reference implementations — always built, and the ground truth
+/// the vector variants are tested bit-equal against.
 std::uint32_t strip_scalar(const double* q, size_t dim, double eps2,
                            const double* lanes, size_t count);
 void box_scalar(const double* q, size_t dim, const double* boxes, double* d2);
@@ -177,7 +181,6 @@ inline const KernelSet& kernels() {
   const KernelSet* set = g_kernels.load(std::memory_order_relaxed);
   return set != nullptr ? *set : resolve();
 }
-inline StripKernelFn strip_kernel() { return kernels().strip; }
 
 /// Test hook: every variant compiled into this build that the host CPU can
 /// run, scalar first — so the bit-exactness suites cover each of them, not

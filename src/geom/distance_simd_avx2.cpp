@@ -1,4 +1,4 @@
-// AVX2 strip kernel and range scan. Compiled with -mavx2 ONLY (no -mfma) and
+// AVX2 range scan and box kernel. Compiled with -mavx2 ONLY (no -mfma) and
 // -ffp-contract=off: the accumulation must stay an unfused multiply + add so
 // every lane's partial sums are bit-identical to the scalar fallback — a
 // fused multiply-add's single rounding would flip exactly-eps boundary
@@ -119,66 +119,7 @@ inline std::uint32_t block_avx2(const double* q, size_t dim, double eps2,
   return mask & live;
 }
 
-/// Partial strip (a scan entering or leaving a block mid-strip). Groups of
-/// 4 lanes; the ragged tail group loads through maskload — the lanes past
-/// `count` may sit past the end of the buffer's final dimension row, so an
-/// unmasked 4-wide load could fault. Inactive tail lanes accumulate from
-/// +inf, so they never hold the min down (they cannot block abandonment);
-/// the result keeps only the low `count` bits, because with eps2 = +inf
-/// those lanes pass the final <= test too.
-inline std::uint32_t strip_avx2_partial(const double* q, size_t dim,
-                                        double eps2, const double* lanes,
-                                        size_t count) {
-  const size_t full = count / 4;
-  const size_t rem = count - full * 4;
-  const size_t groups = full + (rem != 0 ? 1 : 0);
-  __m256d acc[kDistanceStrip / 4];
-  for (size_t g = 0; g < full; ++g) acc[g] = _mm256_setzero_pd();
-  __m256i tail_mask = _mm256_setzero_si256();
-  if (rem != 0) {
-    acc[full] = _mm256_setr_pd(0.0, rem > 1 ? 0.0 : kInf,
-                               rem > 2 ? 0.0 : kInf, kInf);
-    tail_mask = _mm256_setr_epi64x(-1, rem > 1 ? -1 : 0, rem > 2 ? -1 : 0, 0);
-  }
-  const __m256d veps = _mm256_set1_pd(eps2);
-  for (size_t d = 0; d < dim; ++d) {
-    const __m256d vq = _mm256_broadcast_sd(q + d);
-    const double* row = lanes + d * kDistanceStrip;
-    for (size_t g = 0; g < full; ++g) {
-      const __m256d diff = _mm256_sub_pd(vq, _mm256_loadu_pd(row + 4 * g));
-      acc[g] = _mm256_add_pd(acc[g], _mm256_mul_pd(diff, diff));
-    }
-    if (rem != 0) {
-      const __m256d p = _mm256_maskload_pd(row + 4 * full, tail_mask);
-      const __m256d diff = _mm256_sub_pd(vq, p);
-      acc[full] = _mm256_add_pd(acc[full], _mm256_mul_pd(diff, diff));
-    }
-    if (abandon_probe_due(d, dim)) {
-      __m256d m = acc[0];
-      for (size_t g = 1; g < groups; ++g) m = _mm256_min_pd(m, acc[g]);
-      if (_mm256_movemask_pd(_mm256_cmp_pd(m, veps, _CMP_LE_OQ)) == 0) {
-        return 0;
-      }
-    }
-  }
-  std::uint32_t mask = 0;
-  for (size_t g = 0; g < groups; ++g) {
-    mask |= static_cast<std::uint32_t>(_mm256_movemask_pd(
-                _mm256_cmp_pd(acc[g], veps, _CMP_LE_OQ)))
-            << (4 * g);
-  }
-  return mask & ((std::uint32_t{1} << count) - 1);
-}
-
 }  // namespace
-
-std::uint32_t strip_avx2(const double* q, size_t dim, double eps2,
-                         const double* lanes, size_t count) {
-  if (count == kDistanceStrip) {
-    return block_avx2(q, dim, eps2, lanes, ~std::uint32_t{0});
-  }
-  return strip_avx2_partial(q, dim, eps2, lanes, count);
-}
 
 std::uint32_t range_avx2(const double* q, size_t dim, double eps2,
                          const double* strips, size_t begin, size_t end,

@@ -1,14 +1,13 @@
-// AVX-512F strip kernel and range scan. Compiled with -mavx512f ONLY (no
+// AVX-512F range scan and box kernel. Compiled with -mavx512f ONLY (no
 // -mfma implied contraction: -ffp-contract=off is also pinned) so the
 // accumulation stays an unfused multiply + add, bit-identical to the scalar
 // fallback — see the determinism contract in distance_simd.hpp. Relative to
 // the AVX2 variant this halves the vector op count (8 doubles per register,
 // a full 32-lane strip in 4 accumulators) and replaces the movemask shuffle
 // dance with native mask registers: _mm512_cmp_pd_mask yields the decision
-// bits directly, and masked loads make the ragged tail group fault-free
-// without a separate maskload constant. The range scan runs the whole-block
-// code on every block of its range and writes the hit positions with
-// compress stores, no mask walk. The box kernel tests a wide node's 8 child
+// bits directly. The range scan runs the whole-block code on every block of
+// its range and writes the hit positions with compress stores, no mask
+// walk. The box kernel tests a wide node's 8 child
 // boxes in one 8-lane accumulator.
 //
 // Only selected when __builtin_cpu_supports("avx512f") at dispatch time,
@@ -77,69 +76,7 @@ inline std::uint32_t block_avx512(const double* q, size_t dim, double eps2,
   return mask & live;
 }
 
-/// Partial strip (a scan entering or leaving a block mid-strip). Groups of
-/// 8 lanes; the ragged tail group loads through a lane mask — the lanes
-/// past `count` may sit past the end of the buffer's final dimension row,
-/// so an unmasked 8-wide load could fault. Inactive tail lanes accumulate
-/// from +inf, so they never hold the min down (they cannot block
-/// abandonment); the result keeps only the low `count` bits, because with
-/// eps2 = +inf those lanes pass the final <= test too.
-inline std::uint32_t strip_avx512_partial(const double* q, size_t dim,
-                                          double eps2, const double* lanes,
-                                          size_t count) {
-  const size_t full = count / 8;
-  const size_t rem = count - full * 8;
-  const size_t groups = full + (rem != 0 ? 1 : 0);
-  __m512d acc[kDistanceStrip / 8];
-  for (size_t g = 0; g < full; ++g) acc[g] = _mm512_setzero_pd();
-  __mmask8 tail = 0;
-  if (rem != 0) {
-    tail = static_cast<__mmask8>((1u << rem) - 1u);
-    // Active tail lanes start at 0, inactive ones at +inf.
-    acc[full] = _mm512_mask_mov_pd(_mm512_set1_pd(kInf), tail,
-                                   _mm512_setzero_pd());
-  }
-  const __m512d veps = _mm512_set1_pd(eps2);
-  for (size_t d = 0; d < dim; ++d) {
-    const __m512d vq = _mm512_set1_pd(q[d]);
-    const double* row = lanes + d * kDistanceStrip;
-    for (size_t g = 0; g < full; ++g) {
-      const __m512d diff = _mm512_sub_pd(vq, _mm512_loadu_pd(row + 8 * g));
-      acc[g] = _mm512_add_pd(acc[g], _mm512_mul_pd(diff, diff));
-    }
-    if (rem != 0) {
-      // maskz load: inactive lanes read as 0.0, so their diff^2 is finite
-      // and +inf + finite keeps the accumulator at +inf.
-      const __m512d p = _mm512_maskz_loadu_pd(tail, row + 8 * full);
-      const __m512d diff = _mm512_sub_pd(vq, p);
-      acc[full] = _mm512_add_pd(acc[full], _mm512_mul_pd(diff, diff));
-    }
-    if (abandon_probe_due(d, dim)) {
-      __m512d m = acc[0];
-      for (size_t g = 1; g < groups; ++g) m = _mm512_min_pd(m, acc[g]);
-      if (_mm512_cmp_pd_mask(m, veps, _CMP_LE_OQ) == 0) {
-        return 0;
-      }
-    }
-  }
-  std::uint32_t mask = 0;
-  for (size_t g = 0; g < groups; ++g) {
-    mask |= static_cast<std::uint32_t>(
-                _mm512_cmp_pd_mask(acc[g], veps, _CMP_LE_OQ))
-            << (8 * g);
-  }
-  return mask & ((std::uint32_t{1} << count) - 1);
-}
-
 }  // namespace
-
-std::uint32_t strip_avx512(const double* q, size_t dim, double eps2,
-                           const double* lanes, size_t count) {
-  if (count == kDistanceStrip) {
-    return block_avx512(q, dim, eps2, lanes, ~std::uint32_t{0});
-  }
-  return strip_avx512_partial(q, dim, eps2, lanes, count);
-}
 
 std::uint32_t range_avx512(const double* q, size_t dim, double eps2,
                            const double* strips, size_t begin, size_t end,

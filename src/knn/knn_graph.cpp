@@ -104,9 +104,12 @@ void parallel_chunks(size_t n, unsigned threads, Fn&& fn) {
   for (auto& f : done) f.get();
 }
 
-/// Exact rows: brute-force strip scan per point with the kNN heap-cutoff
-/// kernel filter (the kd-tree leaf idiom — see KdTree::knn_query). One
-/// distance_eval per candidate row examined (n-1 per point: self excluded).
+/// Exact rows: a brute-force scan per point, block by block, with the kNN
+/// heap-cutoff filter through the dispatched range scan (the kd-tree leaf
+/// idiom — see KdTree::knn_query): once the row is full with a finite worst
+/// distance, each block's rows within that distance at block entry are
+/// offered, and the others could not enter the row. One distance_eval per
+/// candidate row examined (n-1 per point: self excluded).
 void build_exact(const PointSet& points, const KnnGraphConfig& cfg,
                  KnnGraph& graph, KnnGraphBuildStats& stats) {
   const size_t n = points.size();
@@ -115,38 +118,27 @@ void build_exact(const PointSet& points, const KnnGraphConfig& cfg,
   for (size_t i = 0; i < n; ++i) {
     strip_store_row(strips.data(), i, points[static_cast<PointId>(i)]);
   }
-  const simd::StripKernelFn kernel = simd::detail::strip_kernel();
+  const simd::RangeScanFn range = simd::detail::kernels().range;
   const unsigned threads = build_threads(cfg.threads, n);
 
   parallel_chunks(n, threads, [&](size_t begin, size_t end, unsigned) {
     RowHeap row;
     for (size_t p = begin; p < end; ++p) {
       const std::span<const double> q = points[static_cast<PointId>(p)];
+      const auto offer = [&](size_t i) {
+        const auto id = static_cast<PointId>(i);
+        if (i != p) row.offer(squared_distance_uncounted(q, points[id]), id);
+      };
       row.cap = cfg.k;
-      for (size_t i = 0; i < n;) {
-        const size_t m = std::min(kDistanceStrip, n - i);
+      for (size_t i = 0; i < n; i += kDistanceStrip) {
+        const size_t stop = std::min(n, i + kDistanceStrip);
         if (row.full() && std::isfinite(row.worst())) {
-          const double cutoff = row.worst();
-          u32 mask = kernel(q.data(), dim, cutoff,
-                            strips.data() + (i / kDistanceStrip) *
-                                (kDistanceStrip * dim),
-                            m);
-          while (mask != 0) {
-            const u32 j = static_cast<u32>(std::countr_zero(mask));
-            const auto id = static_cast<PointId>(i + j);
-            if (id != static_cast<PointId>(p)) {
-              row.offer(squared_distance_uncounted(q, points[id]), id);
-            }
-            mask &= mask - 1;
-          }
+          u64 unlimited = ~u64{0};
+          strip_scan(range, q, row.worst(), strips.data(), i, stop, unlimited,
+                     offer);
         } else {
-          for (size_t j = 0; j < m; ++j) {
-            const auto id = static_cast<PointId>(i + j);
-            if (id == static_cast<PointId>(p)) continue;
-            row.offer(squared_distance_uncounted(q, points[id]), id);
-          }
+          for (size_t j = i; j < stop; ++j) offer(j);
         }
-        i += m;
       }
       row.drain(graph.mutable_row_ids(static_cast<PointId>(p)),
                 graph.mutable_row_d2(static_cast<PointId>(p)));

@@ -1,9 +1,9 @@
 // Approximate k-nearest-neighbor graph — the spatial primitive of the
 // high-dimensional KNN-DBSCAN backend.
 //
-// Every tree index in src/spatial collapses past d≈20: kd-tree and R-tree
-// box pruning stops discriminating (every box is "close" in high
-// dimensions), and a uniform grid's 3^d neighborhood explodes. KNN-DBSCAN (Chen
+// The kd-tree in src/spatial collapses past d≈20: its box pruning stops
+// discriminating (every box is "close" in high dimensions), and a uniform
+// grid's 3^d neighborhood explodes. KNN-DBSCAN (Chen
 // et al., PAPERS.md) recovers DBSCAN semantics from a kNN graph instead:
 // core points fall out of the k-th neighbor distance, connectivity out of
 // mutual-kNN edges — and an APPROXIMATE graph, built by NN-descent (Dong et

@@ -95,27 +95,6 @@ std::vector<KV> MRJob::run(const std::vector<std::string>& input_splits) {
     for (u32 r = 0; r < reduce_tasks; ++r) {
       std::sort(buckets[r].begin(), buckets[r].end(),
                 [](const KV& a, const KV& b) { return a.key < b.key; });
-      if (combiner_) {
-        // Map-side combine on the sorted bucket: group adjacent keys and
-        // replace each group with the combiner's output.
-        std::vector<KV> combined;
-        const MRJob::Emit emit = [&](std::string key, std::string value) {
-          combined.push_back(KV{std::move(key), std::move(value)});
-        };
-        size_t i = 0;
-        while (i < buckets[r].size()) {
-          size_t j = i;
-          std::vector<std::string> values;
-          while (j < buckets[r].size() &&
-                 buckets[r][j].key == buckets[r][i].key) {
-            values.push_back(std::move(buckets[r][j].value));
-            ++j;
-          }
-          combiner_(buckets[r][i].key, values, emit);
-          i = j;
-        }
-        buckets[r] = std::move(combined);
-      }
       write_kv_run(spill_path(m, r), buckets[r]);
     }
   };

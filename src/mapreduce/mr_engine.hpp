@@ -94,12 +94,6 @@ class MRJob {
 
   MRJob(MRConfig config, std::string name, Mapper mapper, Reducer reducer);
 
-  /// Optional map-side combiner (same signature as a reducer): runs on each
-  /// map task's sorted bucket before it spills, shrinking spill and shuffle
-  /// volume. Must be algebraically compatible with the reducer (associative
-  /// partial aggregation), as in Hadoop.
-  void set_combiner(Reducer combiner) { combiner_ = std::move(combiner); }
-
   /// Run the job over the given input splits (one map task per split).
   /// Returns the reduce output in key order.
   std::vector<KV> run(const std::vector<std::string>& input_splits);
@@ -113,7 +107,6 @@ class MRJob {
   std::string name_;
   Mapper mapper_;
   Reducer reducer_;
-  Reducer combiner_;  // empty = no combiner
   MRJobMetrics metrics_;
 };
 

@@ -1,8 +1,7 @@
 #include "spatial/brute_force.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <limits>
+#include <cmath>
 #include <queue>
 
 #include "geom/distance.hpp"
@@ -44,45 +43,29 @@ void BruteForceIndex::knn_query(std::span<const double> q, size_t k,
   std::priority_queue<Entry> heap;
   const size_t n = points_.size();
   if (k == 0 || n == 0) return;
-  const size_t dim = static_cast<size_t>(points_.dim());
-  const simd::StripKernelFn kernel = simd::detail::strip_kernel();
-  for (size_t i = 0; i < n;) {
-    const size_t m = std::min(kDistanceStrip, n - i);
-    const double cutoff = heap.size() == k ? heap.top().first
-                                           : std::numeric_limits<double>::max();
-    if (heap.size() == k && std::isfinite(cutoff)) {
-      // Kernel cutoff filter (kd-tree leaf idiom): the <= mask at the
-      // block-entry k-th distance is a superset of every row the scalar
-      // loop could insert; survivors get the exact unfused scalar distance.
-      u32 mask = kernel(q.data(), dim, cutoff,
-                        strips_.data() + (i / kDistanceStrip) *
-                            (kDistanceStrip * dim),
-                        m);
-      while (mask != 0) {
-        const u32 j = static_cast<u32>(std::countr_zero(mask));
-        const Entry cand{
-            squared_distance_uncounted(q, points_[static_cast<PointId>(i + j)]),
-            static_cast<PointId>(i + j)};
-        if (cand < heap.top()) {
-          heap.pop();
-          heap.push(cand);
-        }
-        mask &= mask - 1;
-      }
-    } else {
-      for (size_t j = 0; j < m; ++j) {
-        const Entry cand{
-            squared_distance_uncounted(q, points_[static_cast<PointId>(i + j)]),
-            static_cast<PointId>(i + j)};
-        if (heap.size() < k) {
-          heap.push(cand);
-        } else if (cand < heap.top()) {
-          heap.pop();
-          heap.push(cand);
-        }
-      }
+  const simd::RangeScanFn range = simd::detail::kernels().range;
+  const auto offer = [&](size_t i) {
+    const auto id = static_cast<PointId>(i);
+    const Entry cand{squared_distance_uncounted(q, points_[id]), id};
+    if (heap.size() < k) {
+      heap.push(cand);
+    } else if (cand < heap.top()) {
+      heap.pop();
+      heap.push(cand);
     }
-    i += m;
+  };
+  for (size_t i = 0; i < n; i += kDistanceStrip) {
+    const size_t end = std::min(n, i + kDistanceStrip);
+    if (heap.size() == k && std::isfinite(heap.top().first)) {
+      // Range-scan cutoff filter (kd-tree leaf idiom): the <= hits at the
+      // block-entry k-th distance are a superset of every row the scalar
+      // loop could insert; survivors get the exact unfused scalar distance.
+      u64 unlimited = ~u64{0};
+      strip_scan(range, q, heap.top().first, strips_.data(), i, end,
+                 unlimited, offer);
+    } else {
+      for (size_t j = i; j < end; ++j) offer(j);
+    }
   }
   // One eval per row examined — the scan examines every row exactly once.
   counters::distance_evals(n);

@@ -28,8 +28,8 @@ class BruteForceIndex final : public SpatialIndex {
 
   /// Unified kNN (see SpatialIndex::knn_query). Always exact: brute force
   /// has no nodes for max_nodes to bound. Scans every row (n distance_evals,
-  /// zero tree_nodes) with the strip kernel as a cutoff filter once the
-  /// heap is full — the same idiom as the kd-tree leaf scan.
+  /// zero tree_nodes) with the range scan as a cutoff filter once the heap
+  /// is full — the same idiom as the kd-tree leaf scan.
   void knn_query(std::span<const double> q, size_t k,
                  const QueryBudget& budget,
                  std::vector<KnnHit>& out) const override;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -486,43 +485,34 @@ void KdTree::knn_query(std::span<const double> q, size_t k,
   const size_t dim = static_cast<size_t>(points_.dim());
   const double* strips = leaf_coords_.get();
   const simd::detail::KernelSet& kernels = simd::detail::kernels();
-  const simd::StripKernelFn kernel = kernels.strip;
+  const simd::RangeScanFn range = kernels.range;
   const simd::BoxDistFn box = kernels.box;
   auto scan_leaf = [&](const LeafRange& leaf) {
     // A heap of overflowed (inf) distances — possible with
     // ~1e154-magnitude coordinates — would let the filter pass every row,
     // so it falls back to the scalar loop.
     if (heap.size() == k && std::isfinite(heap.top().first)) {
-      // Kernel-filtered leaf scan: with the heap full, a row can only
+      // Range-scan-filtered leaf scan: with the heap full, a row can only
       // matter if (d2, id) < heap.top(), which requires d2 <= top.d2 — and
-      // top.d2 never increases — so the kernel mask at cutoff =
+      // top.d2 never increases — so the range scan's hits at cutoff =
       // top.d2-at-leaf-entry (its <= keeps the d2 == cutoff rows the id
-      // tie-break may still admit) is a superset of every row the scalar
+      // tie-break may still admit) are a superset of every row the scalar
       // loop below would insert. Survivors get the exact distance from the
       // same unfused scalar accumulation, so the heap evolves identically;
       // rows the filter drops satisfy d2 > cutoff >= top.d2-current and
       // were no-ops anyway. Charged one eval per row, exactly like the
       // scalar loop.
-      evals += leaf.end - leaf.begin;
-      const double cutoff = heap.top().first;
-      for (u32 i = leaf.begin; i < leaf.end;) {
-        const u32 lane = i % static_cast<u32>(kDistanceStrip);
-        const u32 m = std::min<u32>(static_cast<u32>(kDistanceStrip) - lane,
-                                    leaf.end - i);
-        u32 mask = kernel(q.data(), dim, cutoff, strip_lane(strips, i, dim),
-                          m);
-        while (mask != 0) {
-          const u32 j = static_cast<u32>(std::countr_zero(mask));
-          const Entry cand{squared_distance_uncounted(q, row(i + j)),
-                           ids_[i + j]};
-          if (cand < heap.top()) {
-            heap.pop();
-            heap.push(cand);
-          }
-          mask &= mask - 1;
+      const auto offer = [&](size_t pos) {
+        const auto i = static_cast<u32>(pos);
+        const Entry cand{squared_distance_uncounted(q, row(i)), ids_[i]};
+        if (cand < heap.top()) {
+          heap.pop();
+          heap.push(cand);
         }
-        i += m;
-      }
+      };
+      u64 unlimited = ~u64{0};
+      evals += strip_scan(range, q, heap.top().first, strips, leaf.begin,
+                          leaf.end, unlimited, offer);
       return;
     }
     // Scalar leaf scan while the heap is filling (the first leaves) or its

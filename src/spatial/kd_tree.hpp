@@ -60,7 +60,7 @@ namespace sdb {
 /// Build-time knobs.
 struct KdTreeOptions {
   /// Leaf bucket capacity. 192 is the vector-era tuning: wider leaves
-  /// convert expensive per-node box tests into strip-kernel lanes that cost
+  /// convert expensive per-node box tests into range-scan lanes that cost
   /// a fraction of a scalar evaluation each, and the kernels' partial-
   /// distance abandonment keeps the extra candidates cheap — most of them
   /// stop a few dimensions in (16 was the scalar-era default; see DESIGN.md

@@ -2,10 +2,10 @@
 //
 // DBSCAN (Algorithm 1/2 in the paper) only needs one spatial primitive:
 // "all points within eps of q". The paper uses a kd-tree broadcast to every
-// executor; this interface lets the clustering code run against the kd-tree,
-// the R-tree of the paper's reference [2], or the naive O(n^2) scan so the
-// paper's complexity claims (Section V.B) can be measured rather than
-// asserted.
+// executor; this interface lets the clustering code run against the kd-tree
+// or the naive O(n^2) scan, so the paper's complexity claims (Section V.B)
+// can be measured rather than asserted, and the scan is the tests'
+// reference.
 #pragma once
 
 #include <memory>
@@ -26,11 +26,10 @@ namespace sdb {
 ///  * DETERMINISM. Every index has a fixed candidate traversal order — the
 ///    kd-tree descends the child containing the query first (its wide nodes
 ///    order their slots the same way) and scans leaf buckets in
-///    build-permutation order; the R-tree descends children in
-///    entry order; brute force scans ids ascending. A budgeted query returns
-///    exactly the first matches of that traversal until a budget fires, so
-///    repeated invocations with the same index, query, and budget return
-///    the *identical* sequence. The kd-tree's order depends only on the
+///    build-permutation order; brute force scans ids ascending. A
+///    budgeted query returns exactly the first matches of that traversal
+///    until a budget fires, so repeated invocations with the same index,
+///    query, and budget return the *identical* sequence. The kd-tree's order depends only on the
 ///    data (median splits are deterministic), not on how many threads built
 ///    the tree.
 ///  * CHARGES. A query charges one distance_eval per candidate row its
@@ -101,11 +100,9 @@ class SpatialIndex {
   /// pairs under lexicographic order. That makes the exact result unique —
   /// independent of index structure, leaf size, build thread count, and
   /// SIMD variant — so every index returns byte-identical hit lists for the
-  /// same dataset (regression-tested across all three in test_knn_queries).
+  /// same dataset (regression-tested across both in test_knn_queries).
   ///
-  /// COUNTER CONTRACT (unified across kd-tree / R-tree / brute force; the
-  /// R-tree previously had no kNN path at all and the kd-tree charged per
-  /// node rather than per query):
+  /// COUNTER CONTRACT (the same on the kd-tree and brute force):
   ///   * distance_evals: exactly ONE per candidate row the traversal
   ///     examines, charged whether or not the row enters the heap, and
   ///     regardless of SIMD partial-distance abandonment or kernel cutoff
@@ -118,7 +115,7 @@ class SpatialIndex {
   ///   * All tallies are accumulated locally and flushed once per query
   ///     (counters::add), like range_query.
   ///
-  /// BUDGET SEMANTICS for kNN (previously undocumented):
+  /// BUDGET SEMANTICS for kNN:
   ///   * budget.max_nodes bounds the nodes visited, exactly as in
   ///     range queries: the traversal stops before the node past the cap,
   ///     so it charges at most max_nodes, and the result is the EXACT kNN

@@ -34,7 +34,7 @@ namespace sdb {
 
 struct WorkCounters {
   u64 distance_evals = 0;    ///< full d-dimensional distance computations
-  u64 tree_nodes = 0;        ///< kd-tree / R-tree nodes visited
+  u64 tree_nodes = 0;        ///< kd-tree wide nodes visited
   u64 hash_ops = 0;          ///< visited-set / membership table operations
   u64 queue_ops = 0;         ///< frontier push/pop operations
   u64 points_processed = 0;  ///< points whose neighborhood was expanded

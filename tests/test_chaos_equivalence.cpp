@@ -9,12 +9,13 @@
 //   2. replaying the SAME spec string reproduces a byte-identical fault
 //      sequence (log_digest equality) and identical labels.
 //
-// Every injected fault here is transient-by-budget: each throwing site's
-// `budget` is below the pipeline's bounded retry limit, so recovery —
-// retries, timeouts, re-execution, idempotent accumulator merge — must make
-// the run succeed, not merely survive. Chaos plans run with host_threads=1
-// (set explicitly: the ClusterConfig default is every core) so the fault
-// log is totally ordered and the digest is deterministic.
+// Every injected fault here is transient-by-budget: each retry loop allows
+// more attempts than the summed budgets of the sites that can fail one of
+// its attempts, so recovery — retries, timeouts, re-execution, idempotent
+// accumulator merge — must make the run succeed, not merely survive.
+// Chaos plans run with host_threads=1 (set explicitly: the ClusterConfig
+// default is every core) so the fault log is totally ordered and the
+// digest is deterministic.
 //
 // Repro cookbook: every failure message carries the one-line fault spec;
 //   ctest -R chaos            # run the whole chaos surface
@@ -36,6 +37,7 @@
 #include "spatial/kd_tree.hpp"
 #include "synth/generators.hpp"
 #include "synth/io.hpp"
+#include "synth/presets.hpp"
 #include "util/rng.hpp"
 
 namespace sdb::dbscan {
@@ -43,7 +45,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-enum class Shape { kBlobs, kUniform, kMoons, kRings };
+enum class Shape { kBlobs, kUniform, kMoons, kRings, kC10k };
 enum class Engine { kSpark, kMapReduce };
 
 const char* shape_name(Shape s) {
@@ -52,6 +54,7 @@ const char* shape_name(Shape s) {
     case Shape::kUniform: return "uniform";
     case Shape::kMoons: return "moons";
     case Shape::kRings: return "rings";
+    case Shape::kC10k: return "c10k";
   }
   return "?";
 }
@@ -86,6 +89,8 @@ PointSet make_shape(Shape shape, u64 seed) {
       return synth::two_moons(200, 0.04, rng);
     case Shape::kRings:
       return synth::rings(150, 2, 0.03, 60, rng);
+    case Shape::kC10k:
+      return synth::generate(*synth::find_preset("c10k"), 42, 0.3);
   }
   return PointSet(2);
 }
@@ -96,14 +101,26 @@ DbscanParams shape_params(Shape shape) {
     case Shape::kUniform: return {0.9, 4};
     case Shape::kMoons: return {0.12, 5};
     case Shape::kRings: return {0.2, 5};
+    case Shape::kC10k: {
+      const synth::DatasetSpec spec = *synth::find_preset("c10k");
+      return {spec.eps, spec.minpts};
+    }
   }
   return {1.0, 5};
 }
 
-// Fault schedules. Every throwing site carries a budget strictly below the
-// bounded retry limit it is recovered by (max_task_attempts = 4 tasks,
-// RetryPolicy.max_attempts = 4 block/spill I/O), so even the worst case —
-// every fire landing on the same task or block — still converges.
+// Fault schedules. Each converges even when every fire lands on the same
+// task or block:
+//  * spark: spark.task.fail, spark.task.hang (its stall reaches the 10 s
+//    task timeout) and spark.acc.lost each fail a task attempt, and all
+//    three can fire on one task, so run_spark allows 1 + 2 + 2 + 2 = 7
+//    attempts. spark.task.duplicate reruns a task that succeeded, and the
+//    dfs.read.* sites act on the driver's read before the job: only
+//    dfs.read.fail fails a block-read attempt (RetryPolicy, 4 attempts).
+//  * mr: each retry loop has one failing site — mr.map.fail for map
+//    attempts (a speculative duplicate's included, from the same budget),
+//    mr.shuffle.fail for spill fetches, mr.reduce.fail for reduce attempts
+//    — and a budget of 2 against RetryPolicy's 4 attempts.
 std::string spark_fault_spec(u64 seed) {
   return "seed=" + std::to_string(seed) +
          ";spark.task.fail:p=0.3,budget=2"
@@ -139,6 +156,7 @@ ChaosRun run_spark(const dfs::MiniDfs& dfs, const DbscanParams& params,
   ccfg.executors = 3;
   ccfg.straggler.fraction = 0.0;
   ccfg.host_threads = 1;  // one thread: totally ordered fault log
+  ccfg.max_task_attempts = 7;  // 1 + the budgets that fail an attempt
   minispark::SparkContext ctx(ccfg);
   SparkDbscanConfig cfg;
   cfg.params = params;
@@ -257,6 +275,18 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(Engine::kSpark, Engine::kMapReduce)),
     chaos_case_name);
 
+// The 0.3-scale c10k preset on the spark engine, at the fault seeds where
+// one task draws more failing fires than an attempt limit of 4 absorbs.
+INSTANTIATE_TEST_SUITE_P(
+    C10k, ChaosEquivalence,
+    ::testing::Combine(::testing::Values(Shape::kC10k),
+                       ::testing::Values(PartitionerKind::kBlock,
+                                         PartitionerKind::kRandom,
+                                         PartitionerKind::kKdSplit),
+                       ::testing::Values(10u, 23u, 24u),
+                       ::testing::Values(Engine::kSpark)),
+    chaos_case_name);
+
 // KNN-backend column of the chaos surface: the spark pipeline with
 // backend = kKnn runs the NN-descent graph build on the driver, where the
 // knn.graph.drop_edge site skips candidate evaluations. A faulted build
@@ -288,6 +318,8 @@ TEST_P(ChaosKnnBackend, FaultedGraphBuildConvergesAndReplays) {
     ccfg.executors = 3;
     ccfg.straggler.fraction = 0.0;
     ccfg.host_threads = 1;  // one thread: totally ordered fault log
+    // 1 + the budgets of spark.task.fail and spark.acc.lost.
+    ccfg.max_task_attempts = 5;
     minispark::SparkContext ctx(ccfg);
     SparkDbscanConfig cfg;
     cfg.params = {synth::embedding_suggested_eps(gen_cfg), 5};

@@ -2,12 +2,12 @@
 //
 // Every kernel variant compiled in and supported by the host (scalar,
 // AVX2, AVX-512, NEON — simd::detail::supported_kernels) is run directly,
-// not only the one the dispatcher picks. Each strip kernel returns an
-// eps-decision bitmask, and each range scan the positions of its hits; both
-// must match the scalar reference AND the per-point full-sum oracle
-// bit-for-bit on every input — including exactly-eps boundary pairs (eps2
-// values chosen to land exactly on a point's squared distance), denormals,
-// huge magnitudes, an eps2 of +inf, and partial final strips. The kernels
+// not only the one the dispatcher picks. Each range scan writes the
+// positions of its hits, which must be the scalar strip kernel's mask walk
+// AND the per-point full-sum oracle's hits on every input — including
+// exactly-eps boundary pairs (eps2 values chosen to land exactly on a
+// point's squared distance), denormals, huge magnitudes, an eps2 of +inf,
+// and partial final strips. The kernels
 // abandon a lane's accumulation once its partial sum exceeds eps2; these
 // tests pin that the abandonment never changes a decision. Each box kernel
 // writes a kd-tree wide node's child-box distances bit-equal to the scalar
@@ -100,6 +100,47 @@ const char* name_of(const simd::detail::KernelSet& set) {
   return simd::variant_name(set.variant);
 }
 
+/// The scalar strip kernel's mask walk: the range scan every variant's
+/// range scan must match position for position.
+constexpr simd::RangeScanFn kScalarWalk =
+    &simd::detail::range_by_segments<&simd::detail::strip_scalar>;
+
+/// Positions pos + j for the set bits j of `mask`, ascending.
+std::vector<u32> mask_positions(size_t pos, u32 mask) {
+  std::vector<u32> out;
+  for (; mask != 0; mask &= mask - 1) {
+    out.push_back(static_cast<u32>(pos) +
+                  static_cast<u32>(std::countr_zero(mask)));
+  }
+  return out;
+}
+
+/// `range`'s hits over positions [begin, end) of `strips`. The output buffer
+/// has 8 slots past end - begin, and a scan that writes past the count it
+/// returns fails the calling test.
+std::vector<u32> range_hits(simd::RangeScanFn range, std::span<const double> q,
+                            double eps2, const std::vector<double>& strips,
+                            size_t begin, size_t end) {
+  constexpr u32 kCanary = 0xdeadbeefu;
+  std::vector<u32> out(end - begin + 8, kCanary);
+  const u32 hits = range(q.data(), q.size(), eps2, strips.data(), begin, end,
+                         out.data());
+  EXPECT_LE(hits, end - begin) << "begin=" << begin << " end=" << end;
+  for (size_t k = hits; k < out.size(); ++k) {
+    EXPECT_EQ(out[k], kCanary) << "wrote past its count: begin=" << begin
+                               << " end=" << end << " slot=" << k;
+  }
+  out.resize(std::min<size_t>(hits, out.size()));
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Strip-kernel fixtures through the range scan: every variant's range scan,
+// called on each block segment (the unit a strip kernel decides), must
+// write exactly the scalar strip kernel's mask walk and the full-sum
+// oracle's hits.
+// ---------------------------------------------------------------------------
+
 class StripKernelBitExact : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(StripKernelBitExact, MatchesScalarReferenceAndPerPointLoop) {
@@ -109,7 +150,7 @@ TEST_P(StripKernelBitExact, MatchesScalarReferenceAndPerPointLoop) {
   std::vector<double> q(dim);
   for (auto& x : q) x = rng.uniform(-100.0, 100.0);
 
-  // Two full blocks plus a partial one, every lane offset exercised below.
+  // Two full blocks plus a partial one, each block segment scanned below.
   const size_t n = 2 * kDistanceStrip + 7;
   const auto rows = adversarial_rows(n, dim, eps, q, rng);
   std::vector<double> strips(strip_padded_len(n, dim), 0.0);
@@ -120,7 +161,7 @@ TEST_P(StripKernelBitExact, MatchesScalarReferenceAndPerPointLoop) {
   // boundary), one ulp below it (they must flip out), exact squared
   // distances of individual rows (<= must include them), tiny and huge,
   // and +inf (an eps that overflows when squared: every row is within it,
-  // and no bit at or past `count` may be set).
+  // and no position outside the segment may be written).
   std::vector<double> eps2s = {0.0, eps * eps,
                                std::nextafter(eps * eps, 0.0), 1e-310, 1e5,
                                1e300, kInf};
@@ -131,13 +172,14 @@ TEST_P(StripKernelBitExact, MatchesScalarReferenceAndPerPointLoop) {
   for (const simd::detail::KernelSet& set : simd::detail::supported_kernels()) {
     for (const double eps2 : eps2s) {
       for (size_t pos = 0; pos < n;) {
-        const size_t lane = pos % kDistanceStrip;
-        const size_t count = std::min(kDistanceStrip - lane, n - pos);
-        const double* lanes = strip_lane(strips.data(), pos, dim);
-        const u32 got = set.strip(q.data(), dim, eps2, lanes, count);
-        const u32 ref = simd::detail::strip_scalar(q.data(), dim, eps2, lanes,
-                                                   count);
-        const u32 want = oracle_mask(q, rows, pos, count, eps2);
+        const size_t count = std::min(kDistanceStrip - pos % kDistanceStrip,
+                                      n - pos);
+        const auto got = range_hits(set.range, q, eps2, strips, pos,
+                                    pos + count);
+        const auto ref = range_hits(kScalarWalk, q, eps2, strips, pos,
+                                    pos + count);
+        const auto want =
+            mask_positions(pos, oracle_mask(q, rows, pos, count, eps2));
         EXPECT_EQ(got, ref) << name_of(set) << " vs strip_scalar: dim=" << dim
                             << " pos=" << pos << " eps2=" << eps2;
         EXPECT_EQ(got, want) << name_of(set) << " vs full-sum oracle: dim="
@@ -150,8 +192,8 @@ TEST_P(StripKernelBitExact, MatchesScalarReferenceAndPerPointLoop) {
 
 TEST_P(StripKernelBitExact, EveryLaneOffsetAndCount) {
   // A scan may enter a block at any lane and take any count up to the block
-  // end — sweep them all, checking masks and that no bit at or past `count`
-  // is ever set.
+  // end — sweep them all. The hits are the oracle's, so no position outside
+  // the segment is ever written.
   const size_t dim = GetParam();
   const double eps = 4.0;
   Rng rng(99 + static_cast<u64>(dim));
@@ -167,17 +209,12 @@ TEST_P(StripKernelBitExact, EveryLaneOffsetAndCount) {
     for (const double eps2 : {0.0, eps * eps, 1e4, kInf}) {
       for (size_t lane = 0; lane < kDistanceStrip; ++lane) {
         for (size_t count = 1; count <= kDistanceStrip - lane; ++count) {
-          const u32 got = set.strip(q.data(), dim, eps2,
-                                    strip_lane(strips.data(), lane, dim),
-                                    count);
-          const u32 want = oracle_mask(q, rows, lane, count, eps2);
+          const auto got =
+              range_hits(set.range, q, eps2, strips, lane, lane + count);
+          const auto want =
+              mask_positions(lane, oracle_mask(q, rows, lane, count, eps2));
           EXPECT_EQ(got, want) << name_of(set) << " lane=" << lane
                                << " count=" << count << " eps2=" << eps2;
-          if (count < 32) {
-            EXPECT_EQ(got >> count, 0u)
-                << name_of(set) << " mask bit at/past count: lane=" << lane
-                << " count=" << count << " eps2=" << eps2;
-          }
         }
       }
     }
@@ -189,10 +226,9 @@ INSTANTIATE_TEST_SUITE_P(Dims, StripKernelBitExact,
 
 // ---------------------------------------------------------------------------
 // Range scan: one call over a whole position range must write exactly the
-// same variant's strip-kernel mask walk over that range — ascending
-// positions, the same decisions bit for bit — and the full-sum oracle's
-// hits, from any start lane, at any length, and never write past the count
-// it returns.
+// scalar strip kernel's mask walk over that range — ascending positions,
+// the same decisions bit for bit — and the full-sum oracle's hits, from any
+// start lane, at any length, and never write past the count it returns.
 // ---------------------------------------------------------------------------
 
 class RangeScanBitExact : public ::testing::TestWithParam<size_t> {};
@@ -219,7 +255,6 @@ TEST_P(RangeScanBitExact, MatchesStripMaskWalkAndOracle) {
     eps2s.push_back(squared_distance_uncounted(q, rows[i]));
   }
 
-  constexpr u32 kCanary = 0xdeadbeefu;
   for (const simd::detail::KernelSet& set : simd::detail::supported_kernels()) {
     for (const double eps2 : eps2s) {
       std::vector<u32> within;  // oracle hits over all rows, ascending
@@ -231,41 +266,19 @@ TEST_P(RangeScanBitExact, MatchesStripMaskWalkAndOracle) {
       for (size_t begin = 0; begin < 2 * kDistanceStrip; ++begin) {
         for (const size_t len : {0, 1, 31, 32, 33, 64, 65}) {
           const size_t end = std::min(n, begin + len);
-          std::vector<u32> walked;
-          for (size_t i = begin; i < end;) {
-            const size_t m =
-                std::min(kDistanceStrip - i % kDistanceStrip, end - i);
-            u32 mask = set.strip(q.data(), dim, eps2,
-                                 strip_lane(strips.data(), i, dim), m);
-            while (mask != 0) {
-              walked.push_back(static_cast<u32>(i) +
-                               static_cast<u32>(std::countr_zero(mask)));
-              mask &= mask - 1;
-            }
-            i += m;
-          }
+          const auto walked = range_hits(kScalarWalk, q, eps2, strips, begin,
+                                         end);
           std::vector<u32> want;
           for (const u32 i : within) {
             if (i >= begin && i < end) want.push_back(i);
           }
-
-          std::vector<u32> out(end - begin + 8, kCanary);
-          const u32 hits = set.range(q.data(), dim, eps2, strips.data(),
-                                     begin, end, out.data());
-          ASSERT_LE(hits, end - begin) << name_of(set);
-          const std::vector<u32> got(out.begin(), out.begin() + hits);
+          const auto got = range_hits(set.range, q, eps2, strips, begin, end);
           EXPECT_EQ(got, walked) << name_of(set) << " vs strip mask walk: dim="
                                  << dim << " begin=" << begin
                                  << " end=" << end << " eps2=" << eps2;
           EXPECT_EQ(got, want) << name_of(set) << " vs full-sum oracle: dim="
                                << dim << " begin=" << begin
                                << " end=" << end << " eps2=" << eps2;
-          for (size_t k = hits; k < out.size(); ++k) {
-            EXPECT_EQ(out[k], kCanary)
-                << name_of(set) << " wrote past its count: dim=" << dim
-                << " begin=" << begin << " end=" << end << " eps2=" << eps2
-                << " slot=" << k;
-          }
         }
       }
     }
@@ -273,7 +286,7 @@ TEST_P(RangeScanBitExact, MatchesStripMaskWalkAndOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, RangeScanBitExact,
-                         ::testing::Values<size_t>(1, 2, 3, 10, 64));
+                         ::testing::Values<size_t>(1, 2, 3, 10, 64, 96, 128));
 
 TEST(RangeScan, LongRangesAreChunkedWithoutChangingHits) {
   // strip_scan splits a range longer than its position buffer at block
@@ -510,8 +523,9 @@ INSTANTIATE_TEST_SUITE_P(Dims, BoxDistBitExact,
 // the d >= 64 regression was a stride that skipped the late probes, so
 // far-away rows burned the whole row before abandoning — and one variant's
 // probe placement disagreed with another's mask on boundary eps2 values.
-// These fixtures make abandonment THE common case and require bit-identical
-// masks against both the scalar reference and the full-sum oracle.
+// These fixtures make abandonment THE common case and require every range
+// scan's hits, block segment by block segment, to be exactly the scalar
+// strip kernel's and the full-sum oracle's.
 // ---------------------------------------------------------------------------
 
 class AbandonmentHighDim : public ::testing::TestWithParam<size_t> {};
@@ -558,11 +572,12 @@ TEST_P(AbandonmentHighDim, AllFarRowsMatchScalarBitExactly) {
       for (size_t pos = 0; pos < n;) {
         const size_t count = std::min(kDistanceStrip - pos % kDistanceStrip,
                                       n - pos);
-        const double* lanes = strip_lane(strips.data(), pos, dim);
-        const u32 got = set.strip(q.data(), dim, eps2, lanes, count);
-        const u32 ref = simd::detail::strip_scalar(q.data(), dim, eps2, lanes,
-                                                   count);
-        const u32 want = oracle_mask(q, rows, pos, count, eps2);
+        const auto got = range_hits(set.range, q, eps2, strips, pos,
+                                    pos + count);
+        const auto ref = range_hits(kScalarWalk, q, eps2, strips, pos,
+                                    pos + count);
+        const auto want =
+            mask_positions(pos, oracle_mask(q, rows, pos, count, eps2));
         EXPECT_EQ(got, ref) << name_of(set) << " dim=" << dim
                             << " pos=" << pos << " eps2=" << eps2;
         EXPECT_EQ(got, want) << name_of(set) << " dim=" << dim
@@ -795,8 +810,8 @@ TEST(BudgetedStripScan, BitIdenticalAcrossVariantsAndLayouts) {
 }
 
 // ---------------------------------------------------------------------------
-// kNN through the kernel filter: the heap-refinement path masks leaf
-// candidates with the current worst heap distance and must return exactly
+// kNN through the kernel filter: the heap-refinement path range-scans leaf
+// candidates at the current worst heap distance and must return exactly
 // the forced-scalar run's neighbors and charges, and the per-point oracle's
 // neighbors.
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -14,8 +15,8 @@
 #include "query_oracles.hpp"
 #include "spatial/brute_force.hpp"
 #include "spatial/kd_tree.hpp"
-#include "spatial/r_tree.hpp"
 #include "synth/generators.hpp"
+#include "util/counters.hpp"
 #include "util/rng.hpp"
 
 namespace sdb {
@@ -44,9 +45,8 @@ TEST_P(AllIndexesAgree, ExactQueriesIdentical) {
   const auto [dim, eps] = GetParam();
   const PointSet ps = clustered_points(900, dim, 71 + static_cast<u64>(dim));
   const KdTree kd(ps);
-  const RTree rt(ps);
   const BruteForceIndex brute(ps);
-  const std::vector<const SpatialIndex*> indexes = {&kd, &rt, &brute};
+  const std::vector<const SpatialIndex*> indexes = {&kd, &brute};
 
   Rng rng(9);
   for (int trial = 0; trial < 25; ++trial) {
@@ -104,9 +104,8 @@ TEST_P(IndexParityAdversarial, AllIndexesAndLayoutsAgree) {
   const PointSet ps =
       adversarial_points(700, dim, eps, 113 + static_cast<u64>(dim));
   const KdTree kd(ps, KdTreeOptions{.build_threads = 4});
-  const RTree rt(ps);
   const BruteForceIndex brute(ps);
-  const std::vector<const SpatialIndex*> indexes = {&kd, &rt, &brute};
+  const std::vector<const SpatialIndex*> indexes = {&kd, &brute};
   Rng rng(17);
   for (int trial = 0; trial < 30; ++trial) {
     const PointId q = static_cast<PointId>(rng.uniform_index(ps.size()));
@@ -151,9 +150,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, IndexParityAdversarial,
 TEST(BudgetLaws, BudgetedIsSubsetOfExactForAllIndexes) {
   const PointSet ps = clustered_points(1200, 2, 83);
   const KdTree kd(ps);
-  const RTree rt(ps);
   const BruteForceIndex brute(ps);
-  const std::vector<const SpatialIndex*> indexes = {&kd, &rt, &brute};
+  const std::vector<const SpatialIndex*> indexes = {&kd, &brute};
   Rng rng(13);
   for (const SpatialIndex* index : indexes) {
     for (int trial = 0; trial < 15; ++trial) {
@@ -368,6 +366,172 @@ TEST(RangeQueryGoldens, PerIndexAndBudget) {
           static_cast<unsigned long long>(row.digest),
           static_cast<unsigned long long>(row.distance_evals),
           static_cast<unsigned long long>(row.tree_nodes));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden kNN hits and counters per index and k. Each row pins, for one
+// index on one dataset at one k, an FNV-1a digest of every query's hits in
+// reported order (id, then the bits of d2, a separator after each query),
+// and the summed distance_evals and tree_nodes. Every dataset repeats each
+// 7th point under an id past the originals, so equal-d2 ties at the k-th
+// hit are decided by the id tie-break. A change to a kNN cutoff filter that
+// lets a different row into the heap, or charges a row differently, shows
+// up here.
+// ---------------------------------------------------------------------------
+
+struct KnnGoldenRow {
+  const char* dataset;
+  int dim;
+  const char* index;
+  u64 k;
+  u64 digest;
+  u64 distance_evals;
+  u64 tree_nodes;
+};
+
+constexpr KnnGoldenRow kKnnGoldens[] = {
+    {"uniform", 2, "kd4", 1, 0x8706c39411fa9d3aull, 457, 358},
+    {"uniform", 2, "kd4", 5, 0x27401ea66fd2fc9aull, 1247, 434},
+    {"uniform", 2, "kd4", 16, 0x7e9e3d51ef34d83aull, 2960, 578},
+    {"uniform", 2, "kd192", 1, 0x8706c39411fa9d3aull, 10068, 169},
+    {"uniform", 2, "kd192", 5, 0x27401ea66fd2fc9aull, 13176, 177},
+    {"uniform", 2, "kd192", 16, 0x7e9e3d51ef34d83aull, 16603, 186},
+    {"uniform", 2, "brute", 1, 0x8706c39411fa9d3aull, 288036, 0},
+    {"uniform", 2, "brute", 5, 0x27401ea66fd2fc9aull, 288036, 0},
+    {"uniform", 2, "brute", 16, 0x7e9e3d51ef34d83aull, 288036, 0},
+    {"clustered", 2, "kd4", 1, 0x95900449aae1a849ull, 527, 368},
+    {"clustered", 2, "kd4", 5, 0x77a9681aed19583cull, 1262, 441},
+    {"clustered", 2, "kd4", 16, 0x21e9118f805c189cull, 3111, 627},
+    {"clustered", 2, "kd192", 1, 0x95900449aae1a849ull, 10293, 171},
+    {"clustered", 2, "kd192", 5, 0x77a9681aed19583cull, 12866, 175},
+    {"clustered", 2, "kd192", 16, 0x21e9118f805c189cull, 19933, 200},
+    {"clustered", 2, "brute", 1, 0x95900449aae1a849ull, 288036, 0},
+    {"clustered", 2, "brute", 5, 0x77a9681aed19583cull, 288036, 0},
+    {"clustered", 2, "brute", 16, 0x21e9118f805c189cull, 288036, 0},
+    {"uniform", 10, "kd4", 1, 0x4ed8f0bc65c842d4ull, 8360, 3856},
+    {"uniform", 10, "kd4", 5, 0x950c949a9a6f5295ull, 28384, 8023},
+    {"uniform", 10, "kd4", 16, 0x0818199226243cc7ull, 54447, 10223},
+    {"uniform", 10, "kd192", 1, 0x4ed8f0bc65c842d4ull, 113796, 286},
+    {"uniform", 10, "kd192", 5, 0x950c949a9a6f5295ull, 231986, 412},
+    {"uniform", 10, "kd192", 16, 0x0818199226243cc7ull, 271533, 420},
+    {"uniform", 10, "brute", 1, 0x4ed8f0bc65c842d4ull, 288036, 0},
+    {"uniform", 10, "brute", 5, 0x950c949a9a6f5295ull, 288036, 0},
+    {"uniform", 10, "brute", 16, 0x0818199226243cc7ull, 288036, 0},
+    {"clustered", 10, "kd4", 1, 0x459a10ec9ac330abull, 9139, 2477},
+    {"clustered", 10, "kd4", 5, 0x5d5080733ddbe8a3ull, 23844, 4326},
+    {"clustered", 10, "kd4", 16, 0xc2cdcaff66bbda41ull, 37651, 4830},
+    {"clustered", 10, "kd192", 1, 0x459a10ec9ac330abull, 83997, 271},
+    {"clustered", 10, "kd192", 5, 0x5d5080733ddbe8a3ull, 127286, 324},
+    {"clustered", 10, "kd192", 16, 0xc2cdcaff66bbda41ull, 136609, 332},
+    {"clustered", 10, "brute", 1, 0x459a10ec9ac330abull, 288036, 0},
+    {"clustered", 10, "brute", 5, 0x5d5080733ddbe8a3ull, 288036, 0},
+    {"clustered", 10, "brute", 16, 0xc2cdcaff66bbda41ull, 288036, 0},
+    {"uniform", 64, "kd4", 1, 0x0295ed6f179791a2ull, 126825, 6345},
+    {"uniform", 64, "kd4", 5, 0x55acde5b46128a94ull, 286680, 12348},
+    {"uniform", 64, "kd4", 16, 0xa97d4343501f9092ull, 287626, 12348},
+    {"uniform", 64, "kd192", 1, 0x0295ed6f179791a2ull, 148516, 294},
+    {"uniform", 64, "kd192", 5, 0x55acde5b46128a94ull, 288036, 420},
+    {"uniform", 64, "kd192", 16, 0xa97d4343501f9092ull, 288036, 420},
+    {"uniform", 64, "brute", 1, 0x0295ed6f179791a2ull, 288036, 0},
+    {"uniform", 64, "brute", 5, 0x55acde5b46128a94ull, 288036, 0},
+    {"uniform", 64, "brute", 16, 0xa97d4343501f9092ull, 288036, 0},
+    {"clustered", 64, "kd4", 1, 0x877a2e4b99495716ull, 55948, 3385},
+    {"clustered", 64, "kd4", 5, 0xec0cd3a6656269c3ull, 93563, 5147},
+    {"clustered", 64, "kd4", 16, 0x67c978463b1841b1ull, 98646, 5431},
+    {"clustered", 64, "kd192", 1, 0x877a2e4b99495716ull, 88007, 267},
+    {"clustered", 64, "kd192", 5, 0xec0cd3a6656269c3ull, 131408, 308},
+    {"clustered", 64, "kd192", 16, 0x67c978463b1841b1ull, 136762, 308},
+    {"clustered", 64, "brute", 1, 0x877a2e4b99495716ull, 288036, 0},
+    {"clustered", 64, "brute", 5, 0xec0cd3a6656269c3ull, 288036, 0},
+    {"clustered", 64, "brute", 16, 0x67c978463b1841b1ull, 288036, 0},
+};
+
+/// `ps` followed by a copy of every 7th point of it.
+PointSet with_duplicates(const PointSet& ps) {
+  PointSet out(ps.dim());
+  const auto n = static_cast<PointId>(ps.size());
+  for (PointId i = 0; i < n; ++i) out.add(ps[i]);
+  for (PointId i = 0; i < n; i += 7) out.add(ps[i]);
+  return out;
+}
+
+TEST(KnnQueryGoldens, PerIndexAndK) {
+  std::vector<KnnGoldenRow> got;
+  for (const int dim : {2, 10, 64}) {
+    const PointSet uniform =
+        with_duplicates(uniform_points(3000, dim, 30.0, 131));
+    const PointSet clustered =
+        with_duplicates(clustered_points(3000, dim, 137));
+    const std::pair<const char*, const PointSet&> datasets[] = {
+        {"uniform", uniform}, {"clustered", clustered}};
+    for (const auto& [name, ps] : datasets) {
+      const KdTree kd4(ps, KdTreeOptions{.leaf_size = 4, .build_threads = 1});
+      const KdTree kd192(ps,
+                         KdTreeOptions{.leaf_size = 192, .build_threads = 1});
+      const BruteForceIndex brute(ps);
+      const std::pair<const char*, const SpatialIndex*> indexes[] = {
+          {"kd4", &kd4}, {"kd192", &kd192}, {"brute", &brute}};
+      // Queries on data points (the point and its copies tie at d2 = 0) and
+      // at midpoints between two of them.
+      std::vector<std::vector<double>> queries;
+      for (PointId q = 11; q + 1 < static_cast<PointId>(ps.size()); q += 83) {
+        const auto a = ps[q];
+        const auto b = ps[q + 1];
+        queries.emplace_back(a.begin(), a.end());
+        std::vector<double> mid(a.size());
+        for (size_t d = 0; d < a.size(); ++d) mid[d] = 0.5 * (a[d] + b[d]);
+        queries.push_back(std::move(mid));
+      }
+      for (const auto& [index_name, index] : indexes) {
+        for (const u64 k : {u64{1}, u64{5}, u64{16}}) {
+          KnnGoldenRow row{name, dim, index_name, k, kFnvOffset, 0, 0};
+          for (const auto& q : queries) {
+            std::vector<KnnHit> hits;
+            WorkCounters wc;
+            {
+              ScopedCounters scope(&wc);
+              index->knn_query(q, k, QueryBudget{}, hits);
+            }
+            for (const KnnHit& hit : hits) {
+              row.digest = fnv1a(row.digest, static_cast<u64>(hit.id));
+              row.digest = fnv1a(row.digest, std::bit_cast<u64>(hit.d2));
+            }
+            row.digest = fnv1a(row.digest, ~u64{0});
+            row.distance_evals += wc.distance_evals;
+            row.tree_nodes += wc.tree_nodes;
+          }
+          got.push_back(row);
+        }
+      }
+    }
+  }
+
+  EXPECT_EQ(got.size(), std::size(kKnnGoldens));
+  for (size_t i = 0; i < std::min(got.size(), std::size(kKnnGoldens)); ++i) {
+    const KnnGoldenRow& want = kKnnGoldens[i];
+    const KnnGoldenRow& row = got[i];
+    const std::string where = std::string(row.dataset) + " d=" +
+                              std::to_string(row.dim) + " " + row.index +
+                              " k=" + std::to_string(row.k);
+    EXPECT_STREQ(row.dataset, want.dataset) << where;
+    EXPECT_EQ(row.dim, want.dim) << where;
+    EXPECT_STREQ(row.index, want.index) << where;
+    EXPECT_EQ(row.k, want.k) << where;
+    EXPECT_EQ(row.digest, want.digest) << where;
+    EXPECT_EQ(row.distance_evals, want.distance_evals) << where;
+    EXPECT_EQ(row.tree_nodes, want.tree_nodes) << where;
+  }
+  if (HasFailure()) {
+    // The measured table in source form, for a deliberate restatement.
+    for (const KnnGoldenRow& row : got) {
+      std::printf("    {\"%s\", %d, \"%s\", %llu, 0x%016llxull, %llu, %llu},\n",
+                  row.dataset, row.dim, row.index,
+                  static_cast<unsigned long long>(row.k),
+                  static_cast<unsigned long long>(row.digest),
+                  static_cast<unsigned long long>(row.distance_evals),
+                  static_cast<unsigned long long>(row.tree_nodes));
     }
   }
 }

@@ -1,8 +1,8 @@
 // Unified kNN query contract across the spatial indexes (satellite of the
 // KNN-DBSCAN backend PR; the contract lives on SpatialIndex::knn_query).
 //
-// Every index — kd-tree (default and tiny leaves), brute force, R-tree —
-// must return the SAME hit vector for the same query, the per-point
+// Every index — kd-tree (default and tiny leaves) and brute force — must
+// return the SAME hit vector for the same query, the per-point
 // oracle's (brute_oracle, query_oracles.hpp): exact kNN under the
 // lexicographic (d2, id) order, ties at the k-th distance broken by point
 // id. Duplicated points and exactly-equidistant partners make the tie-break
@@ -22,7 +22,6 @@
 #include "query_oracles.hpp"
 #include "spatial/brute_force.hpp"
 #include "spatial/kd_tree.hpp"
-#include "spatial/r_tree.hpp"
 #include "synth/generators.hpp"
 #include "util/counters.hpp"
 #include "util/rng.hpp"
@@ -66,15 +65,13 @@ struct IndexSet {
   /// takes over.
   KdTree kd_small_leaves;
   BruteForceIndex brute;
-  RTree rtree;
   std::vector<const SpatialIndex*> all;
 
   explicit IndexSet(const PointSet& ps)
       : kd(ps, KdTreeOptions{.build_threads = 1}),
         kd_small_leaves(ps, KdTreeOptions{.leaf_size = 4, .build_threads = 1}),
-        brute(ps),
-        rtree(ps) {
-    all = {&kd, &kd_small_leaves, &brute, &rtree};
+        brute(ps) {
+    all = {&kd, &kd_small_leaves, &brute};
   }
 };
 

@@ -183,6 +183,40 @@ TEST(SparkContext, TaskExceptionWaitsForEveryTask) {
   }
 }
 
+TEST(SparkContext, InTaskFaultOnLastAttemptPropagates) {
+  // An injected fault that fails every attempt of partition 0 outlasts the
+  // retries: the task runs exactly max_task_attempts times, then
+  // foreach_partition rethrows the fault, after every other task finished.
+  constexpr u32 kTasks = 6;
+  for (const u32 threads : {1u, 4u}) {
+    SCOPED_TRACE("host_threads=" + std::to_string(threads));
+    ClusterConfig cfg = quiet_config(2);
+    cfg.host_threads = threads;
+    cfg.max_task_attempts = 5;
+    SparkContext ctx(cfg);
+    std::atomic<u32> attempts{0};
+    std::atomic<u32> finished{0};
+    auto rdd = unit_rdd(ctx, kTasks);
+    bool propagated = false;
+    try {
+      ctx.foreach_partition(*rdd, [&](u32 p, std::vector<int>&&) {
+        if (p == 0) {
+          attempts.fetch_add(1);
+          throw fault::InjectedFault("test.task.fail");
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        finished.fetch_add(1);
+      });
+    } catch (const fault::InjectedFault& fault) {
+      propagated = true;
+      EXPECT_EQ(fault.site(), "test.task.fail");
+    }
+    EXPECT_TRUE(propagated);
+    EXPECT_EQ(attempts.load(), cfg.max_task_attempts);
+    EXPECT_EQ(finished.load(), kTasks - 1);
+  }
+}
+
 TEST(SparkContext, HostThreadsResolveToHardwareConcurrency) {
   ClusterConfig cfg = quiet_config(2);
   EXPECT_EQ(cfg.host_threads, 0u);  // the default: every core

@@ -246,35 +246,24 @@ TEST(SparkDbscan, BudgetSeparatesJobFingerprints) {
   const fs::path dir = fs::temp_directory_path() /
                        ("sdb_budget_fp_" + std::to_string(::getpid()));
   const PointSet ps = blob_data(2000, 31);
-  auto run = [&](QueryBudget budget, IndexKind index) {
+  auto run = [&](QueryBudget budget) {
     fs::remove_all(dir);
     minispark::SparkContext ctx(cluster(4));
     SparkDbscanConfig cfg;
     cfg.params = {1.0, 5};
     cfg.partitions = 4;
     cfg.budget = budget;
-    cfg.index = index;
     cfg.checkpoint_dir = dir.string();
     SparkDbscan dbscan(ctx, cfg);
     return dbscan.run(ps);
   };
-  const SparkDbscanReport exact = run({}, IndexKind::kKdTree);
-  const SparkDbscanReport capped =
-      run({.max_neighbors = 4}, IndexKind::kKdTree);
+  const SparkDbscanReport exact = run({});
+  const SparkDbscanReport capped = run({.max_neighbors = 4});
   ASSERT_NE(exact.clustering.num_clusters, capped.clustering.num_clusters);
   EXPECT_NE(exact.job_fingerprint, capped.job_fingerprint);
+  EXPECT_NE(capped.job_fingerprint, run({.max_neighbors = 5}).job_fingerprint);
   EXPECT_NE(capped.job_fingerprint,
-            run({.max_neighbors = 5}, IndexKind::kKdTree).job_fingerprint);
-  EXPECT_NE(capped.job_fingerprint,
-            run({.max_neighbors = 4, .max_nodes = 64}, IndexKind::kKdTree)
-                .job_fingerprint);
-  // Under a budget the traversal order decides which hits are reported.
-  EXPECT_NE(capped.job_fingerprint,
-            run({.max_neighbors = 4}, IndexKind::kRTree).job_fingerprint);
-  // Exact queries report the same hits on every index, so an exact
-  // fingerprint does not depend on the index.
-  EXPECT_EQ(exact.job_fingerprint,
-            run({}, IndexKind::kRTree).job_fingerprint);
+            run({.max_neighbors = 4, .max_nodes = 64}).job_fingerprint);
   fs::remove_all(dir);
 }
 

@@ -62,46 +62,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SparkDbscanPartitioners,
                            return n;
                          });
 
-class SparkDbscanIndexes : public ::testing::TestWithParam<IndexKind> {};
-
-TEST_P(SparkDbscanIndexes, IndexChoiceDoesNotChangeClustering) {
-  Rng rng(19);
-  synth::GaussianMixtureConfig gcfg;
-  gcfg.n = 500;
-  gcfg.dim = 3;
-  gcfg.clusters = 3;
-  gcfg.sigma = 0.5;
-  gcfg.box_side = 50.0;
-  const PointSet ps = synth::gaussian_clusters(gcfg, rng);
-  const DbscanParams params{1.2, 5};
-  const KdTree tree(ps);
-  const auto seq = dbscan_sequential(ps, tree, params);
-
-  minispark::SparkContext ctx(cluster(4));
-  SparkDbscanConfig cfg;
-  cfg.params = params;
-  cfg.partitions = 4;
-  cfg.index = GetParam();
-  SparkDbscan dbscan(ctx, cfg);
-  const auto report = dbscan.run(ps);
-  const auto eq = check_equivalence(ps, tree, params, seq.core_points,
-                                    seq.clustering, report.clustering);
-  EXPECT_TRUE(eq.equivalent)
-      << index_kind_name(GetParam()) << ": " << eq.detail;
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, SparkDbscanIndexes,
-                         ::testing::Values(IndexKind::kKdTree,
-                                           IndexKind::kRTree,
-                                           IndexKind::kBruteForce),
-                         [](const auto& info) {
-                           std::string n = index_kind_name(info.param);
-                           for (char& c : n) {
-                             if (c == '-') c = '_';
-                           }
-                           return n;
-                         });
-
 TEST(SparkDbscanVariants, PaperModeProducesSaneClustering) {
   // The paper's own strategies (one seed per partition + single-pass merge)
   // on Table I-style data: not guaranteed sequential-equivalent, but the
