@@ -1,10 +1,10 @@
 #include "core/incremental.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "geom/distance.hpp"
 #include "util/flat_hash.hpp"
+#include "util/fnv.hpp"
 
 namespace sdb::dbscan {
 
@@ -464,24 +464,14 @@ size_t IncrementalDbscan::resident_bytes() const {
 
 u64 IncrementalDbscan::digest() const {
   const Clustering snap = clustering();
-  u64 h = 14695981039346656037ull;
-  const auto mix = [&h](u64 v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(next_id_);
+  u64 h = fnv1a_value(kFnvSeed, next_id_);
   for (PointId id = 0; id < static_cast<PointId>(next_id_); ++id) {
     const u32 row = row_of(id);
     if (row == kInvalidRow) continue;
-    mix(static_cast<u64>(id));
-    for (const double c : points_[static_cast<PointId>(row)]) {
-      u64 bits = 0;
-      std::memcpy(&bits, &c, sizeof(bits));
-      mix(bits);
-    }
-    mix(static_cast<u64>(snap.labels[static_cast<size_t>(id)]));
+    h = fnv1a_value(h, static_cast<u64>(id));
+    const std::span<const double> coords = points_[static_cast<PointId>(row)];
+    h = fnv1a(coords.data(), coords.size_bytes(), h);
+    h = fnv1a_value(h, static_cast<u64>(snap.labels[static_cast<size_t>(id)]));
   }
   return h;
 }

@@ -16,36 +16,15 @@
 #include "core/merge.hpp"
 #include "core/partitioners.hpp"
 #include "geom/point_set.hpp"
+#include "util/fnv.hpp"
 
 namespace sdb::dbscan {
-
-namespace detail {
-
-inline u64 fnv1a_append(u64 h, const void* data, size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-template <typename T>
-u64 fnv1a_value(u64 h, const T& v) {
-  return fnv1a_append(h, &v, sizeof(v));
-}
-
-}  // namespace detail
 
 /// FNV-1a over the dataset's raw coordinate bytes + dimensionality. The
 /// expensive term of the fingerprint (one pass over n*d doubles).
 inline u64 dataset_digest(const PointSet& points) {
-  u64 h = 1469598103934665603ull;
-  const int dim = points.dim();
-  h = detail::fnv1a_value(h, dim);
-  h = detail::fnv1a_append(h, points.raw().data(),
-                           points.raw().size() * sizeof(double));
-  return h;
+  const u64 h = fnv1a_value(kFnvSeed, points.dim());
+  return fnv1a(points.raw().data(), points.raw().size() * sizeof(double), h);
 }
 
 /// The deterministic identity of one distributed-DBSCAN job. `engine`
@@ -58,16 +37,16 @@ inline u64 job_fingerprint(std::string_view engine, u64 dataset,
                            MergeStrategy merge_strategy, Codec codec,
                            u64 backend_salt = 0) {
   u64 h = dataset;
-  h = detail::fnv1a_append(h, engine.data(), engine.size());
-  h = detail::fnv1a_value(h, params.eps);
-  h = detail::fnv1a_value(h, params.minpts);
-  h = detail::fnv1a_value(h, partitioner);
-  h = detail::fnv1a_value(h, partitions);
-  h = detail::fnv1a_value(h, seed);
-  h = detail::fnv1a_value(h, seed_strategy);
-  h = detail::fnv1a_value(h, merge_strategy);
-  h = detail::fnv1a_value(h, codec);
-  h = detail::fnv1a_value(h, kLocalResultWireV2);
+  h = fnv1a(engine.data(), engine.size(), h);
+  h = fnv1a_value(h, params.eps);
+  h = fnv1a_value(h, params.minpts);
+  h = fnv1a_value(h, partitioner);
+  h = fnv1a_value(h, partitions);
+  h = fnv1a_value(h, seed);
+  h = fnv1a_value(h, seed_strategy);
+  h = fnv1a_value(h, merge_strategy);
+  h = fnv1a_value(h, codec);
+  h = fnv1a_value(h, kLocalResultWireV2);
   // Non-exact neighborhoods (the KNN-DBSCAN backend, or a query budget on
   // the exact one) fold their parameters in as a salt: a knn or budgeted
   // checkpoint must never resume into an exact job or into a job with other
@@ -75,7 +54,7 @@ inline u64 job_fingerprint(std::string_view engine, u64 dataset,
   // descent starts from other rows (knn::kDescentStartVersion), and a
   // node-capped one never into a job whose kd-tree nodes have another
   // fan-out. Zero (exact queries) folds nothing.
-  if (backend_salt != 0) h = detail::fnv1a_value(h, backend_salt);
+  if (backend_salt != 0) h = fnv1a_value(h, backend_salt);
   return h;
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace sdb::dbscan {
@@ -101,7 +102,7 @@ Partitioning grid_partition(const PointSet& points, u32 parts) {
       1, static_cast<int>(std::ceil(std::pow(target_cells, 1.0 / dim))));
   for (PointId i = 0; i < static_cast<PointId>(n); ++i) {
     const auto p = points[i];
-    u64 h = 1469598103934665603ull;
+    u64 h = kFnvSeed;
     for (int d = 0; d < dim; ++d) {
       const double extent = hi[static_cast<size_t>(d)] - lo[static_cast<size_t>(d)];
       int cell = 0;
@@ -111,7 +112,7 @@ Partitioning grid_partition(const PointSet& points, u32 parts) {
         cell = std::clamp(cell, 0, cells_per_dim - 1);
       }
       h ^= static_cast<u64>(cell) + 0x9e3779b97f4a7c15ull;
-      h *= 1099511628211ull;
+      h *= kFnvPrime;
     }
     out.owner[static_cast<size_t>(i)] = static_cast<PartitionId>(h % parts);
   }

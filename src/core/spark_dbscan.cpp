@@ -5,6 +5,7 @@
 #include "minispark/job_checkpoint.hpp"
 #include "spatial/kd_tree.hpp"
 #include "synth/io.hpp"
+#include "util/fnv.hpp"
 #include "util/stopwatch.hpp"
 
 namespace sdb::dbscan {
@@ -83,38 +84,34 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
   if (!config_.checkpoint_dir.empty()) {
     u64 backend_salt = 0;
     if (config_.backend == DbscanBackend::kKnn) {
-      backend_salt = detail::fnv1a_append(1469598103934665603ull, "knn", 3);
-      backend_salt = detail::fnv1a_value(backend_salt, config_.knn.k);
-      backend_salt = detail::fnv1a_value(backend_salt, config_.knn.build);
-      backend_salt = detail::fnv1a_value(backend_salt, config_.knn.max_rounds);
-      backend_salt = detail::fnv1a_value(backend_salt, config_.knn.sample);
-      backend_salt =
-          detail::fnv1a_value(backend_salt, config_.knn.termination_frac);
-      backend_salt = detail::fnv1a_value(backend_salt, config_.knn.seed);
+      backend_salt = fnv1a("knn", 3);
+      backend_salt = fnv1a_value(backend_salt, config_.knn.k);
+      backend_salt = fnv1a_value(backend_salt, config_.knn.build);
+      backend_salt = fnv1a_value(backend_salt, config_.knn.max_rounds);
+      backend_salt = fnv1a_value(backend_salt, config_.knn.sample);
+      backend_salt = fnv1a_value(backend_salt, config_.knn.termination_frac);
+      backend_salt = fnv1a_value(backend_salt, config_.knn.seed);
       // The rows a descent starts from shape the graph it converges to: a
       // checkpoint written on one start's graph must not resume.
       if (config_.knn.build == knn::KnnGraphConfig::Build::kDescent) {
-        backend_salt =
-            detail::fnv1a_value(backend_salt, knn::kDescentStartVersion);
+        backend_salt = fnv1a_value(backend_salt, knn::kDescentStartVersion);
       }
     } else if (!config_.budget.exact()) {
       // A budget drops neighbors, and which ones depends on the kd-tree's
       // traversal order: fold the budget. Exact queries report every hit,
       // so exact fingerprints fold nothing.
-      backend_salt = detail::fnv1a_append(1469598103934665603ull, "budget", 6);
-      backend_salt =
-          detail::fnv1a_value(backend_salt, config_.budget.max_neighbors);
-      backend_salt =
-          detail::fnv1a_value(backend_salt, config_.budget.max_nodes);
+      backend_salt = fnv1a("budget", 6);
+      backend_salt = fnv1a_value(backend_salt, config_.budget.max_neighbors);
+      backend_salt = fnv1a_value(backend_salt, config_.budget.max_nodes);
       // Four zero bytes where an index choice was once folded (the
       // kd-tree's 0), so budgeted fingerprints, and the checkpoints they
       // name, keep their values.
-      backend_salt = detail::fnv1a_value(backend_salt, i32{0});
+      backend_salt = fnv1a_value(backend_salt, i32{0});
       // A node cap counts the kd-tree's wide nodes, so the hits it keeps
       // depend on their fan-out: a checkpoint written when the cap counted
       // binary nodes must not resume.
       if (config_.budget.max_nodes != 0) {
-        backend_salt = detail::fnv1a_value(backend_salt, KdTree::kFanout);
+        backend_salt = fnv1a_value(backend_salt, KdTree::kFanout);
       }
     }
     report.job_fingerprint = job_fingerprint(

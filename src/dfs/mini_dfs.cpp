@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 
 #include "fault/injection.hpp"
 #include "util/counters.hpp"
+#include "util/fnv.hpp"
 #include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
 
@@ -15,15 +15,6 @@ namespace sdb::dfs {
 namespace fs = std::filesystem;
 
 namespace {
-
-u64 fnv1a(const char* data, size_t size) {
-  u64 h = 1469598103934665603ull;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 constexpr u64 kManifestMagic = 0x5344424d414e4946ull;  // "SDBMANIF"
 
@@ -286,12 +277,9 @@ void MiniDfs::save_manifest() {
 bool MiniDfs::load_manifest() {
   if (!fs::exists(manifest_path())) return false;
   const std::vector<char> buf = read_file(manifest_path());
-  if (buf.size() < 4 * sizeof(u64)) return false;
-  const size_t payload = buf.size() - sizeof(u64);
-  u64 trailer = 0;
-  std::memcpy(&trailer, buf.data() + payload, sizeof(u64));
-  if (trailer != fnv1a(buf.data(), payload)) return false;
-  BinaryReader r(buf.data(), payload);
+  const auto payload = unseal(buf);
+  if (!payload || payload->size() < 3 * sizeof(u64)) return false;
+  BinaryReader r(payload->data(), payload->size());
   if (r.read_u64() != kManifestMagic) return false;
   next_block_id_ = r.read_u64();
   next_replica_ = r.read_u32() % std::max<u32>(1, datanodes_);

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/fnv.hpp"
+
 namespace sdb::fault {
 
 namespace {
@@ -13,15 +15,6 @@ namespace {
 /// The process-wide active plan. Relaxed loads keep the dormant-hook fast
 /// path to a single uncontended atomic read.
 std::atomic<FaultPlan*> g_active{nullptr};
-
-u64 fnv1a_append(u64 h, const void* data, size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 [[noreturn]] void bad_spec(const std::string& spec, const std::string& why) {
   SDB_CHECK(false, "malformed FaultPlan spec '" + spec + "': " + why);
@@ -241,10 +234,10 @@ std::vector<FaultEvent> FaultPlan::log() const {
 
 u64 FaultPlan::log_digest() const {
   const std::scoped_lock lock(mu_);
-  u64 h = 1469598103934665603ull;
+  u64 h = kFnvSeed;
   for (const FaultEvent& e : log_) {
-    h = fnv1a_append(h, e.site.data(), e.site.size());
-    h = fnv1a_append(h, &e.hit, sizeof e.hit);
+    h = fnv1a(e.site.data(), e.site.size(), h);
+    h = fnv1a_value(h, e.hit);
   }
   return h;
 }

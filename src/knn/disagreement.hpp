@@ -1,11 +1,14 @@
 // Disagreement-bound harness: quantifies how far KNN-DBSCAN's graph
-// approximation lands from exact DBSCAN — the extension of the cross-index
-// parity sweep (tests/test_index_parity) to a backend that is allowed to
-// disagree, but only within an asserted bound.
+// approximation lands from exact DBSCAN — the exact path's parity checks
+// extended to a backend that is allowed to disagree, but only within an
+// asserted bound.
 //
-// Exact DBSCAN over the four spatial indexes must agree point-for-point;
-// KNN-DBSCAN's only approximation is the graph (missing rows hide in-eps
-// edges), so its clustering may differ. The harness measures that gap with:
+// Exact DBSCAN must agree point-for-point whatever the index or the
+// partitioning (the kd-tree and brute force return the same hits,
+// tests/test_index_properties; partitioned runs match sequential DBSCAN,
+// tests/test_equivalence_property). KNN-DBSCAN's only approximation is the
+// graph (missing rows hide in-eps edges), so its clustering may differ. The
+// harness measures that gap with:
 //   * the adjusted Rand index (chance-corrected; the plain Rand index
 //     saturates near 1 for many-cluster partitions and would hide real
 //     disagreement),

@@ -4,6 +4,7 @@
 #include <deque>
 
 #include "core/partition_bfs.hpp"
+#include "util/fnv.hpp"
 
 namespace sdb::knn {
 
@@ -89,21 +90,12 @@ u64 KnnEpsGraph::num_core() const {
 }
 
 u64 KnnEpsGraph::digest() const {
-  u64 h = 1469598103934665603ull;
-  auto fold = [&h](const void* data, size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (size_t b = 0; b < size; ++b) {
-      h ^= bytes[b];
-      h *= 1099511628211ull;
-    }
-  };
-  fold(&n_, sizeof(n_));
-  fold(&minpts_, sizeof(minpts_));
-  fold(offsets_.data(), offsets_.size() * sizeof(u64));
-  fold(targets_.data(), targets_.size() * sizeof(PointId));
-  fold(flags_.data(), flags_.size());
-  fold(core_.data(), core_.size());
-  return h;
+  u64 h = fnv1a_value(kFnvSeed, n_);
+  h = fnv1a_value(h, minpts_);
+  h = fnv1a(offsets_.data(), offsets_.size() * sizeof(u64), h);
+  h = fnv1a(targets_.data(), targets_.size() * sizeof(PointId), h);
+  h = fnv1a(flags_.data(), flags_.size(), h);
+  return fnv1a(core_.data(), core_.size(), h);
 }
 
 namespace {

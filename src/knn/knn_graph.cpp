@@ -10,6 +10,7 @@
 
 #include "fault/injection.hpp"
 #include "geom/distance.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
@@ -23,19 +24,10 @@ double KnnGraph::kth_distance2(PointId i) const {
 }
 
 u64 KnnGraph::digest() const {
-  u64 h = 1469598103934665603ull;
-  auto fold = [&h](const void* data, size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (size_t b = 0; b < size; ++b) {
-      h ^= bytes[b];
-      h *= 1099511628211ull;
-    }
-  };
-  fold(&n_, sizeof(n_));
-  fold(&k_, sizeof(k_));
-  fold(ids_.data(), ids_.size() * sizeof(PointId));
-  fold(d2_.data(), d2_.size() * sizeof(double));
-  return h;
+  u64 h = fnv1a_value(kFnvSeed, n_);
+  h = fnv1a_value(h, k_);
+  h = fnv1a(ids_.data(), ids_.size() * sizeof(PointId), h);
+  return fnv1a(d2_.data(), d2_.size() * sizeof(double), h);
 }
 
 namespace {

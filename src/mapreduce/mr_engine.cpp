@@ -5,6 +5,7 @@
 
 #include "fault/injection.hpp"
 #include "minispark/metrics.hpp"
+#include "util/fnv.hpp"
 #include "util/serialize.hpp"
 #include "util/stopwatch.hpp"
 
@@ -13,15 +14,6 @@ namespace sdb::mapreduce {
 namespace fs = std::filesystem;
 
 namespace {
-
-u64 key_hash(const std::string& key) {
-  u64 h = 1469598103934665603ull;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 void write_kv_run(const std::string& path, const std::vector<KV>& run) {
   BinaryWriter w;
@@ -88,7 +80,7 @@ std::vector<KV> MRJob::run(const std::vector<std::string>& input_splits) {
     if (SDB_INJECT("mr.map.fail")) throw fault::InjectedFault("mr.map.fail");
     std::vector<std::vector<KV>> buckets(reduce_tasks);
     const MRJob::Emit emit = [&](std::string key, std::string value) {
-      const u32 r = static_cast<u32>(key_hash(key) % reduce_tasks);
+      const u64 r = fnv1a(key.data(), key.size()) % reduce_tasks;
       buckets[r].push_back(KV{std::move(key), std::move(value)});
     };
     mapper_(m, input_splits[m], emit);

@@ -1,10 +1,9 @@
 #include "minispark/job_checkpoint.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 
 #include "fault/injection.hpp"
+#include "util/fnv.hpp"
 #include "util/serialize.hpp"
 
 namespace sdb::minispark {
@@ -14,15 +13,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr u64 kRecordMagic = 0x5344424a434b5054ull;  // "SDBJCKPT"
-
-u64 fnv1a(const char* data, size_t size) {
-  u64 h = 1469598103934665603ull;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// Record layout: magic, fingerprint, partition, blob (length-prefixed),
 /// FNV-1a trailer over everything before it.
@@ -41,20 +31,17 @@ std::vector<char> encode_record(u64 fingerprint, u32 partition,
 /// wrong magic, wrong fingerprint, truncation, checksum mismatch.
 bool decode_record(const std::vector<char>& buf, u64 fingerprint,
                    u32* partition, std::string* blob) {
-  // magic + fingerprint + partition + blob length + trailer
-  const size_t min_size = 3 * sizeof(u64) + sizeof(u32) + sizeof(u64);
-  if (buf.size() < min_size) return false;
-  const size_t payload = buf.size() - sizeof(u64);
-  u64 trailer = 0;
-  std::memcpy(&trailer, buf.data() + payload, sizeof(u64));
-  if (trailer != fnv1a(buf.data(), payload)) return false;
-  BinaryReader r(buf.data(), payload);
+  const auto payload = unseal(buf);
+  // magic + fingerprint + partition + blob length
+  const size_t min_size = 3 * sizeof(u64) + sizeof(u32);
+  if (!payload || payload->size() < min_size) return false;
+  BinaryReader r(payload->data(), payload->size());
   if (r.read_u64() != kRecordMagic) return false;
   if (r.read_u64() != fingerprint) return false;
   *partition = r.read_u32();
   const u64 len = r.read_u64();
   if (len != r.remaining()) return false;
-  blob->assign(buf.data() + r.position(), len);
+  blob->assign(payload->data() + r.position(), len);
   return true;
 }
 

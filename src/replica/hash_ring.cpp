@@ -2,11 +2,11 @@
 
 #include <algorithm>
 
+#include "util/fnv.hpp"
+
 namespace sdb::replica {
 
 namespace {
-constexpr u64 kFnvOffset = 1469598103934665603ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
 
 /// 64-bit avalanche finalizer (murmur3 fmix64). Raw FNV-1a mixes each input
 /// byte into the LOW bits well but leaves the high bits weak for short
@@ -24,13 +24,7 @@ constexpr u64 avalanche(u64 h) {
 }  // namespace
 
 u64 ConsistentHashRing::hash_bytes(const void* data, size_t size) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  u64 h = kFnvOffset;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return avalanche(h);
+  return avalanche(fnv1a(data, size));
 }
 
 u64 ConsistentHashRing::hash_string(const std::string& s) {

@@ -8,19 +8,6 @@
 
 namespace sdb::replica {
 
-namespace {
-
-u64 fnv1a(const char* data, size_t size) {
-  u64 h = 1469598103934665603ull;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
-
 std::vector<char> encode_batch(const WalBatch& batch) {
   BinaryWriter payload;
   payload.write_u64(batch.term);
@@ -34,25 +21,20 @@ std::vector<char> encode_batch(const WalBatch& batch) {
     payload.write_bytes(bytes.data(), bytes.size());
   }
   BinaryWriter frame;
-  frame.write_u32(static_cast<u32>(payload.size()));
-  frame.write_bytes(payload.buffer().data(), payload.size());
-  frame.write_u64(fnv1a(payload.buffer().data(), payload.size()));
+  put_frame(frame, payload.buffer());
   return frame.take();
 }
 
 bool decode_batch(const std::vector<char>& frame, WalBatch* batch) {
-  // Outer frame: u32 len | payload | u64 checksum. Validate the checksum
-  // BEFORE touching the payload — after it passes, the payload is byte-
-  // identical to what encode_batch produced, so the structured reads below
-  // cannot run off the end.
-  if (frame.size() < sizeof(u32) + sizeof(u64)) return false;
-  u32 len = 0;
-  std::memcpy(&len, frame.data(), sizeof(len));
-  if (frame.size() != sizeof(u32) + len + sizeof(u64)) return false;
-  const char* payload = frame.data() + sizeof(u32);
-  u64 sum = 0;
-  std::memcpy(&sum, payload + len, sizeof(sum));
-  if (sum != fnv1a(payload, len)) return false;
+  // One whole frame (util/serialize.hpp), nothing after it. A checksum
+  // detects damage, not a sender other than encode_batch, so the payload
+  // must still hold the header (four u64s and a u32 count) and each record.
+  size_t end = 0;
+  const auto frame_payload = next_frame(frame, end);
+  if (!frame_payload || end != frame.size()) return false;
+  const char* payload = frame_payload->data();
+  const size_t len = frame_payload->size();
+  if (len < 4 * sizeof(u64) + sizeof(u32)) return false;
 
   BinaryReader r(payload, len);
   batch->term = r.read_u64();

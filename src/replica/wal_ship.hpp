@@ -14,10 +14,11 @@
 //   committed_epoch — the primary's published epoch at ship time
 //                     (piggybacked watermark, observability only).
 //
-// Frame layout mirrors the on-disk WAL framing so one checksum discipline
-// covers disk and wire:  u32 len | payload | u64 fnv1a(payload)  where the
-// payload nests each record's own `encode_wal_payload` bytes. A frame that
-// fails its checksum is rejected whole — exactly like a torn disk record.
+// A batch travels as one frame, the util/serialize.hpp frame the on-disk
+// WAL writes per record, so one checksum routine covers disk and wire:
+// u32 len | payload | u64 fnv1a(payload), where the payload nests each
+// record's own `encode_wal_payload` bytes. A frame that fails its checksum
+// is rejected whole — exactly like a torn disk record.
 //
 // ShipTransport models the channel: an in-order queue of frames with four
 // injectable failure modes (fault/injection.hpp sites):

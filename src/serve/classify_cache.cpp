@@ -1,7 +1,8 @@
 #include "serve/classify_cache.hpp"
 
 #include <algorithm>
-#include <cstring>
+
+#include "util/fnv.hpp"
 
 namespace sdb::serve {
 
@@ -13,16 +14,7 @@ ClassifyCache::ClassifyCache(size_t shards, size_t entries_per_shard)
 }
 
 u64 ClassifyCache::hash_point(std::span<const double> point) {
-  u64 h = 1469598103934665603ull;
-  for (const double v : point) {
-    u64 bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
+  return fnv1a(point.data(), point.size_bytes());
 }
 
 bool ClassifyCache::lookup(u64 hash, std::span<const double> point, u64 epoch,

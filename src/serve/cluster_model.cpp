@@ -1,8 +1,7 @@
 #include "serve/cluster_model.hpp"
 
-#include <cstring>
-
 #include "geom/distance.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
 
@@ -14,15 +13,6 @@ constexpr u32 kMagic = 0x5342444d;  // "SDBM" little-endian-ish tag
 // v2 adds core_sample_fraction (degraded-snapshot marker) after minpts.
 constexpr u32 kVersion = 2;
 
-u64 fnv1a(const char* data, size_t size) {
-  u64 h = 1469598103934665603ull;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// Bounds-checked reads on top of BinaryReader: BinaryReader aborts the
 /// process on truncated input (right for trusted spill files, wrong for a
 /// serving snapshot loaded from disk), so every read is guarded by a
@@ -31,7 +21,8 @@ struct SafeReader {
   BinaryReader reader;
   bool ok = true;
 
-  explicit SafeReader(const std::vector<char>& buf) : reader(buf) {}
+  explicit SafeReader(std::span<const char> buf)
+      : reader(buf.data(), buf.size()) {}
 
   bool have(u64 n) {
     if (!ok || reader.remaining() < n) ok = false;
@@ -43,13 +34,11 @@ struct SafeReader {
   double read_f64() { return have(8) ? reader.read_f64() : 0.0; }
   std::vector<i64> read_i64_vec() {
     if (!have(8)) return {};
-    // Peek the length prefix without consuming so a corrupt huge length
-    // fails cleanly instead of allocating petabytes.
-    const size_t before = reader.position();
+    // Check the length prefix against the bytes left, so a corrupt huge
+    // length fails cleanly instead of allocating petabytes.
     const u64 n = reader.read_u64();
     if (reader.remaining() / sizeof(i64) < n) {
       ok = false;
-      (void)before;
       return {};
     }
     std::vector<i64> v(n);
@@ -257,14 +246,13 @@ std::shared_ptr<ClusterModel> ClusterModel::load(
   };
 
   // The checksum is the trailing u64 over everything before it.
-  if (buffer.size() < 8) return invalid("snapshot truncated");
-  u64 stored_checksum = 0;
-  std::memcpy(&stored_checksum, buffer.data() + buffer.size() - 8, 8);
-  if (fnv1a(buffer.data(), buffer.size() - 8) != stored_checksum) {
-    return invalid("snapshot checksum mismatch");
+  const auto payload = unseal(buffer);
+  if (!payload) {
+    return invalid(buffer.size() < sizeof(u64) ? "snapshot truncated"
+                                               : "snapshot checksum mismatch");
   }
 
-  SafeReader r(buffer);
+  SafeReader r(*payload);
   if (r.read_u32() != kMagic) return invalid("bad snapshot magic");
   if (r.read_u32() != kVersion) return invalid("unsupported snapshot version");
   const u32 dim = r.read_u32();
@@ -280,7 +268,7 @@ std::shared_ptr<ClusterModel> ClusterModel::load(
   std::vector<i64> cores = r.read_i64_vec();
   std::vector<double> centroids = r.read_f64_vec();
   if (!r.ok) return invalid("snapshot truncated");
-  if (r.reader.remaining() != 8) return invalid("snapshot has trailing bytes");
+  if (!r.reader.at_end()) return invalid("snapshot has trailing bytes");
 
   // Structural validation: every index the query path would ever touch.
   if (dim == 0) return invalid("snapshot dimension is zero");

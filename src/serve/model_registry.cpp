@@ -333,11 +333,6 @@ double ModelRegistry::core_sample_fraction() const {
   return config_.model_options.core_sample_fraction;
 }
 
-u64 ModelRegistry::unpublished_mutations() const {
-  const std::scoped_lock lock(writer_mu_);
-  return since_publish_;
-}
-
 u64 ModelRegistry::state_digest() const {
   const std::scoped_lock lock(writer_mu_);
   return incremental_.digest();

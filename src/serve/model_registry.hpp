@@ -140,9 +140,6 @@ class ModelRegistry {
   [[nodiscard]] u64 publishes() const;
   [[nodiscard]] u64 mutations() const;
   [[nodiscard]] size_t active_points() const;
-  /// Mutations applied since the last publish (the streaming ladder's
-  /// epoch-lag watermark input).
-  [[nodiscard]] u64 unpublished_mutations() const;
   /// Digest of the live data-plane state (IncrementalDbscan::digest under
   /// the writer lock) — equality against a control replay proves no
   /// acknowledged write was lost or reordered.

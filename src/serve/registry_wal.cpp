@@ -1,9 +1,11 @@
 #include "serve/registry_wal.hpp"
 
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 
 #include "fault/injection.hpp"
+#include "util/fnv.hpp"
 #include "util/serialize.hpp"
 
 namespace sdb::serve {
@@ -14,13 +16,21 @@ namespace {
 
 constexpr u64 kSnapshotMagic = 0x534442574c534e50ull;  // "SDBWLSNP"
 
-u64 fnv1a(const char* data, size_t size) {
-  u64 h = 1469598103934665603ull;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
+/// The generation in a file name `<prefix><digits><suffix>`, or nothing
+/// when the name has another shape or the part between is not all digits
+/// (a stray `snapshot_old` or `snapshot_2.bak` is not the WAL's).
+std::optional<u64> generation_of(std::string_view name, std::string_view prefix,
+                                 std::string_view suffix) {
+  if (name.size() < prefix.size() + suffix.size() ||
+      !name.starts_with(prefix) || !name.ends_with(suffix)) {
+    return std::nullopt;
   }
-  return h;
+  const char* first = name.data() + prefix.size();
+  const char* last = name.data() + name.size() - suffix.size();
+  u64 gen = 0;
+  const auto [end, ec] = std::from_chars(first, last, gen);
+  if (ec != std::errc() || end != last) return std::nullopt;
+  return gen;
 }
 
 }  // namespace
@@ -110,30 +120,24 @@ void RegistryWal::open_generation() {
       tmp_files.push_back(entry.path());
       continue;
     }
-    if (name.rfind("snapshot_", 0) == 0) {
-      snapshots.emplace_back(std::stoull(name.substr(9)), entry.path());
-    } else if (name.rfind("wal_", 0) == 0 && name.ends_with(".log")) {
-      const std::string digits = name.substr(4, name.size() - 8);
-      logs.emplace_back(std::stoull(digits), entry.path());
+    if (const auto gen = generation_of(name, "snapshot_", "")) {
+      snapshots.emplace_back(*gen, entry.path());
+    } else if (const auto log_gen = generation_of(name, "wal_", ".log")) {
+      logs.emplace_back(*log_gen, entry.path());
     }
   }
   for (const auto& [gen, path] : snapshots) {
     if (gen < best_gen && have_snapshot) continue;
     const std::vector<char> buf = read_file(path.string());
-    // snapshot file = magic + epoch + blob bytes + fnv trailer
-    if (buf.size() < 3 * sizeof(u64)) continue;
-    const size_t payload = buf.size() - sizeof(u64);
-    u64 trailer = 0;
-    std::memcpy(&trailer, buf.data() + payload, sizeof(u64));
-    if (trailer != fnv1a(buf.data(), payload)) continue;
-    u64 magic = 0;
-    std::memcpy(&magic, buf.data(), sizeof(u64));
-    if (magic != kSnapshotMagic) continue;
+    // snapshot file = sealed(magic + epoch + blob bytes)
+    const auto payload = unseal(buf);
+    if (!payload || payload->size() < 2 * sizeof(u64)) continue;
+    BinaryReader r(payload->data(), payload->size());
+    if (r.read_u64() != kSnapshotMagic) continue;
     if (!have_snapshot || gen > best_gen) {
       best_gen = gen;
-      std::memcpy(&best_epoch, buf.data() + sizeof(u64), sizeof(u64));
-      best_blob.assign(buf.data() + 2 * sizeof(u64),
-                       payload - 2 * sizeof(u64));
+      best_epoch = r.read_u64();
+      best_blob.assign(payload->data() + r.position(), r.remaining());
       have_snapshot = true;
     }
   }
@@ -165,19 +169,16 @@ void RegistryWal::scan_log() {
   const std::vector<char> buf = read_file(path);
   size_t off = 0;
   while (true) {
-    if (buf.size() - off < sizeof(u32)) break;
-    u32 len = 0;
-    std::memcpy(&len, buf.data() + off, sizeof(u32));
-    const size_t need = sizeof(u32) + static_cast<size_t>(len) + sizeof(u64);
-    if (buf.size() - off < need) break;  // torn tail: record ran past EOF
-    const char* payload = buf.data() + off + sizeof(u32);
-    u64 trailer = 0;
-    std::memcpy(&trailer, payload + len, sizeof(u64));
-    if (trailer != fnv1a(payload, len)) break;  // corrupt: stop here
+    // A torn tail (a frame past EOF) or a corrupt record stops the scan.
+    size_t next = off;
+    const auto payload = next_frame(buf, next);
     WalRecord rec;
-    if (!decode_wal_payload(payload, len, &rec)) break;
+    if (!payload ||
+        !decode_wal_payload(payload->data(), payload->size(), &rec)) {
+      break;
+    }
     records_.push_back(std::move(rec));
-    off += need;
+    off = next;
     ends_.push_back(off);
   }
   if (off < buf.size()) {
@@ -225,9 +226,7 @@ void RegistryWal::append_payload(const std::vector<char>& payload) {
     return;
   }
   BinaryWriter w;
-  w.write_u32(static_cast<u32>(payload.size()));
-  w.write_bytes(payload.data(), payload.size());
-  w.write_u64(fnv1a(payload.data(), payload.size()));
+  put_frame(w, payload);
   const std::vector<char>& frame = w.buffer();
   if (SDB_INJECT("wal.crash.mid_append")) {
     // Crash at byte k of the append: a torn prefix reaches disk, the

@@ -17,12 +17,13 @@
 //     never be read back as data (tests/test_registry_wal.cpp truncates at
 //     every byte offset of the final record to prove it).
 //
-// Record layout (framing handled entirely in this class):
+// Record layout, one util/serialize.hpp frame per record:
 //
 //   u32 len | payload (len bytes) | u64 fnv1a(payload)
 //
 // where payload = u32 type | body. Types: kInsert (body = u32 dim + dim
 // f64 coords), kRemove (body = i64 point id), kPublish (body = u64 epoch).
+// A snapshot file is a sealed buffer: magic | epoch | state | u64 fnv1a.
 //
 // Compaction is generation-based to dodge the classic snapshot/WAL
 // double-replay hazard: generation G consists of `snapshot_<G>` (full
@@ -83,8 +84,9 @@ class RegistryWal {
   /// Open `dir` (creating it if absent): locate the newest generation with
   /// a valid snapshot, garbage-collect stale generations and tmp files,
   /// and scan that generation's log — truncating the first torn record and
-  /// everything after it. An empty `dir` selects the in-memory mode (no
-  /// files touched, nothing survives the process; see file comment).
+  /// everything after it; names without an all-digit generation are
+  /// skipped. An empty `dir` selects the in-memory mode (no files touched,
+  /// nothing survives the process; see file comment).
   explicit RegistryWal(std::string dir);
 
   /// The records recovered from the current generation's log, in append

@@ -2,18 +2,10 @@
 
 #include <algorithm>
 
+#include "util/fnv.hpp"
+
 namespace sdb {
 namespace {
-
-// 64-bit FNV-1a over a byte view; good enough for stream-name mixing.
-u64 fnv1a(std::string_view s) {
-  u64 h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 // SplitMix64 finalizer: decorrelates derived seeds.
 u64 splitmix64(u64 x) {
@@ -26,7 +18,7 @@ u64 splitmix64(u64 x) {
 }  // namespace
 
 u64 derive_seed(u64 parent, std::string_view stream) {
-  return splitmix64(parent ^ splitmix64(fnv1a(stream)));
+  return splitmix64(parent ^ splitmix64(fnv1a(stream.data(), stream.size())));
 }
 
 Rng Rng::fork(std::string_view stream) const {

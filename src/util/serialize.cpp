@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "util/counters.hpp"
+#include "util/fnv.hpp"
 
 namespace sdb {
 
@@ -58,6 +59,35 @@ size_t read_file_into(const std::string& path, char* dst, size_t size) {
   }
   std::fclose(f);
   return static_cast<size_t>(actual);
+}
+
+std::optional<std::span<const char>> unseal(std::span<const char> bytes) {
+  if (bytes.size() < sizeof(u64)) return std::nullopt;
+  const std::span<const char> payload = bytes.first(bytes.size() - sizeof(u64));
+  u64 trailer = 0;
+  std::memcpy(&trailer, bytes.data() + payload.size(), sizeof(trailer));
+  if (trailer != fnv1a(payload.data(), payload.size())) return std::nullopt;
+  return payload;
+}
+
+void put_frame(BinaryWriter& w, std::span<const char> payload) {
+  w.write_u32(static_cast<u32>(payload.size()));
+  w.write_bytes(payload.data(), payload.size());
+  w.write_u64(fnv1a(payload.data(), payload.size()));
+}
+
+std::optional<std::span<const char>> next_frame(std::span<const char> bytes,
+                                                size_t& pos) {
+  // A frame is a u32 length followed by a sealed buffer of that payload.
+  const std::span<const char> rest = bytes.subspan(pos);
+  if (rest.size() < sizeof(u32)) return std::nullopt;
+  u32 len = 0;
+  std::memcpy(&len, rest.data(), sizeof(len));
+  const size_t sealed = static_cast<size_t>(len) + sizeof(u64);
+  if (rest.size() - sizeof(u32) < sealed) return std::nullopt;
+  const auto payload = unseal(rest.subspan(sizeof(u32), sealed));
+  if (payload) pos += sizeof(u32) + sealed;
+  return payload;
 }
 
 }  // namespace sdb

@@ -6,9 +6,19 @@
 // measurable byte volumes, not schema evolution. The reader checks every
 // length prefix against the bytes left before it allocates, so a corrupt or
 // hostile prefix aborts as truncated input instead of allocating.
+//
+// Checksummed records take one of two shapes over util/fnv.hpp's FNV-1a: a
+// sealed buffer, `payload | u64 fnv1a(payload)` (DFS manifest, job
+// checkpoint record, WAL snapshot, serving snapshot: writers end with
+// `w.write_u64(fnv1a(...))`, readers call unseal()), or a frame,
+// `u32 len | payload | u64 fnv1a(payload)` (registry WAL records and
+// replication batches: put_frame() and next_frame()). Each reader keeps
+// its own magic, version, size and structural checks on the payload.
 #pragma once
 
 #include <cstring>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -131,5 +141,18 @@ std::vector<char> read_file(const std::string& path);
 /// bytes, and return its size either way: a file of any other size reads
 /// nothing, so the caller sees the mismatch. Aborts on IO failure.
 size_t read_file_into(const std::string& path, char* dst, size_t size);
+
+/// The payload of a sealed buffer (`payload | u64 fnv1a(payload)`), or
+/// nothing when `bytes` is under 8 bytes or its trailer differs.
+std::optional<std::span<const char>> unseal(std::span<const char> bytes);
+
+/// Append one frame, `u32 len | payload | u64 fnv1a(payload)`.
+void put_frame(BinaryWriter& w, std::span<const char> payload);
+
+/// The payload of the frame at bytes[pos], advancing `pos` past the frame;
+/// nothing, with `pos` unchanged, when the frame runs past the end of
+/// `bytes` or fails its checksum. Requires pos <= bytes.size().
+std::optional<std::span<const char>> next_frame(std::span<const char> bytes,
+                                                size_t& pos);
 
 }  // namespace sdb

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "geom/aabb.hpp"
 #include "geom/distance.hpp"
 #include "geom/point_set.hpp"
 
@@ -51,37 +50,6 @@ TEST(Distance, CountsEvaluations) {
     within_eps(a, b, 2.0);
   }
   EXPECT_EQ(wc.distance_evals, 3u);
-}
-
-TEST(Aabb, ExtendAndContains) {
-  Aabb box(2);
-  EXPECT_TRUE(box.is_empty());
-  const double a[2] = {0, 0};
-  const double b[2] = {2, 3};
-  box.extend(a);
-  box.extend(b);
-  EXPECT_FALSE(box.is_empty());
-  const double inside[2] = {1, 1};
-  const double outside[2] = {3, 1};
-  EXPECT_TRUE(box.contains(inside));
-  EXPECT_FALSE(box.contains(outside));
-}
-
-TEST(Aabb, DistanceToPoint) {
-  Aabb box({0, 0}, {1, 1});
-  const double inside[2] = {0.5, 0.5};
-  EXPECT_DOUBLE_EQ(box.squared_distance_to(inside), 0.0);
-  const double right[2] = {3, 0.5};
-  EXPECT_DOUBLE_EQ(box.squared_distance_to(right), 4.0);
-  const double corner[2] = {2, 2};
-  EXPECT_DOUBLE_EQ(box.squared_distance_to(corner), 2.0);
-}
-
-TEST(Aabb, IntersectsBall) {
-  Aabb box({0, 0}, {1, 1});
-  const double p[2] = {2, 0.5};
-  EXPECT_TRUE(box.intersects_ball(p, 1.0));
-  EXPECT_FALSE(box.intersects_ball(p, 0.99));
 }
 
 }  // namespace

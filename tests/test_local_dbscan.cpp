@@ -6,11 +6,11 @@
 #include <string>
 
 #include "core/dbscan_seq.hpp"
-#include "core/job_identity.hpp"
 #include "knn/knn_backend.hpp"
 #include "spatial/kd_tree.hpp"
 #include "synth/generators.hpp"
 #include "util/counters.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace sdb::dbscan {
@@ -357,12 +357,12 @@ TEST(LocalDbscan, DeterministicAcrossRepeatedRuns) {
 // wire bytes, so a codec layout change cannot move it.
 u64 result_digest(u64 h, const LocalClusterResult& r) {
   auto fold_ids = [&h](const std::vector<PointId>& ids) {
-    h = detail::fnv1a_value(h, static_cast<u64>(ids.size()));
-    h = detail::fnv1a_append(h, ids.data(), ids.size() * sizeof(PointId));
+    h = fnv1a_value(h, static_cast<u64>(ids.size()));
+    h = fnv1a(ids.data(), ids.size() * sizeof(PointId), h);
   };
-  h = detail::fnv1a_value(h, r.partition);
+  h = fnv1a_value(h, r.partition);
   for (const PartialCluster& pc : r.clusters) {
-    h = detail::fnv1a_value(h, pc.uid);
+    h = fnv1a_value(h, pc.uid);
     fold_ids(pc.members);
     fold_ids(pc.seeds);
   }

@@ -333,6 +333,29 @@ TEST_F(RegistryWalTest, CorruptSnapshotFallsBackToPriorGeneration) {
   EXPECT_GT(reopened.collected_files(), 0u);  // the bad snapshot was GC'd
 }
 
+// A name is a generation only when its whole suffix is digits: stray files
+// beside a committed log (no suffix, a word, a numeric prefix) are not the
+// WAL's, so it opens, replays its own records and skips them.
+TEST_F(RegistryWalTest, ForeignFileNamesDoNotBlockRecovery) {
+  {
+    RegistryWal wal(dir_);
+    append_pattern(wal, 3);  // insert, remove, publish: committed
+  }
+  const char* const foreign[] = {"snapshot_old", "snapshot_", "wal_x.log",
+                                 "wal_.log", "snapshot_2.bak"};
+  for (const char* name : foreign) {
+    std::ofstream(fs::path(dir_) / name, std::ios::binary);
+  }
+  RegistryWal reopened(dir_);
+  EXPECT_EQ(reopened.generation(), 0u);
+  check_pattern(reopened.records(), 3);
+  EXPECT_FALSE(reopened.snapshot().has_value());
+  EXPECT_EQ(reopened.collected_files(), 0u);
+  for (const char* name : foreign) {
+    EXPECT_TRUE(fs::exists(fs::path(dir_) / name)) << name;
+  }
+}
+
 #ifdef SDB_FAULT_INJECTION
 
 /// In-process crash: throw instead of SIGKILL so one test can crash a

@@ -112,6 +112,21 @@ TEST(WalShip, EveryFlippedByteIsRejected) {
   EXPECT_FALSE(decode_batch(truncated, &decoded));
 }
 
+/// `payload` in a frame with a valid checksum, so that a malformed payload
+/// reaches decode_batch's structured reads.
+std::vector<char> frame_around(const std::vector<char>& payload) {
+  u64 sum = 1469598103934665603ull;  // FNV-1a, the frame checksum
+  for (const char c : payload) {
+    sum ^= static_cast<unsigned char>(c);
+    sum *= 1099511628211ull;
+  }
+  BinaryWriter frame;
+  frame.write_u32(static_cast<u32>(payload.size()));
+  frame.write_bytes(payload.data(), payload.size());
+  frame.write_u64(sum);
+  return frame.take();
+}
+
 TEST(WalShip, RecordCountBeyondTheFrameIsRejected) {
   // A frame whose checksum is valid but whose record count exceeds what
   // its bytes could hold, at 4 bytes of length prefix per record: decode
@@ -120,17 +135,20 @@ TEST(WalShip, RecordCountBeyondTheFrameIsRejected) {
   for (int field = 0; field < 4; ++field) payload.write_u64(1);  // header
   payload.write_u32(0xffffffffu);
   payload.write_u32(0);
-  u64 sum = 1469598103934665603ull;  // FNV-1a, the frame checksum
-  for (const char c : payload.buffer()) {
-    sum ^= static_cast<unsigned char>(c);
-    sum *= 1099511628211ull;
-  }
-  BinaryWriter frame;
-  frame.write_u32(static_cast<u32>(payload.size()));
-  frame.write_bytes(payload.buffer().data(), payload.size());
-  frame.write_u64(sum);
   WalBatch decoded;
-  EXPECT_FALSE(decode_batch(frame.buffer(), &decoded));
+  EXPECT_FALSE(decode_batch(frame_around(payload.buffer()), &decoded));
+}
+
+TEST(WalShip, PayloadShorterThanTheHeaderIsRejected) {
+  // A checksum is no proof that the sender was encode_batch: a valid frame
+  // around fewer bytes than the 36-byte batch header is rejected, not read
+  // past its end.
+  for (size_t len = 0; len < 4 * sizeof(u64) + sizeof(u32); ++len) {
+    WalBatch decoded;
+    EXPECT_FALSE(decode_batch(frame_around(std::vector<char>(len, 0)),
+                              &decoded))
+        << len << "-byte payload";
+  }
 }
 
 TEST(Replication, FollowersConvergeToPrimaryContent) {

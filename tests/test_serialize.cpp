@@ -4,9 +4,12 @@
 
 #include "core/partial_cluster.hpp"
 #include "util/counters.hpp"
+#include "util/fnv.hpp"
 
 #include <cstdio>
 #include <filesystem>
+#include <span>
+#include <string_view>
 
 namespace sdb {
 namespace {
@@ -114,6 +117,110 @@ TEST(Serialize, EmptyFile) {
   write_file(path, {});
   EXPECT_TRUE(read_file(path).empty());
   std::filesystem::remove(path);
+}
+
+// --- checksummed records: sealed buffers and frames -------------------------
+// FNV-1a turns any change to one byte of the payload into a different
+// checksum, so every single-byte flip must be rejected, not just most.
+
+std::vector<char> bytes_of(std::string_view s) { return {s.begin(), s.end()}; }
+
+std::string text_of(std::span<const char> s) { return {s.begin(), s.end()}; }
+
+/// `payload | u64 fnv1a(payload)`, sealed the way every writer seals it.
+std::vector<char> sealed(std::string_view payload) {
+  BinaryWriter w;
+  w.write_bytes(payload.data(), payload.size());
+  w.write_u64(fnv1a(payload.data(), payload.size()));
+  return w.take();
+}
+
+TEST(SealedBuffer, UnsealReturnsThePayloadInPlace) {
+  const std::vector<char> buf = sealed("sealed payload");
+  const auto payload = unseal(buf);
+  ASSERT_TRUE(payload.has_value());
+  EXPECT_EQ(text_of(*payload), "sealed payload");
+  EXPECT_EQ(payload->data(), buf.data());
+  const std::vector<char> empty = sealed("");
+  ASSERT_EQ(empty.size(), sizeof(u64));
+  const auto none = unseal(empty);
+  ASSERT_TRUE(none.has_value());
+  EXPECT_TRUE(none->empty());
+}
+
+TEST(SealedBuffer, EveryTruncationAndByteFlipIsRejected) {
+  const std::vector<char> buf = sealed("sealed payload");
+  for (size_t n = 0; n < buf.size(); ++n) {
+    EXPECT_FALSE(unseal(std::span<const char>(buf.data(), n)).has_value())
+        << "truncated to " << n << " bytes";
+  }
+  for (size_t i = 0; i < buf.size(); ++i) {
+    for (int mask = 1; mask < 256; ++mask) {
+      std::vector<char> bad = buf;
+      bad[i] = static_cast<char>(bad[i] ^ mask);
+      EXPECT_FALSE(unseal(bad).has_value())
+          << "byte " << i << " xor " << mask;
+    }
+  }
+}
+
+TEST(Frame, LayoutIsLengthPayloadChecksum) {
+  BinaryWriter w;
+  put_frame(w, bytes_of("framed"));
+  BinaryReader r(w.buffer());
+  EXPECT_EQ(r.read_u32(), 6u);
+  EXPECT_EQ(std::string(w.buffer().data() + r.position(), 6), "framed");
+  BinaryReader trailer(w.buffer().data() + 4 + 6, sizeof(u64));
+  EXPECT_EQ(trailer.read_u64(), fnv1a("framed", 6));
+  EXPECT_EQ(w.size(), 4u + 6u + 8u);
+}
+
+TEST(Frame, BackToBackFramesReadInOrder) {
+  BinaryWriter w;
+  put_frame(w, bytes_of("first"));
+  put_frame(w, bytes_of(""));
+  put_frame(w, bytes_of("the third frame"));
+  const std::vector<char>& buf = w.buffer();
+  size_t pos = 0;
+  std::vector<std::string> read;
+  while (const auto payload = next_frame(buf, pos)) {
+    read.push_back(text_of(*payload));
+  }
+  EXPECT_EQ(read, (std::vector<std::string>{"first", "", "the third frame"}));
+  EXPECT_EQ(pos, buf.size());
+
+  // A corrupt second frame stops the reader at the end of the first.
+  std::vector<char> bad = buf;
+  const size_t first_end = 4 + 5 + 8;
+  bad[first_end + 4] = static_cast<char>(bad[first_end + 4] ^ 0x40);
+  pos = 0;
+  ASSERT_TRUE(next_frame(bad, pos).has_value());
+  EXPECT_EQ(pos, first_end);
+  EXPECT_FALSE(next_frame(bad, pos).has_value());
+  EXPECT_EQ(pos, first_end);
+}
+
+TEST(Frame, EveryTruncationAndByteFlipIsRejectedInPlace) {
+  BinaryWriter w;
+  put_frame(w, bytes_of("framed payload"));
+  const std::vector<char> frame = w.take();
+  for (size_t n = 0; n < frame.size(); ++n) {
+    size_t pos = 0;
+    EXPECT_FALSE(
+        next_frame(std::span<const char>(frame.data(), n), pos).has_value())
+        << "truncated to " << n << " bytes";
+    EXPECT_EQ(pos, 0u);
+  }
+  for (size_t i = 0; i < frame.size(); ++i) {
+    for (int mask = 1; mask < 256; ++mask) {
+      std::vector<char> bad = frame;
+      bad[i] = static_cast<char>(bad[i] ^ mask);
+      size_t pos = 0;
+      EXPECT_FALSE(next_frame(bad, pos).has_value())
+          << "byte " << i << " xor " << mask;
+      EXPECT_EQ(pos, 0u);
+    }
+  }
 }
 
 // --- partial-cluster wire format (what the job checkpoint persists) --------
