@@ -160,10 +160,6 @@ WorkloadReport run_workload(const std::string& name, i64 n, int dim,
   // --- KNN backend: NN-descent graph -> eps-graph -> BFS sweep ---
   knn::KnnGraphConfig knn_cfg;
   knn_cfg.k = k;
-  // rho = 0.5 (Dong et al.'s default): join costs scale with sample^2, and
-  // half-rate sampling keeps recall within a point of full-rate on these
-  // workloads (the run's own recall column + disagreement SDB_CHECK pin it).
-  knn_cfg.sample = k / 2;
   knn::KnnGraph graph;
   {
     Stopwatch sw;

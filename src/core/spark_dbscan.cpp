@@ -10,6 +10,8 @@
 
 namespace sdb::dbscan {
 
+using minispark::CostModel;
+
 const char* backend_name(DbscanBackend backend) {
   switch (backend) {
     case DbscanBackend::kExact: return "exact";
@@ -40,7 +42,7 @@ SparkDbscanReport SparkDbscan::run(const PointSet& points) {
   WorkCounters read_wc;
   read_wc.bytes_read = points.byte_size();
   read_wc.points_processed = points.size();
-  return run_impl(points, ctx_.config().cost.compute_seconds(read_wc), 0.0);
+  return run_impl(points, CostModel::compute_seconds(read_wc), 0.0);
 }
 
 SparkDbscanReport SparkDbscan::run_from_dfs(const dfs::MiniDfs& dfs,
@@ -59,7 +61,7 @@ SparkDbscanReport SparkDbscan::run_from_dfs(const dfs::MiniDfs& dfs,
     points = synth::from_text(text, ctx_.host_threads());
     counters::points_processed(points.size());
   }
-  return run_impl(points, ctx_.config().cost.compute_seconds(read_wc),
+  return run_impl(points, CostModel::compute_seconds(read_wc),
                   read_wall.seconds());
 }
 
@@ -88,8 +90,8 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
       backend_salt = fnv1a_value(backend_salt, config_.knn.k);
       backend_salt = fnv1a_value(backend_salt, config_.knn.build);
       backend_salt = fnv1a_value(backend_salt, config_.knn.max_rounds);
-      backend_salt = fnv1a_value(backend_salt, config_.knn.sample);
-      backend_salt = fnv1a_value(backend_salt, config_.knn.termination_frac);
+      backend_salt = fnv1a_value(backend_salt, knn::kDescentSample);
+      backend_salt = fnv1a_value(backend_salt, knn::kDescentTerminationFrac);
       backend_salt = fnv1a_value(backend_salt, config_.knn.seed);
       // The rows a descent starts from shape the graph it converges to: a
       // checkpoint written on one start's graph must not resume.
@@ -148,7 +150,7 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
     report.knn_graph_evals = graph_stats.distance_evals;
     report.knn_eps_edges = state->eps_graph->num_edges();
     report.knn_core_points = state->eps_graph->num_core();
-    report.sim_tree_s = ctx_.config().cost.compute_seconds(graph_wc);
+    report.sim_tree_s = CostModel::compute_seconds(graph_wc);
   } else {
     WorkCounters tree_wc;
     ScopedCounters scope(&tree_wc);
@@ -161,7 +163,7 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
     double log2n = 1.0;
     for (size_t x = points.size(); x > 1; x >>= 1) log2n += 1.0;
     tree_wc.distance_evals += static_cast<u64>(nlogn * log2n);
-    report.sim_tree_s = ctx_.config().cost.compute_seconds(tree_wc);
+    report.sim_tree_s = CostModel::compute_seconds(tree_wc);
   }
   report.wall_index_s = index_wall.seconds();
   state->partitioning = make_partitioning(config_.partitioner, points,
@@ -246,9 +248,9 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
     }
   }
   report.sim_broadcast_s =
-      ctx_.config().cost.broadcast_seconds(broadcast_bytes, ctx_.config().executors);
+      CostModel::broadcast_seconds(broadcast_bytes, ctx_.config().executors);
   report.accumulator_bytes = acc->total_bytes();
-  report.sim_collect_s = ctx_.config().cost.transfer_seconds(acc->total_bytes());
+  report.sim_collect_s = CostModel::transfer_seconds(acc->total_bytes());
   if (ckpt != nullptr) report.checkpoint_saves = ckpt->saves();
 
   // --- Driver: decode the wire blobs, then merge (lines 30-31). ---
@@ -267,7 +269,7 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
     for (const std::string& blob : acc->value()) {
       locals.push_back(decode(blob, codec));
     }
-    report.sim_collect_s += ctx_.config().cost.compute_seconds(decode_wc);
+    report.sim_collect_s += CostModel::compute_seconds(decode_wc);
   }
   for (const auto& local : locals) {
     report.partial_clusters += local.clusters.size();
@@ -277,7 +279,7 @@ SparkDbscanReport SparkDbscan::run_impl(const PointSet& points,
   merge_options.min_partial_cluster_size = config_.min_partial_cluster_size;
   MergeResult merged =
       merge_partial_clusters(locals, points.size(), merge_options);
-  report.sim_merge_s = ctx_.config().cost.compute_seconds(merged.counters);
+  report.sim_merge_s = CostModel::compute_seconds(merged.counters);
   report.merge_stats = merged.stats;
   report.clustering = std::move(merged.clustering);
   report.wall_merge_s = merge_wall.seconds();

@@ -1,7 +1,6 @@
 #include "dfs/mini_dfs.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 
 #include "fault/injection.hpp"
@@ -335,16 +334,15 @@ void MiniDfs::gc_orphans() {
   const fs::path blocks_dir = fs::path(root_) / "blocks";
   std::vector<fs::path> doomed;
   for (const auto& entry : fs::directory_iterator(blocks_dir)) {
+    // Staged and unreferenced blocks go; names the DFS does not write stay.
     const std::string name = entry.path().filename().string();
-    if (name.size() > 4 && name.ends_with(".tmp")) {
+    if (file_number(name, "blk_", ".tmp")) {
       doomed.push_back(entry.path());
-      continue;
+    } else if (const auto id = file_number(name, "blk_", "")) {
+      if (*id >= referenced.size() || !referenced[*id]) {
+        doomed.push_back(entry.path());
+      }
     }
-    if (name.rfind("blk_", 0) != 0) continue;
-    char* end = nullptr;
-    const u64 id = std::strtoull(name.c_str() + 4, &end, 10);
-    if (end == nullptr || *end != '\0') continue;
-    if (id >= referenced.size() || !referenced[id]) doomed.push_back(entry.path());
   }
   for (const fs::path& p : doomed) {
     fs::remove(p);

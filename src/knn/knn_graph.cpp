@@ -498,7 +498,7 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
   std::vector<unsigned char> rev_new;
   std::vector<JoinScratch> scratch(threads);
   const u64 target_slots = static_cast<u64>(n) * k;
-  const u32 fwd_sample = std::min(k, cfg.sample);
+  const u32 fwd_sample = std::min(k, kDescentSample);
   const auto radix_passes =
       static_cast<unsigned>((std::bit_width(n - 1) + 7) / 8);
   std::vector<u64> worker_evals(threads);
@@ -516,7 +516,7 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
       std::copy(row.begin(), row.end(), prev_ids.begin() + p * k);
     }
     prev_flag = new_flag;
-    // Reverse adjacency from the snapshot, capped at `sample` per point
+    // Reverse adjacency from the snapshot, capped at kDescentSample per point
     // (sources arrive in ascending id order — deterministic cap). Each rev
     // entry carries its edge's new bit. Slots that participate in this
     // round's join — the sampled forward prefix of every row plus every
@@ -529,7 +529,7 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
       const PointId j = prev_ids[e];
       if (j == kNoNeighbor) continue;
       size_t& count = rev_off[static_cast<size_t>(j) + 1];
-      if (count < cfg.sample) ++count;
+      if (count < kDescentSample) ++count;
     }
     for (size_t j = 0; j < n; ++j) rev_off[j + 1] += rev_off[j];
     rev_ids.resize(rev_off[n]);
@@ -626,7 +626,7 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
     stats.updates += rs.updates;
     stats.distance_evals += rs.distance_evals;
     if (static_cast<double>(rs.updates) <
-        cfg.termination_frac * static_cast<double>(target_slots)) {
+        kDescentTerminationFrac * static_cast<double>(target_slots)) {
       break;
     }
   }

@@ -44,6 +44,16 @@ namespace sdb::knn {
 /// Row padding for points with fewer than k possible neighbors (n-1 < k).
 inline constexpr PointId kNoNeighbor = -1;
 
+/// Descent: per-point cap on the neighbors (forward and reverse) that
+/// participate in a round's local join — NN-descent's sample rate rho*k:
+/// every neighbor at k <= 16, and Dong et al.'s default rho = 0.5 at
+/// bench_knn's k = 32. Join costs scale with sample^2, and half-rate
+/// sampling keeps recall within a point of full rate on those workloads.
+inline constexpr u32 kDescentSample = 16;
+/// Descent: stop when a round improves fewer than this fraction of the n*k
+/// row slots.
+inline constexpr double kDescentTerminationFrac = 0.002;
+
 struct KnnGraphConfig {
   /// Neighbors per point. KNN-DBSCAN needs k >= minpts - 1 to be able to
   /// see any core point (the row plus the point itself is the largest
@@ -57,7 +67,7 @@ struct KnnGraphConfig {
     /// NN-descent neighbor refinement: rows start as the nearest leaf-mates
     /// in a random-projection forest, then rounds of "compare me against my
     /// neighbors' neighbors" local joins run until the update rate falls
-    /// below termination_frac (or max_rounds). O(n * k^2) per round,
+    /// below kDescentTerminationFrac (or max_rounds). O(n * k^2) per round,
     /// dimension-independent traversal.
     kDescent,
   };
@@ -65,12 +75,6 @@ struct KnnGraphConfig {
 
   /// Descent: maximum refinement rounds.
   u32 max_rounds = 12;
-  /// Descent: per-point cap on the neighbors (forward and reverse) that
-  /// participate in a round's local join — NN-descent's sample rate rho*k.
-  u32 sample = 16;
-  /// Descent: stop when a round improves fewer than this fraction of the
-  /// n*k row slots.
-  double termination_frac = 0.002;
   /// Seed for the random-projection forest that starts the descent: every
   /// split direction is drawn from it. The rounds draw nothing.
   u64 seed = 42;

@@ -125,7 +125,7 @@ std::vector<KV> MRJob::run(const std::vector<std::string>& input_splits) {
     metrics_.spill_bytes += wc.bytes_written;
     map_durations.push_back(config_.task_overhead_s * stats.attempts +
                             stats.backoff_s +
-                            config_.cost.compute_seconds(wc));
+                            minispark::CostModel::compute_seconds(wc));
   }
   metrics_.map.tasks = map_tasks;
   for (const double d : map_durations) metrics_.map.sim_total_s += d;
@@ -178,7 +178,7 @@ std::vector<KV> MRJob::run(const std::vector<std::string>& input_splits) {
       std::stable_sort(records.begin(), records.end(),
                        [](const KV& a, const KV& b) { return a.key < b.key; });
     }
-    shuffle_s += config_.cost.compute_seconds(wc) + shuffle_backoff_s;
+    shuffle_s += minispark::CostModel::compute_seconds(wc) + shuffle_backoff_s;
 
     WorkCounters rc;
     RetryStats stats;
@@ -218,7 +218,7 @@ std::vector<KV> MRJob::run(const std::vector<std::string>& input_splits) {
     for (auto& kv : task_output) output.push_back(std::move(kv));
     reduce_durations.push_back(config_.task_overhead_s * stats.attempts +
                                stats.backoff_s +
-                               config_.cost.compute_seconds(rc));
+                               minispark::CostModel::compute_seconds(rc));
   }
   // Job commit: map outputs are no longer needed.
   for (const std::string& path : spent_spills) fs::remove(path);

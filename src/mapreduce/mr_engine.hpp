@@ -50,8 +50,6 @@ struct MRConfig {
   /// reads; retries re-pay the task overhead and their backoff is charged
   /// to the task's simulated duration.
   RetryPolicy task_retry;
-
-  minispark::CostModel cost;  ///< shared op/disk/network pricing
 };
 
 struct PhaseMetrics {

@@ -18,7 +18,6 @@ struct ClusterConfig {
   /// any value. Chaos tests pin 1 so the fault log is totally ordered.
   u32 host_threads = 0;
 
-  CostModel cost;
   StragglerModel straggler;
 
   /// Fraction of task *attempts* that are injected to fail (fault-tolerance
@@ -28,14 +27,6 @@ struct ClusterConfig {
   /// `spark.task.duplicate` (fault/fault_plan.hpp) feed the same retry loop.
   double fault_injection_rate = 0.0;
   u32 max_task_attempts = 4;
-
-  /// Simulated duration of a task stalled by the `spark.task.hang` site.
-  double task_hang_s = 30.0;
-  /// Per-task timeout on the simulated clock: a hung task whose stall
-  /// reaches the timeout is declared dead by the driver and re-executed
-  /// (speculative-execution semantics). 0 = no timeout — a hang just makes
-  /// the task slow (a straggler).
-  double task_timeout_s = 10.0;
 
   /// Seed for straggler sampling and fault injection.
   u64 seed = 42;

@@ -12,7 +12,8 @@
 // The per-op constants below were calibrated once against wall-clock
 // microbenchmarks of the respective hot loops on a 2.4 GHz x86 core (the
 // paper's Ivy Bridge clock) and are deliberately kept fixed so results are
-// machine-independent. calibrate() can re-derive them on the current host.
+// machine-independent: they are compile-time constants, and every caller
+// prices through CostModel::.
 #pragma once
 
 #include "util/common.hpp"
@@ -22,32 +23,34 @@ namespace sdb::minispark {
 
 struct CostModel {
   // --- compute (nanoseconds per counted unit operation) ---
-  double ns_distance_eval = 14.0;   ///< one 10-d squared distance
+  /// One 10-d squared distance.
+  static constexpr double ns_distance_eval = 14.0;
   /// One tree node visit. The kd-tree charges one per wide node (one
   /// 8-box kernel call), not per binary box test, so its tree_nodes fell
   /// ~9x with that layout (c100k 6.49M -> 0.73M) while the price stayed:
   /// at 9 ns the binary visits were ~2% of c100k's simulated task compute.
-  double ns_tree_node = 9.0;
-  double ns_hash_op = 22.0;         ///< Hashtable put/containsKey (paper IIIB)
-  double ns_queue_op = 7.0;         ///< LinkedList add/remove (paper IIIB)
-  double ns_point_processed = 30.0; ///< per-point bookkeeping in the scan
-  double ns_seed_op = 12.0;         ///< SEED placement step (Algorithm 3)
-  double ns_merge_op = 18.0;        ///< driver merge step (Algorithm 4)
-  double ns_codec_byte = 1.0;       ///< (de)serialization CPU per byte
+  static constexpr double ns_tree_node = 9.0;
+  static constexpr double ns_hash_op = 22.0;  ///< Hashtable put/get (IIIB)
+  static constexpr double ns_queue_op = 7.0;  ///< LinkedList add/remove (IIIB)
+  /// Per-point bookkeeping in the scan.
+  static constexpr double ns_point_processed = 30.0;
+  static constexpr double ns_seed_op = 12.0;  ///< SEED placement (Algorithm 3)
+  static constexpr double ns_merge_op = 18.0;  ///< driver merge (Algorithm 4)
+  static constexpr double ns_codec_byte = 1.0;  ///< (de)serialization per byte
 
   // --- storage / network ---
-  double disk_read_bps = 400e6;     ///< local disk / DFS read bandwidth
-  double disk_write_bps = 250e6;    ///< local disk / DFS write bandwidth
-  double net_bps = 1.0e9;           ///< executor<->driver bandwidth (bytes/s)
-  double net_latency_s = 0.5e-3;    ///< per-message latency
+  static constexpr double disk_read_bps = 400e6;   ///< local disk / DFS read
+  static constexpr double disk_write_bps = 250e6;  ///< local disk / DFS write
+  static constexpr double net_bps = 1.0e9;  ///< executor<->driver bytes/s
+  static constexpr double net_latency_s = 0.5e-3;  ///< per-message latency
 
   // --- framework overheads ---
-  double task_launch_s = 5e-3;      ///< Spark task dispatch cost (~5 ms)
-  double job_setup_s = 80e-3;       ///< per-job driver scheduling cost
+  static constexpr double task_launch_s = 5e-3;  ///< Spark task dispatch
+  static constexpr double job_setup_s = 80e-3;   ///< per-job driver scheduling
 
   /// Simulated compute seconds for a set of counted operations (bytes are
   /// charged at disk bandwidth; they come from DFS/spill IO).
-  [[nodiscard]] double compute_seconds(const WorkCounters& c) const {
+  [[nodiscard]] static double compute_seconds(const WorkCounters& c) {
     const double ns = static_cast<double>(c.distance_evals) * ns_distance_eval +
                       static_cast<double>(c.tree_nodes) * ns_tree_node +
                       static_cast<double>(c.hash_ops) * ns_hash_op +
@@ -65,7 +68,7 @@ struct CostModel {
   /// Seconds to broadcast `bytes` to `executors` executors. Spark uses a
   /// torrent-style broadcast whose cost grows logarithmically with the
   /// executor count rather than linearly.
-  [[nodiscard]] double broadcast_seconds(u64 bytes, u32 executors) const {
+  [[nodiscard]] static double broadcast_seconds(u64 bytes, u32 executors) {
     if (executors == 0) return 0.0;
     double log2e = 1.0;
     for (u32 e = executors; e > 1; e >>= 1) log2e += 1.0;
@@ -76,7 +79,7 @@ struct CostModel {
 
   /// Seconds for one executor->driver transfer of `bytes` (accumulator
   /// results, collected partitions).
-  [[nodiscard]] double transfer_seconds(u64 bytes) const {
+  [[nodiscard]] static double transfer_seconds(u64 bytes) {
     return net_latency_s + static_cast<double>(bytes) / net_bps;
   }
 };

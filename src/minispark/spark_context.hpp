@@ -25,12 +25,20 @@
 #include "minispark/metrics.hpp"
 #include "minispark/rdd.hpp"
 #include "minispark/shared_vars.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sdb::minispark {
+
+/// Simulated stall of a task hit by the `spark.task.hang` site.
+inline constexpr double kTaskHangS = 30.0;
+/// Per-task timeout on the simulated clock: the driver declares a hung
+/// attempt dead once its stall reaches the timeout and re-executes it
+/// (speculative-execution semantics), so a hang on an attempt that may
+/// still retry costs the timeout, and one on the last attempt its stall.
+inline constexpr double kTaskTimeoutS = 10.0;
+static_assert(kTaskHangS >= kTaskTimeoutS, "a hang must reach the timeout");
 
 class SparkContext {
  public:
@@ -110,18 +118,16 @@ class SparkContext {
             continue;
           }
           if (SDB_INJECT("spark.task.hang")) {
-            // The task stalls on the simulated clock. With a timeout
-            // configured, the driver declares the attempt dead once the
-            // stall reaches it and re-executes it; otherwise the task is
-            // merely a straggler.
-            if (can_retry && cfg_.task_timeout_s > 0.0 &&
-                cfg_.task_hang_s >= cfg_.task_timeout_s) {
-              stall_sim_s += cfg_.task_timeout_s;  // time burned waiting
+            // The task stalls on the simulated clock. The driver declares
+            // an attempt that may still retry dead at the timeout and
+            // re-executes it; the last attempt runs its stall out.
+            if (can_retry) {
+              stall_sim_s += kTaskTimeoutS;  // time burned waiting
               const std::scoped_lock lock(metrics_mutex);
               ++job.timeouts;
               continue;
             }
-            stall_sim_s += cfg_.task_hang_s;
+            stall_sim_s += kTaskHangS;
           }
           WorkCounters wc;
           bool attempt_ok = true;
@@ -154,9 +160,9 @@ class SparkContext {
         // The completion message carries no result (a foreach returns
         // nothing; accumulator updates charge their own bytes), so it costs
         // one message latency: a zero-byte transfer.
-        double sim = cfg_.cost.task_launch_s * tm.attempts +
-                     cfg_.cost.compute_seconds(tm.counters) +
-                     cfg_.cost.transfer_seconds(0);
+        double sim = CostModel::task_launch_s * tm.attempts +
+                     CostModel::compute_seconds(tm.counters) +
+                     CostModel::transfer_seconds(0);
         const double factor = straggle_factor(job.job_id, p);
         tm.straggled = factor > 1.0 || stall_sim_s > 0.0;
         sim = sim * factor + stall_sim_s;
@@ -186,15 +192,10 @@ class SparkContext {
     // The tasks return no results to collect, so the driver's share of the
     // result traffic is one zero-byte message.
     job.sim_driver_s =
-        cfg_.cost.job_setup_s +
-        cfg_.cost.broadcast_seconds(pending_broadcast_bytes_, cfg_.executors) +
-        cfg_.cost.transfer_seconds(0);
+        CostModel::job_setup_s +
+        CostModel::broadcast_seconds(pending_broadcast_bytes_, cfg_.executors) +
+        CostModel::transfer_seconds(0);
     pending_broadcast_bytes_ = 0;
-
-    SDB_LOG_DEBUG("minispark",
-                  "job %llu '%s': %u tasks, sim exec %.3fs, sim driver %.3fs",
-                  static_cast<unsigned long long>(job.job_id), job.name.c_str(),
-                  num_tasks, job.sim_executor_makespan_s, job.sim_driver_s);
     jobs_.push_back(std::move(job));
   }
 

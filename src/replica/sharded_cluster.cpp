@@ -5,7 +5,7 @@
 namespace sdb::replica {
 
 ShardedCluster::ShardedCluster(Options options, int dim)
-    : options_(std::move(options)), ring_(options_.ring_vnodes) {
+    : options_(std::move(options)) {
   SDB_CHECK(options_.shards >= 1, "a sharded cluster needs at least one shard");
   shard_ids_.reserve(options_.shards);
   shards_.reserve(options_.shards);

@@ -33,7 +33,6 @@ class ShardedCluster {
  public:
   struct Options {
     size_t shards = 2;
-    u32 ring_vnodes = 64;
     ReplicaSet::Options replica;  ///< per-shard replication options
   };
 

@@ -6,20 +6,12 @@
 
 namespace sdb::serve {
 
-ClassifyCache::ClassifyCache(size_t shards, size_t entries_per_shard)
-    : entries_per_shard_(entries_per_shard) {
-  if (shards > 0 && entries_per_shard > 0) {
-    shards_ = std::vector<Shard>(shards);
-  }
-}
-
 u64 ClassifyCache::hash_point(std::span<const double> point) {
   return fnv1a(point.data(), point.size_bytes());
 }
 
 bool ClassifyCache::lookup(u64 hash, std::span<const double> point, u64 epoch,
                            ClusterId* label) {
-  if (!enabled()) return false;
   Shard& shard = shard_of(hash);
   const std::scoped_lock lock(shard.mu);
   if (shard.epoch != epoch) return false;
@@ -37,7 +29,6 @@ bool ClassifyCache::lookup(u64 hash, std::span<const double> point, u64 epoch,
 
 void ClassifyCache::insert(u64 hash, std::span<const double> point, u64 epoch,
                            ClusterId label) {
-  if (!enabled()) return;
   Shard& shard = shard_of(hash);
   const std::scoped_lock lock(shard.mu);
   if (shard.epoch != epoch) {
@@ -52,7 +43,7 @@ void ClassifyCache::insert(u64 hash, std::span<const double> point, u64 epoch,
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  if (shard.lru.size() >= entries_per_shard_) {
+  if (shard.lru.size() >= kEntriesPerShard) {
     shard.map.erase(shard.lru.back().hash);
     shard.lru.pop_back();
   }

@@ -14,6 +14,7 @@
 // to wrong answers.
 #pragma once
 
+#include <array>
 #include <list>
 #include <mutex>
 #include <span>
@@ -26,11 +27,9 @@ namespace sdb::serve {
 
 class ClassifyCache {
  public:
-  /// `shards` concurrent regions of `entries_per_shard` LRU entries each.
-  /// shards == 0 or entries_per_shard == 0 disables the cache.
-  ClassifyCache(size_t shards, size_t entries_per_shard);
-
-  [[nodiscard]] bool enabled() const { return !shards_.empty(); }
+  /// kShards concurrent regions of kEntriesPerShard LRU entries each.
+  static constexpr size_t kShards = 8;
+  static constexpr size_t kEntriesPerShard = 1024;
 
   /// Content hash of a query point (shard + map key).
   static u64 hash_point(std::span<const double> point);
@@ -56,10 +55,9 @@ class ClassifyCache {
     std::unordered_map<u64, std::list<Entry>::iterator> map;
   };
 
-  Shard& shard_of(u64 hash) { return shards_[hash % shards_.size()]; }
+  Shard& shard_of(u64 hash) { return shards_[hash % kShards]; }
 
-  std::vector<Shard> shards_;
-  size_t entries_per_shard_;
+  std::array<Shard, kShards> shards_;
 };
 
 }  // namespace sdb::serve

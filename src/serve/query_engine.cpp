@@ -7,7 +7,6 @@ namespace sdb::serve {
 QueryEngine::QueryEngine(ModelRegistry& registry, Config config)
     : registry_(registry),
       config_(config),
-      cache_(config.cache_shards, config.cache_entries_per_shard),
       pool_(config.threads) {
   SDB_CHECK(config_.queue_capacity > 0, "queue capacity must be positive");
 }

@@ -95,8 +95,6 @@ class QueryEngine {
   struct Config {
     unsigned threads = 2;         ///< worker threads
     size_t queue_capacity = 1024; ///< max queued+running requests (admission)
-    size_t cache_shards = 8;
-    size_t cache_entries_per_shard = 1024;  ///< 0 disables the cache
   };
 
   QueryEngine(ModelRegistry& registry, Config config);

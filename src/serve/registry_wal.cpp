@@ -1,6 +1,5 @@
 #include "serve/registry_wal.hpp"
 
-#include <charconv>
 #include <cstring>
 #include <filesystem>
 
@@ -15,23 +14,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr u64 kSnapshotMagic = 0x534442574c534e50ull;  // "SDBWLSNP"
-
-/// The generation in a file name `<prefix><digits><suffix>`, or nothing
-/// when the name has another shape or the part between is not all digits
-/// (a stray `snapshot_old` or `snapshot_2.bak` is not the WAL's).
-std::optional<u64> generation_of(std::string_view name, std::string_view prefix,
-                                 std::string_view suffix) {
-  if (name.size() < prefix.size() + suffix.size() ||
-      !name.starts_with(prefix) || !name.ends_with(suffix)) {
-    return std::nullopt;
-  }
-  const char* first = name.data() + prefix.size();
-  const char* last = name.data() + name.size() - suffix.size();
-  u64 gen = 0;
-  const auto [end, ec] = std::from_chars(first, last, gen);
-  if (ec != std::errc() || end != last) return std::nullopt;
-  return gen;
-}
 
 }  // namespace
 
@@ -116,13 +98,11 @@ void RegistryWal::open_generation() {
   std::vector<std::pair<u64, fs::path>> logs;
   for (const auto& entry : fs::directory_iterator(dir_)) {
     const std::string name = entry.path().filename().string();
-    if (name.ends_with(".tmp")) {
+    if (file_number(name, "snapshot_", ".tmp")) {
       tmp_files.push_back(entry.path());
-      continue;
-    }
-    if (const auto gen = generation_of(name, "snapshot_", "")) {
+    } else if (const auto gen = file_number(name, "snapshot_", "")) {
       snapshots.emplace_back(*gen, entry.path());
-    } else if (const auto log_gen = generation_of(name, "wal_", ".log")) {
+    } else if (const auto log_gen = file_number(name, "wal_", ".log")) {
       logs.emplace_back(*log_gen, entry.path());
     }
   }
@@ -306,16 +286,18 @@ void RegistryWal::reset_generation_locked(u64 generation,
       fs::rename(tmp, final_path);
     }
     // The new generation is now authoritative: fresh empty log, stale
-    // generations deleted.
+    // generations and staging files deleted. Names the WAL does not write
+    // stay, as they do at open.
     if (out_.is_open()) out_.close();
     for (const auto& entry : fs::directory_iterator(dir_)) {
       const std::string name = entry.path().filename().string();
-      if (name == "wal_" + std::to_string(generation) + ".log") continue;
-      if (!snapshot_blob.empty() &&
-          name == "snapshot_" + std::to_string(generation)) {
-        continue;
+      const auto log_gen = file_number(name, "wal_", ".log");
+      const auto snap_gen = file_number(name, "snapshot_", "");
+      if ((log_gen && *log_gen != generation) ||
+          (snap_gen && (*snap_gen != generation || snapshot_blob.empty())) ||
+          file_number(name, "snapshot_", ".tmp")) {
+        fs::remove(entry.path());
       }
-      fs::remove(entry.path());
     }
   }
   generation_ = generation;

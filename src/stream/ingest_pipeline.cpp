@@ -24,20 +24,7 @@ IngestPipeline::IngestPipeline(serve::ModelRegistry& registry, Config config)
       base_rebuild_threshold_(registry.rebuild_threshold()) {
   SDB_CHECK(config_.queue_capacity > 0, "queue capacity must be positive");
   SDB_CHECK(config_.batch_max > 0, "batch_max must be positive");
-  SDB_CHECK(config_.publish_every_batches > 0 &&
-                config_.pressured_publish_every > 0,
-            "publish cadences must be positive");
   SDB_CHECK(config_.lag_capacity > 0.0, "lag_capacity must be positive");
-  SDB_CHECK(config_.pressured_enter <= config_.degraded_enter &&
-                config_.degraded_enter <= config_.shedding_enter,
-            "enter watermarks must be non-decreasing up the ladder");
-  SDB_CHECK(config_.pressured_exit < config_.pressured_enter &&
-                config_.degraded_exit < config_.degraded_enter &&
-                config_.shedding_exit < config_.shedding_enter,
-            "exit watermarks must sit below their enter watermarks");
-  SDB_CHECK(config_.degraded_core_fraction > 0.0 &&
-                config_.degraded_core_fraction <= 1.0,
-            "degraded_core_fraction must be in (0, 1]");
   batcher_ = std::thread(&IngestPipeline::batcher_main, this);
 }
 
@@ -275,32 +262,12 @@ double IngestPipeline::pressure_locked() const {
   return std::max(queue_fraction, lag_fraction);
 }
 
-double IngestPipeline::enter_watermark(LadderRung rung) const {
-  switch (rung) {
-    case LadderRung::kHealthy: return 0.0;
-    case LadderRung::kPressured: return config_.pressured_enter;
-    case LadderRung::kDegraded: return config_.degraded_enter;
-    case LadderRung::kShedding: return config_.shedding_enter;
-  }
-  return 0.0;
-}
-
-double IngestPipeline::exit_watermark(LadderRung rung) const {
-  switch (rung) {
-    case LadderRung::kHealthy: return 0.0;
-    case LadderRung::kPressured: return config_.pressured_exit;
-    case LadderRung::kDegraded: return config_.degraded_exit;
-    case LadderRung::kShedding: return config_.shedding_exit;
-  }
-  return 0.0;
-}
-
 void IngestPipeline::maybe_escalate_locked(u64 batch_seq) {
   const double pressure = pressure_locked();
   LadderRung current = rung_.load(std::memory_order_relaxed);
   LadderRung target = current;
   for (u32 r = static_cast<u32>(current) + 1; r < kLadderRungs; ++r) {
-    if (pressure >= enter_watermark(static_cast<LadderRung>(r))) {
+    if (pressure >= kWatermarks[r].enter) {
       target = static_cast<LadderRung>(r);
     }
   }
@@ -312,10 +279,10 @@ void IngestPipeline::maybe_escalate_locked(u64 batch_seq) {
     switch (next) {
       case LadderRung::kPressured:
         registry_.set_rebuild_threshold(base_rebuild_threshold_ *
-                                        config_.deferred_rebuild_factor);
+                                        Config::deferred_rebuild_factor);
         break;
       case LadderRung::kDegraded:
-        registry_.set_core_sample_fraction(config_.degraded_core_fraction);
+        registry_.set_core_sample_fraction(Config::degraded_core_fraction);
         break;
       default:
         break;  // kShedding: pure admission gate, no registry knob
@@ -333,7 +300,9 @@ void IngestPipeline::maybe_recover_locked(u64 batch_seq) {
     const double pressure = pressure_locked();
     const bool idle =
         queue_.empty() && lag_.load(std::memory_order_relaxed) == 0;
-    if (!idle && pressure > exit_watermark(current)) return;
+    if (!idle && pressure > kWatermarks[static_cast<size_t>(current)].exit) {
+      return;
+    }
     const LadderRung next =
         static_cast<LadderRung>(static_cast<u32>(current) - 1);
     switch (current) {
@@ -380,14 +349,13 @@ void IngestPipeline::record_transition_locked(LadderRung from, LadderRung to,
 size_t IngestPipeline::batch_cap() const {
   const LadderRung rung = rung_.load(std::memory_order_relaxed);
   return rung >= LadderRung::kPressured
-             ? config_.batch_max * config_.pressured_batch_factor
+             ? config_.batch_max * kPressuredBatchFactor
              : config_.batch_max;
 }
 
 u64 IngestPipeline::publish_cadence() const {
   const LadderRung rung = rung_.load(std::memory_order_relaxed);
-  return rung >= LadderRung::kPressured ? config_.pressured_publish_every
-                                        : config_.publish_every_batches;
+  return rung >= LadderRung::kPressured ? kPressuredPublishEvery : 1;
 }
 
 StreamMetrics IngestPipeline::metrics() const {

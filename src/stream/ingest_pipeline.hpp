@@ -11,23 +11,25 @@
 //
 // The degradation ladder. Overload is measured as a normalized pressure
 // score: max(queue_depth / queue_capacity, unpublished_ops / lag_capacity).
-// Hysteresis watermarks (enter > exit) map pressure onto four rungs:
+// Hysteresis watermarks (enter > exit, kWatermarks) map pressure onto four
+// rungs. The watermarks and each rung's knob actions are constants:
 //
 //   kHealthy   — exact incremental updates, publish every micro-epoch.
-//   kPressured — coalesce larger micro-epochs (batch cap x
-//                `pressured_batch_factor`), stretch the publish cadence to
-//                every `pressured_publish_every` epochs, and DEFER kd-tree
-//                rebuilds (registry rebuild_threshold x
-//                `deferred_rebuild_factor`). Updates stay exact.
-//   kDegraded  — additionally publish DBSCAN++-subsampled snapshots
-//                (core_sample_fraction = `degraded_core_fraction`): classify
-//                may misreport eps-boundary points as noise, bounded by the
+//   kPressured — (enter 0.50, exit 0.20) coalesce larger micro-epochs
+//                (batch cap x kPressuredBatchFactor = 4), stretch the
+//                publish cadence to every kPressuredPublishEvery = 4 epochs,
+//                and DEFER kd-tree rebuilds (registry rebuild_threshold x
+//                Config::deferred_rebuild_factor = 8). Updates stay exact.
+//   kDegraded  — (0.75, 0.40) additionally publish DBSCAN++-subsampled
+//                snapshots (core_sample_fraction =
+//                Config::degraded_core_fraction = 0.5): classify may
+//                misreport eps-boundary points as noise, bounded by the
 //                retained-core fraction; models report degraded() and
 //                QueryEngine surfaces Reply::degraded_model. The data plane
 //                stays exact — only the serving snapshot approximates.
-//   kShedding  — reject new writes with a retry-after hint (reads keep
-//                being served from the last published epoch). Nothing
-//                already acknowledged is ever shed.
+//   kShedding  — (0.95, 0.60) reject new writes with a retry-after hint
+//                (reads keep being served from the last published epoch).
+//                Nothing already acknowledged is ever shed.
 //
 // Escalation jumps straight to whatever rung the pressure demands (evaluated
 // at every submit and after every micro-epoch, walking each edge so knob
@@ -144,25 +146,15 @@ class IngestPipeline {
     /// Micro-epoch flush thresholds (healthy rung).
     size_t batch_max = 256;
     u64 batch_deadline_us = 2000;
-    u64 publish_every_batches = 1;
-
-    /// Ladder watermarks on the normalized pressure score. Enter when
-    /// pressure >= enter; step down when pressure <= exit (hysteresis).
-    double pressured_enter = 0.50;
-    double pressured_exit = 0.20;
-    double degraded_enter = 0.75;
-    double degraded_exit = 0.40;
-    double shedding_enter = 0.95;
-    double shedding_exit = 0.60;
     /// Unpublished-op count that maps to pressure 1.0 (the epoch-lag
     /// watermark scale).
     double lag_capacity = 4096.0;
 
-    /// Knob actions per rung (see the class comment).
-    size_t pressured_batch_factor = 4;
-    u64 pressured_publish_every = 4;
-    size_t deferred_rebuild_factor = 8;
-    double degraded_core_fraction = 0.5;
+    /// The registry knobs the pressured and degraded rungs set (see the
+    /// class comment): constants, not settings.
+    static constexpr size_t deferred_rebuild_factor = 8;
+    static constexpr double degraded_core_fraction = 0.5;
+    static_assert(degraded_core_fraction > 0.0 && degraded_core_fraction <= 1.0);
 
     /// Retry-after hint returned on shed submits.
     double retry_after_ms = 5.0;
@@ -205,6 +197,30 @@ class IngestPipeline {
   [[nodiscard]] std::vector<LadderTransition> transitions() const;
 
  private:
+  /// Ladder watermarks on the normalized pressure score, indexed by rung:
+  /// enter when pressure >= enter; step down when pressure <= exit.
+  struct Watermark {
+    double enter;
+    double exit;
+  };
+  static constexpr std::array<Watermark, kLadderRungs> kWatermarks = {{
+      {0.0, 0.0},    // kHealthy
+      {0.50, 0.20},  // kPressured
+      {0.75, 0.40},  // kDegraded
+      {0.95, 0.60},  // kShedding
+  }};
+  static_assert(kWatermarks[1].enter <= kWatermarks[2].enter &&
+                    kWatermarks[2].enter <= kWatermarks[3].enter,
+                "enter watermarks must be non-decreasing up the ladder");
+  static_assert(kWatermarks[1].exit < kWatermarks[1].enter &&
+                    kWatermarks[2].exit < kWatermarks[2].enter &&
+                    kWatermarks[3].exit < kWatermarks[3].enter,
+                "exit watermarks must sit below their enter watermarks");
+  /// The pressured rung's batch-cap multiplier and publish cadence (the
+  /// healthy rung publishes every micro-epoch).
+  static constexpr size_t kPressuredBatchFactor = 4;
+  static constexpr u64 kPressuredPublishEvery = 4;
+
   struct Pending {
     dbscan::IncrementalDbscan::BatchOp op;
     u64 ticket = 0;
@@ -219,8 +235,6 @@ class IngestPipeline {
   void publish_now();
 
   [[nodiscard]] double pressure_locked() const;
-  [[nodiscard]] double enter_watermark(LadderRung rung) const;
-  [[nodiscard]] double exit_watermark(LadderRung rung) const;
   /// Jump up to whatever rung pressure demands, one edge at a time.
   void maybe_escalate_locked(u64 batch_seq);
   /// Step down one rung — or all the way to kHealthy when fully idle.

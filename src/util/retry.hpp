@@ -6,17 +6,13 @@
 // herd of retries decorrelates — up to a bounded attempt count. The final
 // failure is rethrown, so permanent faults still surface.
 //
-// Backoff is *accounted*, not slept, by default: tests and the simulated
-// cluster clock want the schedule (RetryStats::backoff_s), not real wall
-// delay on a 1-core host. Pass real_sleep=true for live systems.
+// Backoff is *accounted*, not slept: tests and the simulated cluster clock
+// want the schedule (RetryStats::backoff_s), not real wall delay.
 //
 // Jitter draws from an Rng stream derived from an explicit seed, so a retry
 // schedule is bit-reproducible given (policy, seed) — the same contract as
 // every other stochastic component in this repo.
 #pragma once
-
-#include <chrono>
-#include <thread>
 
 #include "util/common.hpp"
 #include "util/rng.hpp"
@@ -31,7 +27,6 @@ struct RetryPolicy {
   /// Uniform jitter fraction: each backoff is scaled by a factor drawn from
   /// [1 - jitter, 1 + jitter]. 0 = fully deterministic schedule.
   double jitter = 0.25;
-  bool real_sleep = false;       ///< actually sleep the backoff (live mode)
 };
 
 struct RetryStats {
@@ -69,11 +64,7 @@ auto retry_call(const RetryPolicy& policy, u64 seed, F&& fn,
       return fn();
     } catch (...) {
       if (attempt >= policy.max_attempts) throw;
-      const double backoff = backoff_seconds(policy, attempt, rng);
-      s.backoff_s += backoff;
-      if (policy.real_sleep) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      }
+      s.backoff_s += backoff_seconds(policy, attempt, rng);
     }
   }
 }

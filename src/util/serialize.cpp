@@ -1,5 +1,6 @@
 #include "util/serialize.hpp"
 
+#include <charconv>
 #include <cstdio>
 
 #include "util/counters.hpp"
@@ -59,6 +60,20 @@ size_t read_file_into(const std::string& path, char* dst, size_t size) {
   }
   std::fclose(f);
   return static_cast<size_t>(actual);
+}
+
+std::optional<u64> file_number(std::string_view name, std::string_view prefix,
+                               std::string_view suffix) {
+  if (name.size() < prefix.size() + suffix.size() ||
+      !name.starts_with(prefix) || !name.ends_with(suffix)) {
+    return std::nullopt;
+  }
+  const char* first = name.data() + prefix.size();
+  const char* last = name.data() + name.size() - suffix.size();
+  u64 number = 0;
+  const auto [end, ec] = std::from_chars(first, last, number);
+  if (ec != std::errc() || end != last) return std::nullopt;
+  return number;
 }
 
 std::optional<std::span<const char>> unseal(std::span<const char> bytes) {

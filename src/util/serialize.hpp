@@ -20,6 +20,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/common.hpp"
@@ -141,6 +142,13 @@ std::vector<char> read_file(const std::string& path);
 /// bytes, and return its size either way: a file of any other size reads
 /// nothing, so the caller sees the mismatch. Aborts on IO failure.
 size_t read_file_into(const std::string& path, char* dst, size_t size);
+
+/// The number in a file name `<prefix><digits><suffix>`, or nothing when the
+/// name has another shape or the part between is not all decimal digits: a
+/// sign, a space, an empty or a non-numeric part (a stray `blk_-5` or
+/// `snapshot_old`) names a file the caller did not write.
+std::optional<u64> file_number(std::string_view name, std::string_view prefix,
+                               std::string_view suffix);
 
 /// The payload of a sealed buffer (`payload | u64 fnv1a(payload)`), or
 /// nothing when `bytes` is under 8 bytes or its trailer differs.

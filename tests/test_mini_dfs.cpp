@@ -267,5 +267,29 @@ TEST_F(MiniDfsTest, DurableRemoveSurvivesReopen) {
   EXPECT_EQ(reopened.read("/keep"), "kept");
 }
 
+// Recovery deletes unreferenced blocks, and a name is a block only when its
+// suffix is all decimal digits: a sign, a space, an empty or a non-numeric
+// suffix is not a name the DFS writes, so recovery leaves it alone.
+TEST_F(MiniDfsTest, RecoveryKeepsBlockNamesItNeverWrote) {
+  const std::string data(20, 'r');
+  {
+    MiniDfs dfs(root_, 8, 4, 2, Durability::kDurable);
+    dfs.write("/f", data);
+  }
+  const fs::path blocks = fs::path(root_) / "blocks";
+  const char* const foreign[] = {"blk_-5", "blk_ 7", "blk_", "blk_x"};
+  for (const char* name : foreign) {
+    std::ofstream(blocks / name, std::ios::binary) << "foreign";
+  }
+  std::ofstream(blocks / "blk_99", std::ios::binary) << "orphan";
+  MiniDfs reopened(root_, 8, 4, 2, Durability::kDurable);
+  EXPECT_EQ(reopened.read("/f"), data);
+  EXPECT_EQ(reopened.orphans_collected(), 1u);
+  EXPECT_FALSE(fs::exists(blocks / "blk_99"));
+  for (const char* name : foreign) {
+    EXPECT_TRUE(fs::exists(blocks / name)) << name;
+  }
+}
+
 }  // namespace
 }  // namespace sdb::dfs

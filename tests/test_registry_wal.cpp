@@ -356,6 +356,42 @@ TEST_F(RegistryWalTest, ForeignFileNamesDoNotBlockRecovery) {
   }
 }
 
+// Compaction and a follower's reset delete the WAL's own files of other
+// generations and its staging tmp, and nothing else: files the WAL did not
+// write survive both, as they survive an open.
+TEST_F(RegistryWalTest, CompactionKeepsFilesItDidNotWrite) {
+  {
+    RegistryWal wal(dir_);
+    append_pattern(wal, 3);  // insert, remove, publish: committed
+  }
+  const char* const foreign[] = {"notes.txt", "snapshot_old", "notes.tmp"};
+  for (const char* name : foreign) {
+    std::ofstream(fs::path(dir_) / name, std::ios::binary);
+  }
+  // A staging file a crash left behind is the WAL's, so it goes.
+  std::ofstream(fs::path(dir_) / "snapshot_5.tmp", std::ios::binary);
+  RegistryWal wal(dir_);
+  check_pattern(wal.records(), 3);
+  EXPECT_FALSE(fs::exists(fs::path(dir_) / "snapshot_5.tmp"));
+
+  wal.compact("GEN-1", 1);
+  EXPECT_FALSE(fs::exists(log_file(0)));
+  EXPECT_TRUE(fs::exists(log_file(1)));
+  EXPECT_TRUE(fs::exists(fs::path(dir_) / "snapshot_1"));
+  for (const char* name : foreign) {
+    EXPECT_TRUE(fs::exists(fs::path(dir_) / name)) << name;
+  }
+
+  wal.reset_generation(4, "SHIPPED-BASE", 2);
+  EXPECT_FALSE(fs::exists(log_file(1)));
+  EXPECT_FALSE(fs::exists(fs::path(dir_) / "snapshot_1"));
+  EXPECT_TRUE(fs::exists(log_file(4)));
+  EXPECT_TRUE(fs::exists(fs::path(dir_) / "snapshot_4"));
+  for (const char* name : foreign) {
+    EXPECT_TRUE(fs::exists(fs::path(dir_) / name)) << name;
+  }
+}
+
 #ifdef SDB_FAULT_INJECTION
 
 /// In-process crash: throw instead of SIGKILL so one test can crash a

@@ -1,11 +1,44 @@
-// The simulated cluster clock: cost model arithmetic and its scaling laws.
+// The simulated cluster clock: cost model arithmetic, its scaling laws, and
+// the bits of every simulated time one fixed job of each engine reports.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <bit>
+#include <cstdio>
+#include <filesystem>
+#include <initializer_list>
+#include <string>
+#include <vector>
+
+#include "core/mr_dbscan.hpp"
+#include "core/spark_dbscan.hpp"
+#include "fault/fault_plan.hpp"
 #include "minispark/cost_model.hpp"
 #include "minispark/metrics.hpp"
+#include "synth/generators.hpp"
+#include "util/rng.hpp"
 
 namespace sdb::minispark {
 namespace {
+
+/// The bit patterns of `values`, so a golden compares times exactly.
+std::vector<u64> bits(std::initializer_list<double> values) {
+  std::vector<u64> out;
+  for (const double v : values) out.push_back(std::bit_cast<u64>(v));
+  return out;
+}
+
+/// `values` as hex literals, for a failure message that can be pasted back.
+std::string hex(const std::vector<u64>& values) {
+  std::string out;
+  char buf[32];
+  for (const u64 v : values) {
+    std::snprintf(buf, sizeof(buf), "0x%016llxull, ",
+                  static_cast<unsigned long long>(v));
+    out += buf;
+  }
+  return out;
+}
 
 TEST(CostModel, ComputeSecondsLinearInOps) {
   CostModel cm;
@@ -142,6 +175,95 @@ TEST(Gantt, RendersOneRowPerCore) {
 
 TEST(Gantt, EmptyScheduleEmptyChart) {
   EXPECT_TRUE(render_gantt({}, 4, 40).empty());
+}
+
+// Every simulated time of one fixed job per engine, bit for bit: the prices,
+// the straggler draws, the hang and timeout terms and the summation order
+// all reach these values, so a change to any of them fails here. Spark runs
+// 4 executors x 1 core at one host thread under the default seeded
+// stragglers: clean, under spark.task.hang with the default 4 attempts
+// (a hang on an attempt that may retry times out), and under the same plan
+// with 1 attempt (every hang stalls for its full length).
+TEST(SimClock, GoldenTimesPerEngine) {
+  Rng rng(17);
+  synth::GaussianMixtureConfig data;
+  data.n = 1200;
+  data.dim = 2;
+  data.clusters = 4;
+  data.sigma = 0.5;
+  data.noise_fraction = 0.05;
+  data.box_side = 60.0;
+  const PointSet ps = synth::gaussian_clusters(data, rng);
+  const dbscan::DbscanParams params{1.0, 5};
+
+  u32 timeouts = 0;
+  u32 straggled = 0;
+  auto spark_times = [&](u32 max_task_attempts) {
+    ClusterConfig ccfg;
+    ccfg.executors = 4;
+    ccfg.cores_per_executor = 1;
+    ccfg.host_threads = 1;
+    ccfg.max_task_attempts = max_task_attempts;
+    SparkContext ctx(ccfg);
+    dbscan::SparkDbscanConfig cfg;
+    cfg.params = params;
+    cfg.partitions = 8;
+    dbscan::SparkDbscan dbscan(ctx, cfg);
+    const dbscan::SparkDbscanReport r = dbscan.run(ps);
+    timeouts = ctx.last_job().timeouts;
+    straggled = 0;
+    for (const TaskMetrics& t : ctx.last_job().tasks) straggled += t.straggled;
+    return bits({r.sim_read_s, r.sim_tree_s, r.sim_broadcast_s,
+                 r.sim_executor_s, r.sim_executor_total_s, r.sim_collect_s,
+                 r.sim_merge_s, r.sim_driver_s()});
+  };
+
+  const std::vector<u64> clean = spark_times(4);
+  EXPECT_GT(straggled, 0u);  // the seeded straggler draw reaches a task
+  const std::vector<u64> kClean = {
+      0x3f16052502eec7caull, 0x3f2838dbe9a0422bull, 0x3f5a1d871348f6d9ull,
+      0x3f905cfd4246b2a8ull, 0x3fb045582e25adb3ull, 0x3f45e48798540e0eull,
+      0x3f4333a3f16156b2ull, 0x3f69888552c34efeull};
+  EXPECT_EQ(clean, kClean) << hex(clean);
+
+#ifdef SDB_FAULT_INJECTION
+  const std::string kHangs = "seed=5;spark.task.hang:p=0.7,budget=8";
+  {
+    const fault::ScopedFaultPlan chaos(kHangs);
+    const std::vector<u64> timed_out = spark_times(4);
+    EXPECT_EQ(timeouts, 7u);  // and one hang on a last attempt stalls
+    const std::vector<u64> kTimedOut = {
+        0x3f16052502eec7caull, 0x3f2838dbe9a0422bull, 0x3f5a1d871348f6d9ull,
+        0x404e04116ba5f573ull, 0x405906578b2323c8ull, 0x3f45e48798540e0eull,
+        0x3f4333a3f16156b2ull, 0x3f69888552c34efeull};
+    EXPECT_EQ(timed_out, kTimedOut) << hex(timed_out);
+  }
+  {
+    const fault::ScopedFaultPlan chaos(kHangs);
+    const std::vector<u64> stalled = spark_times(1);
+    EXPECT_EQ(timeouts, 0u);
+    const std::vector<u64> kStalled = {
+        0x3f16052502eec7caull, 0x3f2838dbe9a0422bull, 0x3f5a1d871348f6d9ull,
+        0x403e0636fa5001a9ull, 0x405e0411560b896bull, 0x3f45e48798540e0eull,
+        0x3f4333a3f16156b2ull, 0x3f69888552c34efeull};
+    EXPECT_EQ(stalled, kStalled) << hex(stalled);
+  }
+#endif  // SDB_FAULT_INJECTION
+
+  dbscan::MRDbscanConfig mr;
+  mr.params = params;
+  mr.mr.work_dir = (std::filesystem::temp_directory_path() /
+                    ("sdb_sim_golden_" + std::to_string(::getpid())))
+                       .string();
+  const dbscan::MRDbscanReport m = dbscan::mr_dbscan(ps, mr);
+  std::filesystem::remove_all(mr.mr.work_dir);
+  const std::vector<u64> mr_times =
+      bits({m.job.sim_total_s, m.job.map.sim_makespan_s,
+            m.job.reduce.sim_makespan_s, m.job.shuffle_s});
+  const std::vector<u64> kMr = {
+      0x400670b63d46e5f6ull, 0x3fc3b870ca4283deull, 0x3fc33d30c931c8e1ull,
+      0x3f45c240fa12a292ull};
+  EXPECT_EQ(mr_times, kMr) << hex(mr_times);
 }
 
 TEST(StragglerModel, DefaultsSane) {

@@ -325,6 +325,11 @@ TEST(SparkDbscan, KnnFingerprintsFoldTheDescentStart) {
   constexpr u64 kRandomStartKnn = 7377778652359950393ull;
   EXPECT_EQ(fingerprint(DbscanBackend::kExact), kExact);
   EXPECT_NE(fingerprint(DbscanBackend::kKnn), kRandomStartKnn);
+  // Recorded with the forest start. The salt folds the descent's join
+  // sample cap and stopping fraction by value and type, so this holds while
+  // they keep theirs.
+  constexpr u64 kForestStartKnn = 11154479637995868620ull;
+  EXPECT_EQ(fingerprint(DbscanBackend::kKnn), kForestStartKnn);
   fs::remove_all(dir);
 }
 

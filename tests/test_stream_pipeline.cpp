@@ -158,7 +158,6 @@ TEST(StreamPipeline, LadderEngagesUnderStallAndRestoresRebuildThreshold) {
   cfg.batch_deadline_us = 200;
   cfg.lag_capacity = 1e9;  // isolate the queue-depth watermark
   cfg.stall_micros = 4000;
-  cfg.deferred_rebuild_factor = 8;
   IngestPipeline pipeline(registry, cfg);
 
   fault::ScopedFaultPlan chaos("seed=3;stream.queue.stall");
@@ -256,7 +255,6 @@ TEST(StreamPipeline, DegradedRungPublishesSubsampledSnapshots) {
   cfg.batch_deadline_us = 200;
   cfg.lag_capacity = 1e9;
   cfg.stall_micros = 6000;
-  cfg.degraded_core_fraction = 0.5;
   IngestPipeline pipeline(registry, cfg);
 
   {
